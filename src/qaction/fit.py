@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 from .analytic import euclidean_log_amplitude, harmonic_log_kernel
 from .model import ActionParams, Domain, PotentialSpec, omega
 from .oracle import SpectralDecomposition, amplitude
-from .trajectory import SolverError, TimeGrid, Trajectory, action_value, solve_bvp
+from .trajectory import SolverError, TimeGrid, Trajectory, action_values, solve_paths
 
 MAX_EVALUATIONS = 50000
 SIMPLEX_TOL = 1e-10
@@ -175,12 +175,14 @@ class _Objective:
         )
 
     def actions(self, q: ActionParams) -> np.ndarray:
-        out = np.empty(len(self.pairs))
-        for idx, (a, b) in enumerate(self.pairs):
-            traj = solve_bvp(q, a, b, self.grid, guess=self.cache.get(idx))
-            self.cache[idx] = traj
-            out[idx] = action_value(q, traj)
-        return out
+        guesses = [self.cache.get(idx) for idx in range(len(self.pairs))]
+        try:
+            trajs = solve_paths(q, self.pairs, self.grid, guesses)
+        except SolverError as exc:
+            self.cache.update(enumerate(exc.solved))
+            raise
+        self.cache.update(enumerate(trajs))
+        return action_values(q, trajs)
 
     def residuals(self, q: ActionParams) -> tuple[np.ndarray, float]:
         sig = self.actions(q)

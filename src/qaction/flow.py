@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ActionParams, PotentialSpec, potential_value
-from .trajectory import (
-    SolverError,
-    TimeGrid,
-    Trajectory,
-    neighbour_pair,
-    sensitivities,
-    solve_bvp,
-)
+from .trajectory import SolverError, TimeGrid, Trajectory, sensitivities, solve_paths
 
 DEFAULT_DBETA = 3.75e-3
 CONDITION_LIMIT = 1e12
@@ -98,21 +91,9 @@ def assemble_system(
     a_mat = np.empty((n_rows, 2 + len(exponents)))
     rhs = np.empty(n_rows)
     hbar = classical.hbar
+    paths, neighbours = _solve_stage(state, grid, cache)
     for j, x_f in enumerate(state.final_points):
-        traj = solve_bvp(
-            state.params, state.initial_point, x_f, grid, guess=cache.get((j, 0))
-        )
-        cache[(j, 0)] = traj
-        offset = 1e-3 * max(1.0, abs(x_f))
-        lower = solve_bvp(
-            state.params, state.initial_point, x_f - offset, grid,
-            guess=cache.get((j, -1), traj),
-        )
-        upper = solve_bvp(
-            state.params, state.initial_point, x_f + offset, grid,
-            guess=cache.get((j, 1), traj),
-        )
-        cache[(j, -1)], cache[(j, 1)] = lower, upper
+        traj, lower, upper = paths[j], neighbours[2 * j], neighbours[2 * j + 1]
         sens = sensitivities(state.params, traj, (lower, upper))
         a_mat[j, 0] = -1.0
         a_mat[j, 1] = sens.d_mass
@@ -126,6 +107,52 @@ def assemble_system(
     return a_mat, rhs
 
 
+def _solve_stage(
+    state: FlowState, grid: TimeGrid, cache: dict
+) -> tuple[list[Trajectory], list[Trajectory]]:
+    """Paths to every final point, then their -/+ offset neighbours, as two batches.
+
+    Leaves `cache` as the point-by-point loop (path, lower, upper for each
+    final point in turn) would: on a SolverError, every trajectory that loop
+    would have stored before the failure is stored, and nothing after it.
+    """
+    start = state.initial_point
+    points = state.final_points
+    paths, error = _solved_prefix(
+        state.params,
+        [(start, x_f) for x_f in points],
+        grid,
+        [cache.get((j, 0)) for j in range(len(points))],
+    )
+    ends, guesses = [], []
+    for j, traj in enumerate(paths):
+        offset = 1e-3 * max(1.0, abs(points[j]))
+        ends += [points[j] - offset, points[j] + offset]
+        guesses += [cache.get((j, -1), traj), cache.get((j, 1), traj)]
+    neighbours, neighbour_error = _solved_prefix(
+        state.params, [(start, end) for end in ends], grid, guesses
+    )
+    complete = len(neighbours) // 2
+    if neighbour_error is not None:
+        # the path of the failing point was solved and stored before its neighbours
+        paths, error = paths[: complete + 1], neighbour_error
+    for j, traj in enumerate(paths):
+        cache[(j, 0)] = traj
+    for j in range(complete):
+        cache[(j, -1)], cache[(j, 1)] = neighbours[2 * j], neighbours[2 * j + 1]
+    if error is not None:
+        raise error
+    return paths, neighbours
+
+
+def _solved_prefix(params, pairs, grid, guesses):
+    """(trajectories solved, SolverError or None) of one solve_paths batch."""
+    try:
+        return solve_paths(params, pairs, grid, guesses), None
+    except SolverError as exc:
+        return exc.solved, exc
+
+
 def solve_rates(
     a_mat: np.ndarray, rhs: np.ndarray, mode: str = "min_norm"
 ) -> tuple[np.ndarray, StepDiagnostics]:
@@ -136,7 +163,6 @@ def solve_rates(
     dbeta fields of the diagnostics are filled by the caller.
     """
     n_unknowns = a_mat.shape[1]
-    pinned = None
     if mode == "pin_v0":
         # column order is [ln Z~, mass, v_k ascending]; find the v_0 column
         pinned = None

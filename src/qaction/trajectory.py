@@ -17,11 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .model import (
     ActionParams,
     Domain,
+    PotentialSpec,
+    _check_domain,
     potential_derivative,
     potential_second_derivative,
     potential_value,
@@ -29,10 +32,23 @@ from .model import (
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
+# Paths relaxed together by solve_paths. A block of 32 paths on 500 intervals
+# keeps 0.6 MB of work arrays. On a 2-vCPU Xeon, blocks of 16 to 60 paths gave
+# the same flow stage time (about 20 ms for 30 final points), so larger
+# blocks would only add memory.
+BLOCK_PATHS = 32
 
 
 class SolverError(RuntimeError):
-    """Raised when the relaxation solver cannot reach its tolerance."""
+    """Raised when the relaxation solver cannot reach its tolerance.
+
+    solve_paths attaches, as `solved`, the trajectories of the paths before
+    the failed one: what a loop of solve_bvp calls would have finished.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.solved: list[Trajectory] = []
 
 
 @dataclass(frozen=True)
@@ -93,13 +109,48 @@ class ActionSensitivities:
     d_xx: float
 
 
-def _interior_residual(params: ActionParams, x: np.ndarray, step: float) -> np.ndarray:
-    m, hbar = params.mass, params.hbar
-    lap = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / step**2
-    return m * lap - hbar**2 * potential_derivative(params.potential, x[1:-1])
+class _Derivatives:
+    """V' and V'' of one potential, compiled once into (exponent, coefficient) terms.
+
+    Evaluation keeps the term order and arithmetic of model._poly (zeros, then
+    out + c * x**k per non-zero term), so its values equal those of
+    potential_derivative and potential_second_derivative bit for bit.
+    """
+
+    def __init__(self, spec: PotentialSpec):
+        coeffs = spec.coefficients
+        self.spec = spec
+        self.first = _nonzero((k - 1, k * v) for k, v in coeffs.items() if k != 0)
+        self.second = _nonzero(
+            (k - 2, k * (k - 1) * v) for k, v in coeffs.items() if k not in (0, 2)
+        )
+        self.second_shift = 2.0 * coeffs[2] if 2 in coeffs else None
+
+    def _sum(self, terms, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        _check_domain(self.spec, x)
+        out.fill(0.0)
+        for k, c in terms:
+            np.power(x, k, out=tmp)
+            np.multiply(tmp, c, out=tmp)
+            np.add(out, tmp, out=out)
+        return out
+
+    def first_into(self, x, out, tmp) -> np.ndarray:
+        return self._sum(self.first, x, out, tmp)
+
+    def second_into(self, x, out, tmp) -> np.ndarray:
+        self._sum(self.second, x, out, tmp)
+        if self.second_shift is not None:
+            np.add(out, self.second_shift, out=out)
+        return out
+
+
+def _nonzero(terms) -> list[tuple[int, float]]:
+    return [(k, c) for k, c in terms if c != 0.0]
 
 
 def _newton_step(params: ActionParams, x: np.ndarray, step: float, resid: np.ndarray) -> np.ndarray:
+    """Newton update of one path alone; see _Relaxation.newton_steps for when it is used."""
     m, hbar = params.mass, params.hbar
     n_int = len(x) - 2
     band = np.zeros((3, n_int))
@@ -114,7 +165,10 @@ def _newton_step(params: ActionParams, x: np.ndarray, step: float, resid: np.nda
 def _initial_positions(grid: TimeGrid, start: float, end: float, guess) -> np.ndarray:
     if guess is None:
         return np.linspace(start, end, grid.n_points)
-    if isinstance(guess, Trajectory):
+    if isinstance(guess, Trajectory) and guess.grid.n_points == grid.n_points:
+        # np.interp returns the node values exactly where the nodes coincide
+        x = guess.positions.copy()
+    elif isinstance(guess, Trajectory):
         src_t = np.linspace(0.0, 1.0, guess.grid.n_points)
         dst_t = np.linspace(0.0, 1.0, grid.n_points)
         x = np.interp(dst_t, src_t, guess.positions)
@@ -123,6 +177,257 @@ def _initial_positions(grid: TimeGrid, start: float, end: float, guess) -> np.nd
         if len(x) != grid.n_points:
             raise ValueError(f"guess has {len(x)} points, grid needs {grid.n_points}")
     x[0], x[-1] = start, end
+    return x
+
+
+class _Relaxation:
+    """State and work buffers of one block of paths in solve_paths.
+
+    Rows are paths. The first len(ids) rows of every buffer belong to the
+    paths still iterating, in input order (ids maps them back); a converged
+    or failed path leaves by compaction. Kernels write into five buffers
+    with out=, so a batch holds a fixed set of arrays of its own size:
+    accepted and trial positions, trial residuals, the Newton step and a
+    scratch array. Between iterations `delta` holds the right-hand side
+    -r(x) of the accepted iterate, which the tridiagonal solve turns into the
+    step; the solve borrows the three buffers that the line search fills only
+    afterwards for its matrix.
+    """
+
+    def __init__(
+        self, params: ActionParams, grid: TimeGrid, pairs: list, x: np.ndarray, tol: float
+    ):
+        n_paths, n_points = x.shape
+        n_int = n_points - 2
+        m, step = params.mass, grid.step
+        self.params, self.grid, self.pairs, self.tol = params, grid, pairs, tol
+        self.half_line = params.domain is Domain.HALF_LINE
+        self.derivatives = _Derivatives(params.potential)
+        self.mass, self.hbar2, self.step2 = m, params.hbar**2, step**2
+        self.diag_shift, self.off_diag = -2.0 * m / step**2, m / step**2
+        self.x, self.x_try = x, np.empty_like(x)
+        self.resid_try, self.delta, self.tmp = (np.empty((n_paths, n_int)) for _ in range(3))
+        self.ids = np.arange(n_paths)
+        self.res_norm = self.max_abs(self.residual(x, self.resid_try))
+        np.negative(self.resid_try, out=self.delta)
+        self.delta_norm = np.full(n_paths, np.nan)
+        self.done: dict[int, Trajectory] = {}
+        self.errors: dict[int, Exception] = {}
+
+    def residual(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """m (x_{i+1} - 2 x_i + x_{i-1}) / dt^2 - hbar^2 V'(x_i) for the rows of x."""
+        tmp = self.tmp[: len(x)]
+        inner = x[:, 1:-1]
+        self.derivatives.first_into(inner, out, tmp)
+        np.multiply(out, self.hbar2, out=out)
+        np.multiply(inner, 2.0, out=tmp)
+        np.subtract(x[:, 2:], tmp, out=tmp)
+        np.add(tmp, x[:, :-2], out=tmp)
+        np.divide(tmp, self.step2, out=tmp)
+        np.multiply(tmp, self.mass, out=tmp)
+        return np.subtract(tmp, out, out=out)
+
+    def max_abs(self, a: np.ndarray) -> np.ndarray:
+        """Row-wise max norm."""
+        return np.abs(a, out=self.tmp[: len(a)]).max(axis=1)
+
+    def fail(self, row: int, exc: Exception):
+        self.errors[int(self.ids[row])] = exc
+
+    def limit(self) -> int:
+        """Index of the first failed path; no later path needs solving."""
+        return min(self.errors, default=len(self.pairs))
+
+    def newton_steps(self) -> np.ndarray:
+        """Newton updates of the iterating paths from one stacked gtsv call.
+
+        With zero couplings every path meets exactly the eliminations of its
+        own solve, unless a zero pivot stops the sweep or an inf or NaN
+        crosses a path boundary (0 * inf is not 0). Then each path is solved
+        alone, as before batching, and a singular one fails with LinAlgError.
+        """
+        rows = len(self.ids)
+        x, delta = self.x[:rows], self.delta[:rows]
+        n_int = delta.shape[1]
+        size = delta.size
+        diag = self.derivatives.second_into(x[:, 1:-1], self.resid_try[:rows], self.tmp[:rows])
+        np.multiply(diag, self.hbar2, out=diag)
+        np.subtract(self.diag_shift, diag, out=diag)
+        if size == 1:  # solve_banded divides 1x1 systems; gtsv rejects empty bands
+            np.divide(delta, diag, out=delta)
+            info = 0
+        else:
+            # m / dt^2 inside a path, zero between the last point of one path
+            # and the first of the next
+            lower = self.tmp.reshape(-1)[: size - 1]
+            upper = self.x_try.reshape(-1)[: size - 1]
+            for band in (lower, upper):
+                band.fill(self.off_diag)
+                band[n_int - 1 :: n_int] = 0.0
+            info = dgtsv(lower, diag.reshape(-1), upper, delta.reshape(-1), 1, 1, 1, 1)[-1]
+        if info != 0 or not np.isfinite(delta).all():
+            resid = self.residual(x, self.resid_try[:rows])  # the solve consumed -r(x)
+            for row in range(rows):
+                try:
+                    delta[row] = _newton_step(self.params, x[row], self.grid.step, resid[row])
+                except LinAlgError as exc:
+                    self.fail(row, exc)
+        return delta
+
+    def iterate(self, iteration: int) -> bool:
+        """One damped Newton iteration of every iterating path; False once none is left."""
+        rows = len(self.ids)
+        delta = self.newton_steps()
+        self.delta_norm = delta_norm = self.max_abs(delta)
+        res_norm = self.res_norm
+        scale = np.ones(rows)
+        step_norm = np.full(rows, np.nan)
+        pending = self._unfailed(np.arange(rows))
+        while pending.size:
+            # with out=, mode="clip" writes in place; the default mode buffers a copy
+            trial = np.take(self.x, pending, axis=0, out=self.x_try[: pending.size], mode="clip")
+            shift = np.take(delta, pending, axis=0, out=self.tmp[: pending.size], mode="clip")
+            np.multiply(shift, scale[pending, None], out=shift)
+            np.add(trial[:, 1:-1], shift, out=trial[:, 1:-1])
+            retry = pending[:0]
+            if self.half_line:
+                negative = np.any(trial[:, 1:-1] <= 0.0, axis=1)
+                if negative.any():
+                    retry = pending[negative]
+                    for row in retry:
+                        scale[row] *= 0.5
+                        if scale[row] < 1e-14:
+                            self.fail(row, SolverError(
+                                "step underflow keeping iterate positive "
+                                f"(residual {res_norm[row]:.3e})"
+                            ))
+                    pending, trial = pending[~negative], trial[~negative]
+            resid_try = self.residual(trial, self.resid_try[: pending.size])
+            res_try = self.max_abs(resid_try)
+            sc = scale[pending]
+            accept = (res_try < res_norm[pending] * (1.0 - 1e-4 * sc)) | (
+                sc * delta_norm[pending] <= self.tol
+            )
+            taken = pending[accept]
+            if taken.size == rows:  # every path took its full step: no copies
+                self.x, self.x_try = self.x_try, self.x
+                np.negative(resid_try, out=delta)
+            else:
+                self.x[taken] = trial[accept]
+                self.delta[taken] = -resid_try[accept]
+            res_norm[taken] = res_try[accept]
+            step_norm[taken] = sc[accept] * delta_norm[taken]
+            for row in pending[~accept]:
+                scale[row] *= 0.5
+                if scale[row] < 1e-14:
+                    self.fail(row, SolverError(
+                        f"line search stalled at residual {res_norm[row]:.3e} "
+                        f"after {iteration} iterations"
+                    ))
+            pending = self._unfailed(np.sort(np.concatenate([retry, pending[~accept]])))
+
+        converged = step_norm <= self.tol
+        for row in np.flatnonzero(converged):
+            path = int(self.ids[row])
+            start, end = self.pairs[path]
+            self.done[path] = Trajectory(
+                self.grid, start, end, self.x[row].copy(), iteration,
+                float(step_norm[row]), float(res_norm[row]),
+            )
+        keep = ~converged & (self.ids < self.limit())
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            np.take(self.x, kept, axis=0, out=self.x_try[: kept.size], mode="clip")
+            np.take(self.delta, kept, axis=0, out=self.resid_try[: kept.size], mode="clip")
+            self.x, self.x_try = self.x_try, self.x
+            self.delta, self.resid_try = self.resid_try, self.delta
+            self.ids, self.res_norm, self.delta_norm = (
+                self.ids[keep], res_norm[keep], delta_norm[keep]
+            )
+        return len(self.ids) > 0
+
+    def _unfailed(self, rows: np.ndarray) -> np.ndarray:
+        return rows[self.ids[rows] < self.limit()]
+
+    def result(self, max_iter: int) -> list[Trajectory]:
+        """Trajectories in input order, or the first failure in input order."""
+        for row in range(len(self.ids)):
+            self.fail(row, SolverError(
+                f"no convergence in {max_iter} iterations; "
+                f"last residual {self.res_norm[row]:.3e}, last step {self.delta_norm[row]:.3e}"
+            ))
+        if self.errors:
+            first = self.limit()
+            exc = self.errors[first]
+            if isinstance(exc, SolverError):
+                exc.solved = [self.done[i] for i in range(first)]
+            raise exc
+        return [self.done[i] for i in range(len(self.pairs))]
+
+
+def solve_paths(
+    params: ActionParams,
+    pairs,
+    grid: TimeGrid,
+    guesses=None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = MAX_ITERATIONS,
+) -> list[Trajectory]:
+    """Damped Newton relaxation for a batch of two-point problems on one grid.
+
+    Each (start, end) pair of `pairs` is solved from its entry of `guesses`
+    (None, a Trajectory or an array; all None when omitted). Convergence of a
+    path is declared when its Newton update falls below tol in the max norm;
+    on the half-line every iterate is kept strictly positive by step halving.
+
+    The paths share one tridiagonal solve per Newton iteration: the stacked
+    system of all unconverged paths, with zero couplings between them. The
+    line search and the convergence test run per path, and a converged path
+    leaves the batch. Every path therefore takes exactly the iterates it
+    would take alone: positions, iteration counts and residuals equal those
+    of solving the pairs one at a time, bit for bit.
+
+    Paths are relaxed in consecutive blocks of at most BLOCK_PATHS, which
+    bounds the work arrays of a call (five of BLOCK_PATHS x n_points floats)
+    whatever the number of pairs.
+
+    Non-convergence raises the SolverError of the first failed path in input
+    order, carrying the trajectories of the paths before it in `solved`;
+    paths after it are dropped as soon as it fails. Bad boundary points or
+    guesses raise ValueError.
+    """
+    pairs = list(pairs)
+    guesses = [None] * len(pairs) if guesses is None else list(guesses)
+    if len(guesses) != len(pairs):
+        raise ValueError(f"{len(guesses)} guesses for {len(pairs)} boundary pairs")
+    if params.domain is Domain.HALF_LINE and any(a <= 0.0 or b <= 0.0 for a, b in pairs):
+        raise ValueError("boundary points must be positive on the half-line")
+    if grid.n_points == 2:
+        x = _start_positions(params, grid, pairs, guesses)
+        return [Trajectory(grid, a, b, row.copy(), 0, 0.0, 0.0) for (a, b), row in zip(pairs, x)]
+    solved: list[Trajectory] = []
+    for first in range(0, len(pairs), BLOCK_PATHS):
+        block = slice(first, first + BLOCK_PATHS)
+        x = _start_positions(params, grid, pairs[block], guesses[block])
+        work = _Relaxation(params, grid, pairs[block], x, tol)
+        for iteration in range(1, max_iter + 1):
+            if not work.iterate(iteration):
+                break
+        try:
+            solved += work.result(max_iter)
+        except SolverError as exc:
+            exc.solved = solved + exc.solved
+            raise
+    return solved
+
+
+def _start_positions(params: ActionParams, grid: TimeGrid, pairs, guesses) -> np.ndarray:
+    x = np.empty((len(pairs), grid.n_points))
+    for row, ((start, end), guess) in enumerate(zip(pairs, guesses)):
+        x[row] = _initial_positions(grid, start, end, guess)
+    if params.domain is Domain.HALF_LINE:
+        for row in np.flatnonzero(np.any(x[:, 1:-1] <= 0.0, axis=1)):
+            x[row, 1:-1] = np.abs(x[row, 1:-1]) + 1e-12
     return x
 
 
@@ -135,56 +440,14 @@ def solve_bvp(
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> Trajectory:
-    """Damped Newton relaxation for the two-point boundary problem.
+    """Damped Newton relaxation for one two-point boundary problem.
 
-    Convergence is declared when the Newton update falls below tol in the
-    max norm; on the half-line every iterate is kept strictly positive by
-    step halving. Non-convergence raises SolverError.
+    The batch of one of solve_paths: convergence is declared when the Newton
+    update falls below tol in the max norm; on the half-line every iterate is
+    kept strictly positive by step halving. Non-convergence raises
+    SolverError.
     """
-    half_line = params.domain is Domain.HALF_LINE
-    if half_line and (start <= 0.0 or end <= 0.0):
-        raise ValueError("boundary points must be positive on the half-line")
-    step = grid.step
-    x = _initial_positions(grid, start, end, guess)
-    if half_line and np.any(x[1:-1] <= 0.0):
-        x[1:-1] = np.abs(x[1:-1]) + 1e-12
-    resid = _interior_residual(params, x, step)
-    res_norm = float(np.max(np.abs(resid))) if len(resid) else 0.0
-
-    if len(x) == 2:
-        return Trajectory(grid, start, end, x, 0, 0.0, 0.0)
-
-    for iteration in range(1, max_iter + 1):
-        delta = _newton_step(params, x, step, resid)
-        delta_norm = float(np.max(np.abs(delta)))
-        scale = 1.0
-        while True:
-            trial = x[1:-1] + scale * delta
-            if half_line and np.any(trial <= 0.0):
-                scale *= 0.5
-                if scale < 1e-14:
-                    raise SolverError(
-                        f"step underflow keeping iterate positive (residual {res_norm:.3e})"
-                    )
-                continue
-            x_try = x.copy()
-            x_try[1:-1] = trial
-            resid_try = _interior_residual(params, x_try, step)
-            res_try = float(np.max(np.abs(resid_try)))
-            if res_try < res_norm * (1.0 - 1e-4 * scale) or scale * delta_norm <= tol:
-                break
-            scale *= 0.5
-            if scale < 1e-14:
-                raise SolverError(
-                    f"line search stalled at residual {res_norm:.3e} after {iteration} iterations"
-                )
-        x, resid, res_norm = x_try, resid_try, res_try
-        if scale * delta_norm <= tol:
-            return Trajectory(grid, start, end, x, iteration, scale * delta_norm, res_norm)
-    raise SolverError(
-        f"no convergence in {max_iter} iterations; last residual {res_norm:.3e}, "
-        f"last step {delta_norm:.3e}"
-    )
+    return solve_paths(params, [(start, end)], grid, [guess], tol=tol, max_iter=max_iter)[0]
 
 
 def _check_traj(grid_points: int, traj: Trajectory):
@@ -198,11 +461,31 @@ def action_value(params: ActionParams, traj: Trajectory) -> float:
     sum_i dt [ (m / 2 hbar^2) ((x_{i+1}-x_i)/dt)^2 + (V(x_i)+V(x_{i+1}))/2 ].
     """
     _check_traj(traj.grid.n_points, traj)
-    step = traj.grid.step
-    dx = np.diff(traj.positions)
-    kinetic = params.mass * float(np.sum(dx * dx)) / (2.0 * params.hbar**2 * step)
-    v = potential_value(params.potential, traj.positions)
-    potential = step * float(np.sum(v[:-1] + v[1:])) * 0.5
+    return float(_trapezoid_actions(params, traj.positions, traj.grid.step))
+
+
+def action_values(params: ActionParams, trajs) -> np.ndarray:
+    """action_value of trajectories on one grid, computed row-wise on their stack.
+
+    Row sums of a C-contiguous array equal the sums of the rows alone, so each
+    entry equals action_value of its trajectory bit for bit.
+    """
+    trajs = list(trajs)
+    if not trajs:
+        return np.empty(0)
+    grid = trajs[0].grid
+    for traj in trajs:
+        if traj.grid != grid:
+            raise ValueError("trajectories must share one time grid")
+        _check_traj(grid.n_points, traj)
+    return _trapezoid_actions(params, np.stack([t.positions for t in trajs]), grid.step)
+
+
+def _trapezoid_actions(params: ActionParams, x: np.ndarray, step: float):
+    dx = np.diff(x, axis=-1)
+    kinetic = params.mass * np.sum(dx * dx, axis=-1) / (2.0 * params.hbar**2 * step)
+    v = potential_value(params.potential, x)
+    potential = step * np.sum(v[..., :-1] + v[..., 1:], axis=-1) * 0.5
     return kinetic + potential
 
 
@@ -309,8 +592,12 @@ def neighbour_pair(
     """Solve the two bracketing problems at end +/- h, warm-started from traj."""
     if offset is None:
         offset = 1e-3 * max(1.0, abs(traj.end))
-    lo = solve_bvp(params, traj.start, traj.end - offset, traj.grid, guess=traj)
-    hi = solve_bvp(params, traj.start, traj.end + offset, traj.grid, guess=traj)
+    lo, hi = solve_paths(
+        params,
+        [(traj.start, traj.end - offset), (traj.start, traj.end + offset)],
+        traj.grid,
+        [traj, traj],
+    )
     return lo, hi
 
 

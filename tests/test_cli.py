@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -30,6 +33,19 @@ def write_config(tmp_path, doc, name="config.json"):
 def test_console_script_installed():
     proc = subprocess.run(["qaction", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
+    for cmd in ("propagator", "spectrum", "fit", "flow", "verify", "scales"):
+        assert cmd in proc.stdout
+
+
+def test_module_entry_point_runs_without_install():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaction", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Usage: qaction")
     for cmd in ("propagator", "spectrum", "fit", "flow", "verify", "scales"):
         assert cmd in proc.stdout
 

@@ -1,19 +1,35 @@
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import solve_banded
 
-from qaction.model import ActionParams, Domain, PotentialSpec
+from qaction.fit import BoundarySet, _Objective, build_table
+from qaction.flow import FlowState, assemble_system
+from qaction.model import (
+    ALLOWED_EXPONENTS,
+    ActionParams,
+    Domain,
+    PotentialSpec,
+    potential_derivative,
+    potential_second_derivative,
+    potential_value,
+)
 from qaction.trajectory import (
+    BLOCK_PATHS,
     SolverError,
     TimeGrid,
     Trajectory,
+    _Derivatives,
     action_value,
+    action_values,
     conserved_energy_drift,
     neighbour_pair,
     sensitivities,
     solve_bvp,
+    solve_paths,
     time_derivative_fd,
     write_csv,
 )
@@ -266,3 +282,304 @@ def test_write_csv_round_trip(tmp_path):
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     npt.assert_allclose(data[:, 0], traj.grid.times(), atol=1e-15)
     npt.assert_allclose(data[:, 1], traj.positions, rtol=1e-15)
+
+
+# --- batched relaxation: bit-identity with one-path-at-a-time solves ---------
+
+
+def _reference_solve(params, start, end, grid, guess=None, tol=1e-12, max_iter=200):
+    """The damped Newton relaxation of one path, written out directly.
+
+    Uses model's potential functions and scipy's solve_banded, one path at a
+    time. Returns (trajectory, number of positivity halvings) or raises
+    SolverError with the messages of solve_paths.
+    """
+    half_line = params.domain is Domain.HALF_LINE
+    m, hbar, step = params.mass, params.hbar, grid.step
+
+    def residual(x):
+        lap = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / step**2
+        return m * lap - hbar**2 * potential_derivative(params.potential, x[1:-1])
+
+    if guess is None:
+        x = np.linspace(start, end, grid.n_points)
+    elif isinstance(guess, Trajectory):
+        src_t = np.linspace(0.0, 1.0, guess.grid.n_points)
+        x = np.interp(np.linspace(0.0, 1.0, grid.n_points), src_t, guess.positions)
+    else:
+        x = np.array(guess, dtype=float)
+    x[0], x[-1] = start, end
+    if half_line and np.any(x[1:-1] <= 0.0):
+        x[1:-1] = np.abs(x[1:-1]) + 1e-12
+    resid = residual(x)
+    res_norm = float(np.max(np.abs(resid)))
+    halvings = 0
+    for iteration in range(1, max_iter + 1):
+        band = np.zeros((3, len(x) - 2))
+        band[0, 1:] = m / step**2
+        band[2, :-1] = m / step**2
+        band[1, :] = -2.0 * m / step**2 - hbar**2 * potential_second_derivative(
+            params.potential, x[1:-1]
+        )
+        delta = solve_banded((1, 1), band, -resid, check_finite=False, overwrite_b=True)
+        delta_norm = float(np.max(np.abs(delta)))
+        scale = 1.0
+        while True:
+            trial = x[1:-1] + scale * delta
+            if half_line and np.any(trial <= 0.0):
+                halvings += 1
+                scale *= 0.5
+                if scale < 1e-14:
+                    raise SolverError(
+                        f"step underflow keeping iterate positive (residual {res_norm:.3e})"
+                    )
+                continue
+            x_try = x.copy()
+            x_try[1:-1] = trial
+            resid_try = residual(x_try)
+            res_try = float(np.max(np.abs(resid_try)))
+            if res_try < res_norm * (1.0 - 1e-4 * scale) or scale * delta_norm <= tol:
+                break
+            scale *= 0.5
+            if scale < 1e-14:
+                raise SolverError(
+                    f"line search stalled at residual {res_norm:.3e} after {iteration} iterations"
+                )
+        x, resid, res_norm = x_try, resid_try, res_try
+        if scale * delta_norm <= tol:
+            traj = Trajectory(grid, start, end, x, iteration, scale * delta_norm, res_norm)
+            return traj, halvings
+    raise SolverError(
+        f"no convergence in {max_iter} iterations; last residual {res_norm:.3e}, "
+        f"last step {delta_norm:.3e}"
+    )
+
+
+def _reference_action(params, traj):
+    step = traj.grid.step
+    dx = np.diff(traj.positions)
+    kinetic = params.mass * float(np.sum(dx * dx)) / (2.0 * params.hbar**2 * step)
+    v = potential_value(params.potential, traj.positions)
+    return kinetic + step * float(np.sum(v[:-1] + v[1:])) * 0.5
+
+
+def _assert_same_path(got, want):
+    assert (got.start, got.end) == (want.start, want.end)
+    assert np.array_equal(got.positions, want.positions)
+    assert got.iterations == want.iterations
+    assert got.step_norm == want.step_norm
+    assert got.el_residual == want.el_residual
+
+
+def _nudged(params, factor):
+    return ActionParams(
+        mass=params.mass * factor,
+        hbar=params.hbar,
+        potential=PotentialSpec({k: v * factor for k, v in params.potential.coefficients.items()}),
+        domain=params.domain,
+    )
+
+
+def _poisoned(grid):
+    """A guess that makes the line search stall at once (NaN residual)."""
+    return Trajectory(grid, 1.0, 1.0, np.full(grid.n_points, np.nan), 0, 0.0, 0.0)
+
+
+def test_compiled_derivatives_match_model_functions():
+    rng = np.random.default_rng(3)
+    coeffs = {k: float(rng.uniform(-2.0, 2.0)) for k in ALLOWED_EXPONENTS}
+    coeffs[4] = 0.0  # zero entries are skipped, as in the model functions
+    cases = [
+        (PotentialSpec(coeffs), rng.uniform(0.05, 6.0, size=(4, 301))),
+        (PotentialSpec({0: 1.0, 2: 0.5, 6: 0.01}), rng.uniform(-3.0, 3.0, size=(3, 101))),
+        (PotentialSpec({-2: 1.0}), rng.uniform(0.1, 3.0, size=(2, 11))),
+    ]
+    for spec, x in cases:
+        compiled = _Derivatives(spec)
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        assert np.array_equal(compiled.first_into(x, out, tmp), potential_derivative(spec, x))
+        assert np.array_equal(
+            compiled.second_into(x, out, tmp), potential_second_derivative(spec, x)
+        )
+    with pytest.raises(ValueError, match="singular"):
+        _Derivatives(STANDARD.potential).first_into(np.zeros((1, 3)), out[:1, :3], tmp[:1, :3])
+
+
+@pytest.mark.parametrize("params", [HARMONIC, STANDARD], ids=["harmonic", "inverse_square"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_solve_paths_matches_per_path_solves(params, warm):
+    rng = np.random.default_rng(11)
+    low, high = (0.4, 3.0) if params.domain is Domain.HALF_LINE else (-1.5, 1.5)
+    pairs = [tuple(rng.uniform(low, high, size=2)) for _ in range(7)]
+    grid = TimeGrid(1.3, intervals=400)
+    guesses = solve_paths(_nudged(params, 1.02), pairs, grid) if warm else None
+    batch = solve_paths(params, pairs, grid, guesses)
+    assert len(batch) == len(pairs)
+    for idx, (a, b) in enumerate(pairs):
+        guess = guesses[idx] if warm else None
+        want, _ = _reference_solve(params, a, b, grid, guess)
+        _assert_same_path(batch[idx], want)
+        _assert_same_path(solve_bvp(params, a, b, grid, guess=guess), want)
+    if warm:
+        assert max(t.iterations for t in batch) < max(t.iterations for t in guesses)
+
+
+def test_action_values_match_action_value():
+    grid = TimeGrid(1.3, intervals=400)
+    trajs = solve_paths(STANDARD, [(0.8, 2.5), (1.0, 1.0), (2.0, 0.6)], grid)
+    values = action_values(STANDARD, trajs)
+    for traj, value in zip(trajs, values):
+        assert value == action_value(STANDARD, traj) == _reference_action(STANDARD, traj)
+    assert action_values(STANDARD, []).shape == (0,)
+    other = solve_bvp(STANDARD, 0.8, 2.5, TimeGrid(1.0, intervals=400))
+    with pytest.raises(ValueError, match="one time grid"):
+        action_values(STANDARD, [trajs[0], other])
+
+
+def test_batch_with_positivity_halving():
+    # a negative quartic term makes V'' change sign, so a Newton step from
+    # the flat guess overshoots below zero and must be halved
+    params = ActionParams(1.0, 1.0, PotentialSpec({2: 0.1, -2: 0.004, 4: -0.8}))
+    grid = TimeGrid(0.3, intervals=100)
+    pairs = [(0.5, 0.6), (0.03, 0.07), (0.4, 0.2), (0.3, 0.5)]
+    # the last guess crosses zero and is reflected into the half-line first
+    guesses = [None, np.full(grid.n_points, 3.0), None, np.linspace(-0.5, 0.5, grid.n_points)]
+    batch = solve_paths(params, pairs, grid, guesses)
+    halvings = []
+    for traj, (a, b), guess in zip(batch, pairs, guesses):
+        want, count = _reference_solve(params, a, b, grid, guess)
+        _assert_same_path(traj, want)
+        halvings.append(count)
+    assert halvings[1] > 0 and halvings[0] == halvings[2] == 0
+
+
+def test_batch_with_failing_path():
+    grid = TimeGrid(1.3, intervals=200)
+    pairs = [(0.8, 2.5), (1.0, 1.2), (0.6, 1.9), (2.0, 2.2), (1.5, 0.7)]
+    guesses = [None, None, _poisoned(grid), None, None]
+    with pytest.raises(SolverError) as batch_error:
+        solve_paths(STANDARD, pairs, grid, guesses)
+    with pytest.raises(SolverError) as path_error:
+        _reference_solve(STANDARD, *pairs[2], grid, guesses[2])
+    assert str(batch_error.value) == str(path_error.value)
+    assert "after 1 iterations" in str(batch_error.value)
+    solved = batch_error.value.solved
+    assert len(solved) == 2
+    for traj, (a, b) in zip(solved, pairs):
+        _assert_same_path(traj, _reference_solve(STANDARD, a, b, grid)[0])
+
+    # non-convergence: warm paths finish within the budget, the cold one not
+    warm = solve_paths(STANDARD, pairs, grid)
+    guesses = [warm[0], warm[1], None, warm[3], warm[4]]
+    with pytest.raises(SolverError, match="no convergence in 2 iterations") as batch_error:
+        solve_paths(STANDARD, pairs, grid, guesses, max_iter=2)
+    with pytest.raises(SolverError) as path_error:
+        _reference_solve(STANDARD, *pairs[2], grid, max_iter=2)
+    assert str(batch_error.value) == str(path_error.value)
+    assert [t.iterations for t in batch_error.value.solved] == [1, 1]
+
+
+def test_failure_in_a_later_block():
+    grid = TimeGrid(0.8, intervals=100)
+    ends = np.linspace(0.6, 3.0, BLOCK_PATHS + 6)
+    pairs = [(1.1, float(b)) for b in ends]
+    bad = BLOCK_PATHS + 3
+    guesses = [_poisoned(grid) if idx == bad else None for idx in range(len(pairs))]
+    with pytest.raises(SolverError) as error:
+        solve_paths(STANDARD, pairs, grid, guesses)
+    solved = error.value.solved
+    assert len(solved) == bad
+    for traj, (a, b) in zip(solved, pairs):
+        _assert_same_path(traj, _reference_solve(STANDARD, a, b, grid)[0])
+    full = solve_paths(STANDARD, pairs, grid)
+    for traj, (a, b) in zip(full, pairs):
+        _assert_same_path(traj, _reference_solve(STANDARD, a, b, grid)[0])
+
+
+def test_solve_paths_validation():
+    grid = TimeGrid(1.0, intervals=50)
+    with pytest.raises(ValueError, match="positive"):
+        solve_paths(STANDARD, [(1.0, 2.0), (1.0, -2.0)], grid)
+    with pytest.raises(ValueError, match="guesses"):
+        solve_paths(STANDARD, [(1.0, 2.0)], grid, [None, None])
+    assert solve_paths(STANDARD, [], grid) == []
+
+
+def _same_cache(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key in want:
+        if got[key] is not want[key]:  # entries the loop left alone stay the same object
+            _assert_same_path(got[key], want[key])
+
+
+def test_failed_fit_evaluation_leaves_cache_as_per_path_loop():
+    table = build_table(STANDARD, BoundarySet((1.0, 2.0), (1.2, 1.8, 2.6)), 1.0)
+    grid = TimeGrid(1.0, intervals=200)
+    init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
+    objective = _Objective(table, [0, 2, -2], init, grid)
+    objective.actions(init)
+    objective.cache[3] = _poisoned(grid)
+    want = dict(objective.cache)
+    q = _nudged(init, 1.01)
+    for idx, (a, b) in enumerate(objective.pairs):  # the per-path loop
+        try:
+            want[idx], _ = _reference_solve(q, a, b, grid, want.get(idx))
+        except SolverError as exc:
+            message = str(exc)
+            break
+    with pytest.raises(SolverError) as error:
+        objective.actions(q)
+    assert str(error.value) == message
+    _same_cache(objective.cache, want)
+    assert objective(np.full(len(objective.center), 0.01)) == math.inf
+
+
+@pytest.mark.parametrize("poisoned", [(4, 0), (4, -1), (4, 1)], ids=["path", "lower", "upper"])
+def test_failed_flow_stage_leaves_cache_as_per_point_loop(poisoned):
+    params = ActionParams(1.0, 1.0, PotentialSpec({0: 0.1, 2: 0.5, -2: 1.0}))
+    state = FlowState(beta=1.0, params=params, log_norm=0.0, initial_point=1.5,
+                      final_points=tuple(np.linspace(0.5, 3.0, 8)))
+    grid = TimeGrid(1.0, intervals=200)
+    cache = {}
+    assemble_system(state, STANDARD, grid, cache)
+    cache[poisoned] = _poisoned(grid)
+    want = dict(cache)
+    state = dataclasses.replace(state, params=_nudged(params, 1.01))
+    for j, x_f in enumerate(state.final_points):  # the per-point loop
+        try:
+            traj, _ = _reference_solve(state.params, 1.5, x_f, grid, want.get((j, 0)))
+            want[(j, 0)] = traj
+            offset = 1e-3 * max(1.0, abs(x_f))
+            lower, _ = _reference_solve(
+                state.params, 1.5, x_f - offset, grid, want.get((j, -1), traj)
+            )
+            upper, _ = _reference_solve(
+                state.params, 1.5, x_f + offset, grid, want.get((j, 1), traj)
+            )
+            want[(j, -1)], want[(j, 1)] = lower, upper
+        except SolverError as exc:
+            message = str(exc)
+            break
+    with pytest.raises(SolverError) as error:
+        assemble_system(state, STANDARD, grid, cache)
+    assert str(error.value) == message
+    _same_cache(cache, want)
+
+
+def test_objective_residuals_match_per_path_loop():
+    table = build_table(STANDARD, BoundarySet((1.0, 2.0), (1.2, 1.8, 2.6)), 1.0)
+    grid = TimeGrid(1.0, intervals=300)
+    init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
+    objective = _Objective(table, [0, 2, -2], init, grid)
+    cache = {}
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        q = objective.params_from(rng.uniform(-0.05, 0.05, size=len(objective.center)))
+        residuals, log_norm = objective.residuals(q)
+        sig = np.empty(len(objective.pairs))
+        for idx, (a, b) in enumerate(objective.pairs):
+            cache[idx], _ = _reference_solve(q, a, b, grid, cache.get(idx))
+            sig[idx] = _reference_action(q, cache[idx])
+        want_norm = float(np.mean(objective.log_g + sig))
+        assert log_norm == want_norm
+        assert np.array_equal(residuals, objective.log_g + sig - want_norm)

@@ -45,7 +45,7 @@ from .model import (
 )
 from .oracle import amplitude, default_grid, refine_energies, solve_spectrum
 from .specfun import bessel_i
-from .trajectory import SolverError, TimeGrid
+from .trajectory import SolverError, TimeGrid, neighbour_offset
 
 
 class ConfigError(ValueError):
@@ -128,6 +128,19 @@ def _coefficients(value, where):
             raise ConfigError(f"{where}: exponent {key!r} is not an integer") from None
         out[k] = _float(v, f"{where}[{key}]")
     return out
+
+
+def _built(build, where):
+    """build(), with the ValueError of an invalid value reported as a ConfigError."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _require_positive(model: ActionParams, points, where):
+    if model.domain is Domain.HALF_LINE and any(x <= 0.0 for x in points):
+        raise ConfigError(f"{where} must be positive on the half-line")
 
 
 def _model_from(payload) -> ActionParams:
@@ -226,6 +239,7 @@ def _validate_fit(section, model):
     if not isinstance(section["ansatz"], list) or not section["ansatz"]:
         raise ConfigError("fit.ansatz must be a non-empty list of exponents")
     ansatz = sorted({_int(k, "fit.ansatz entry") for k in section["ansatz"]})
+    _built(lambda: PotentialSpec(dict.fromkeys(ansatz, 0.0)), "fit.ansatz")
     source = section.get("source", "analytic")
     if source not in ("analytic", "oracle"):
         raise ConfigError("fit.source must be 'analytic' or 'oracle'")
@@ -236,6 +250,8 @@ def _validate_fit(section, model):
     out["source"] = source
     out["initial"] = _point_set(section["initial"], "fit.initial")
     out["final"] = _point_set(section["final"], "fit.final")
+    _require_positive(model, out["initial"], "fit.initial")
+    _require_positive(model, out["final"], "fit.final")
     out["times"] = _time_list(section["times"], "fit.times")
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("fit.times must be positive")
@@ -259,7 +275,16 @@ def _validate_fit(section, model):
         coeffs = _coefficients(section["init"]["coefficients"], "fit.init.coefficients")
         if not set(coeffs) <= set(ansatz):
             raise ConfigError("fit.init.coefficients must only use ansatz exponents")
-        init = {"mass": _float(section["init"]["mass"], "fit.init.mass"), "coefficients": coeffs}
+        mass = _float(section["init"]["mass"], "fit.init.mass")
+        init = _built(
+            lambda: ActionParams(
+                mass=mass,
+                hbar=model.hbar,
+                potential=PotentialSpec({k: coeffs.get(k, 0.0) for k in ansatz}),
+                domain=model.domain,
+            ),
+            "fit.init",
+        )
     out["init"] = init
     return out
 
@@ -300,6 +325,27 @@ def _validate_flow(section, model):
         raise ConfigError("flow.mode must be 'min_norm' or 'pin_v0'")
     if out["beta"] <= 0 or out["beta_end"] < out["beta"]:
         raise ConfigError("flow needs 0 < initial.beta <= beta_end")
+    _require_positive(model, [out["initial_point"]], "flow.initial_point")
+    # each final point also needs its lower neighbour, at x - neighbour_offset(x)
+    _require_positive(
+        model, [x - neighbour_offset(x) for x in out["final_points"]],
+        "flow.final_points less their neighbour offset 1e-3 max(1, |x|)",
+    )
+    out["state"] = _built(
+        lambda: FlowState(
+            beta=out["beta"],
+            params=ActionParams(
+                mass=out["mass"],
+                hbar=model.hbar,
+                potential=PotentialSpec(out["coefficients"]),
+                domain=model.domain,
+            ),
+            log_norm=out["log_norm"],
+            initial_point=out["initial_point"],
+            final_points=out["final_points"],
+        ),
+        "flow",
+    )
     compare = None
     if "compare_fit" in section:
         sub = section["compare_fit"]
@@ -511,16 +557,7 @@ def _run_fit(cfg, out_dir, threads, seed):
         decomposition = _decomposition(
             model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"]
         )
-    init_params = None
-    if sec["init"] is not None:
-        coeffs = {k: sec["init"]["coefficients"].get(k, 0.0) for k in sec["ansatz"]}
-        init_params = ActionParams(
-            mass=sec["init"]["mass"],
-            hbar=model.hbar,
-            potential=PotentialSpec(coeffs),
-            domain=model.domain,
-        )
-    results = _fit_rows(model, sec, sec["times"], decomposition, init_params)
+    results = _fit_rows(model, sec, sec["times"], decomposition, sec["init"])
     path = out_dir / "fit_results.csv"
     write_results_csv(results, path, header_comment=_meta(cfg, seed))
 
@@ -560,18 +597,7 @@ def _run_fit(cfg, out_dir, threads, seed):
 def _run_flow(cfg, out_dir, threads, seed):
     model = cfg["model"]
     sec = cfg["section"]
-    initial = FlowState(
-        beta=sec["beta"],
-        params=ActionParams(
-            mass=sec["mass"],
-            hbar=model.hbar,
-            potential=PotentialSpec(sec["coefficients"]),
-            domain=model.domain,
-        ),
-        log_norm=sec["log_norm"],
-        initial_point=sec["initial_point"],
-        final_points=sec["final_points"],
-    )
+    initial = sec["state"]
     grid_policy = default_grid_policy(sec["intervals"])
     trace = flow_run(
         initial,

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ActionParams, PotentialSpec, potential_value
-from .trajectory import SolverError, TimeGrid, Trajectory, sensitivities, solve_paths
+from .trajectory import (
+    SolverError,
+    TimeGrid,
+    Trajectory,
+    neighbour_offset,
+    path_sensitivities,
+    solve_paths,
+)
 
 DEFAULT_DBETA = 3.75e-3
 CONDITION_LIMIT = 1e12
@@ -87,23 +94,23 @@ def assemble_system(
         raise ValueError("classical and quantum actions must share hbar")
     exponents = state.exponents()
     cache = cache if cache is not None else {}
-    n_rows = len(state.final_points)
-    a_mat = np.empty((n_rows, 2 + len(exponents)))
-    rhs = np.empty(n_rows)
+    a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     hbar = classical.hbar
     paths, neighbours = _solve_stage(state, grid, cache)
-    for j, x_f in enumerate(state.final_points):
-        traj, lower, upper = paths[j], neighbours[2 * j], neighbours[2 * j + 1]
-        sens = sensitivities(state.params, traj, (lower, upper))
-        a_mat[j, 0] = -1.0
-        a_mat[j, 1] = sens.d_mass
-        for col, k in enumerate(exponents):
-            a_mat[j, 2 + col] = sens.d_coeff[k]
-        rhs[j] = (
-            -sens.d_time
-            - hbar**2 / (2.0 * classical.mass) * (sens.d_x**2 - sens.d_xx)
-            + potential_value(classical.potential, x_f)
-        )
+    sens = path_sensitivities(state.params, paths, neighbours[0::2], neighbours[1::2])
+    a_mat[:, 0] = -1.0
+    a_mat[:, 1] = sens.d_mass
+    for col, k in enumerate(exponents):
+        a_mat[:, 2 + col] = sens.d_coeff[k]
+    # a float squared goes through libm pow, which differs in the last bit
+    # from the array square (a product) for about 0.1% of inputs; square each
+    # point's d_x as a float so the rows keep their bits
+    d_x_squared = np.array([float(d_x) ** 2 for d_x in sens.d_x])
+    rhs = (
+        -sens.d_time
+        - hbar**2 / (2.0 * classical.mass) * (d_x_squared - sens.d_xx)
+        + potential_value(classical.potential, np.array(state.final_points))
+    )
     return a_mat, rhs
 
 
@@ -126,7 +133,7 @@ def _solve_stage(
     )
     ends, guesses = [], []
     for j, traj in enumerate(paths):
-        offset = 1e-3 * max(1.0, abs(points[j]))
+        offset = neighbour_offset(points[j])
         ends += [points[j] - offset, points[j] + offset]
         guesses += [cache.get((j, -1), traj), cache.get((j, 1), traj)]
     neighbours, neighbour_error = _solved_prefix(

@@ -100,13 +100,28 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ActionSensitivities:
-    """Exact partials of the discrete action at the solved trajectory."""
+    """Exact partials of the discrete action at solved trajectories.
 
-    d_mass: float
-    d_coeff: dict[int, float]
-    d_time: float
-    d_x: float
-    d_xx: float
+    From path_sensitivities every field holds one entry per trajectory (an
+    array, or a dict of arrays by exponent); from sensitivities, its batch of
+    one, plain floats.
+    """
+
+    d_mass: np.ndarray
+    d_coeff: dict[int, np.ndarray]
+    d_time: np.ndarray
+    d_x: np.ndarray
+    d_xx: np.ndarray
+
+    def row(self, i: int) -> "ActionSensitivities":
+        """The partials of trajectory i alone, as floats."""
+        return ActionSensitivities(
+            d_mass=float(self.d_mass[i]),
+            d_coeff={k: float(v[i]) for k, v in self.d_coeff.items()},
+            d_time=float(self.d_time[i]),
+            d_x=float(self.d_x[i]),
+            d_xx=float(self.d_xx[i]),
+        )
 
 
 class _Derivatives:
@@ -494,13 +509,63 @@ def sensitivities(
 ) -> ActionSensitivities:
     """Partial derivatives of the action at fixed trajectory.
 
-    Stationarity makes the fixed-trajectory partials equal to total
-    derivatives of the solved action. d_xx comes from the endpoint momenta of
-    the two neighbour trajectories, which must share the grid and start point
-    and bracket the endpoint of traj.
+    The batch of one of path_sensitivities. d_xx comes from the endpoint
+    momenta of the two neighbour trajectories, which must share the grid and
+    start point and bracket the endpoint of traj.
     """
-    _check_traj(traj.grid.n_points, traj)
     lower, upper = neighbours
+    return path_sensitivities(params, [traj], [lower], [upper]).row(0)
+
+
+def path_sensitivities(params: ActionParams, trajs, lower, upper) -> ActionSensitivities:
+    """Partial derivatives of the action at fixed trajectories, row-wise on their stack.
+
+    Stationarity makes the fixed-trajectory partials equal to total
+    derivatives of the solved action. The trajectories share one grid; the
+    neighbours lower[i] and upper[i] of trajs[i] share its grid and start
+    point and bracket its endpoint, and d_xx comes from their endpoint
+    momenta. Row sums of a C-contiguous stack equal the sums of the rows
+    alone, so every entry equals that of the trajectory on its own, bit for
+    bit.
+    """
+    trajs, lower, upper = list(trajs), list(lower), list(upper)
+    if not trajs or not len(trajs) == len(lower) == len(upper):
+        raise ValueError("need one lower and one upper neighbour per trajectory, at least one")
+    grid = trajs[0].grid
+    for traj, lo, hi in zip(trajs, lower, upper):
+        if traj.grid != grid:
+            raise ValueError("trajectories must share one time grid")
+        _check_traj(grid.n_points, traj)
+        _check_neighbours(traj, lo, hi)
+
+    n, step, n_int = len(trajs), grid.step, grid.intervals
+    m, hbar = params.mass, params.hbar
+    x = np.stack([t.positions for t in trajs])
+    dx = np.diff(x, axis=1)
+    kinetic_sum = np.sum(dx * dx, axis=1)
+    v = potential_value(params.potential, x)
+    pot_sum = np.sum(v[:, :-1] + v[:, 1:], axis=1) * 0.5
+
+    d_mass = kinetic_sum / (2.0 * hbar**2 * step)
+    d_coeff = {}
+    for k in sorted(params.potential.coefficients):
+        if k == 0:
+            d_coeff[k] = np.full(n, step * n_int)
+        else:
+            p = x**k
+            d_coeff[k] = step * np.sum(p[:, :-1] + p[:, 1:], axis=1) * 0.5
+    # exact derivative of the discrete action with respect to duration at
+    # fixed interval count: minus the mean interval energy
+    d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
+    momenta = _endpoint_momenta(params, trajs + lower + upper)
+    spread = np.array([t.end for t in upper]) - np.array([t.end for t in lower])
+    d_xx = (momenta[2 * n :] - momenta[n : 2 * n]) / spread
+    return ActionSensitivities(
+        d_mass=d_mass, d_coeff=d_coeff, d_time=d_time, d_x=momenta[:n], d_xx=d_xx
+    )
+
+
+def _check_neighbours(traj: Trajectory, lower: Trajectory, upper: Trajectory):
     for nb in (lower, upper):
         if nb.grid.n_points != traj.grid.n_points or not math.isclose(
             nb.grid.duration, traj.grid.duration, rel_tol=1e-12
@@ -511,40 +576,14 @@ def sensitivities(
     if not (lower.end < traj.end < upper.end):
         raise ValueError("neighbour endpoints must bracket the trajectory endpoint")
 
-    step = traj.grid.step
-    n_int = traj.grid.intervals
-    m, hbar = params.mass, params.hbar
-    x = traj.positions
-    dx = np.diff(x)
-    kinetic_sum = float(np.sum(dx * dx))
-    v = potential_value(params.potential, x)
-    pot_sum = float(np.sum(v[:-1] + v[1:])) * 0.5
 
-    d_mass = kinetic_sum / (2.0 * hbar**2 * step)
-    d_coeff = {}
-    for k in sorted(params.potential.coefficients):
-        if k == 0:
-            d_coeff[k] = step * n_int
-        else:
-            p = x**k
-            d_coeff[k] = step * float(np.sum(p[:-1] + p[1:])) * 0.5
-    # exact derivative of the discrete action with respect to duration at
-    # fixed interval count: minus the mean interval energy
-    d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
-    d_x = _endpoint_momentum(params, traj)
-    d_xx = (_endpoint_momentum(params, upper) - _endpoint_momentum(params, lower)) / (
-        upper.end - lower.end
-    )
-    return ActionSensitivities(d_mass=d_mass, d_coeff=d_coeff, d_time=d_time, d_x=d_x, d_xx=d_xx)
-
-
-def _endpoint_momentum(params: ActionParams, traj: Trajectory) -> float:
-    """Exact partial of the discrete action with respect to the endpoint."""
-    step = traj.grid.step
-    x = traj.positions
-    slope = (x[-1] - x[-2]) / step
+def _endpoint_momenta(params: ActionParams, trajs) -> np.ndarray:
+    """Exact partial of the discrete action with respect to the endpoint, per trajectory."""
+    step = np.array([t.grid.step for t in trajs])
+    tails = np.array([t.positions[-2:] for t in trajs])
+    slope = (tails[:, 1] - tails[:, 0]) / step
     return params.mass * slope / params.hbar**2 + 0.5 * step * potential_derivative(
-        params.potential, x[-1]
+        params.potential, tails[:, 1]
     )
 
 
@@ -584,6 +623,11 @@ def time_derivative_fd(
     return (action_value(params, plus) - action_value(params, minus)) / (2.0 * delta)
 
 
+def neighbour_offset(x: float) -> float:
+    """Distance of the two neighbours that bracket endpoint x for d_xx."""
+    return 1e-3 * max(1.0, abs(x))
+
+
 def neighbour_pair(
     params: ActionParams,
     traj: Trajectory,
@@ -591,7 +635,7 @@ def neighbour_pair(
 ) -> tuple[Trajectory, Trajectory]:
     """Solve the two bracketing problems at end +/- h, warm-started from traj."""
     if offset is None:
-        offset = 1e-3 * max(1.0, abs(traj.end))
+        offset = neighbour_offset(traj.end)
     lo, hi = solve_paths(
         params,
         [(traj.start, traj.end - offset), (traj.start, traj.end + offset)],

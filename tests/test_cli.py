@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qaction.cli import config_hash, main
+from qaction.cli import config_hash, load_config, main
 
 STANDARD_MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
 OSCILLATOR_MODEL = {
@@ -161,6 +161,71 @@ def test_config_errors_exit_one(runner, tmp_path):
     cfg = write_config(tmp_path, {"model": STANDARD_MODEL, "scales": {}})
     res = runner.invoke(main, ["scales", "--config", cfg, "--out", str(tmp_path), "--threads", "0"])
     assert res.exit_code == 1
+
+
+def _flow_doc(**changes):
+    initial = {"beta": 1.0, "mass": 1.0, "coefficients": {"0": 0.1, "2": 0.5, "-2": 1.0}}
+    initial.update(changes.pop("initial", {}))
+    flow = {
+        "initial": initial,
+        "initial_point": 1.5,
+        "final_points": {"start": 0.5, "stop": 3.0, "count": 8},
+        "beta_end": 1.01,
+        "intervals": 100,
+    }
+    flow.update(changes)
+    return {"model": STANDARD_MODEL, "flow": flow}
+
+
+def _fit_doc(**changes):
+    fit = {"ansatz": [0, 2, -2], "initial": [1.0], "final": [1.5, 2.0], "times": [1.0]}
+    fit.update(changes)
+    return {"model": STANDARD_MODEL, "fit": fit}
+
+
+@pytest.mark.parametrize(
+    "cmd, doc, message",
+    [
+        ("flow", _flow_doc(final_points=[1.0, 2.0, 3.0, 4.0]), "final points"),
+        ("flow", _flow_doc(final_points=[-0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]),
+         "final_points"),
+        ("flow", _flow_doc(final_points=[0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]),
+         "final_points"),
+        # its lower neighbour would sit at 5e-4 - 1e-3 < 0
+        ("flow", _flow_doc(final_points=[5e-4, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]),
+         "neighbour offset"),
+        ("flow", _flow_doc(initial_point=0.0), "initial_point"),
+        ("flow", _flow_doc(initial_point=-1.0), "initial_point"),
+        ("flow", _flow_doc(initial={"mass": -1.0}), "mass"),
+        ("flow", _flow_doc(initial={"coefficients": {"2": 0.5, "3": 0.1}}), "exponent 3"),
+        ("fit", _fit_doc(ansatz=[0, 2, 3]), "exponent 3"),
+        ("fit", _fit_doc(final={"start": -0.5, "stop": 2.0, "count": 4}), "fit.final"),
+        ("fit", _fit_doc(init={"mass": -1.0, "coefficients": {"2": 0.5}}), "mass"),
+    ],
+    ids=[
+        "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
+        "flow_zero_initial",
+        "flow_negative_initial", "flow_negative_mass", "flow_exponent_3", "fit_exponent_3",
+        "fit_negative_final", "fit_negative_mass",
+    ],
+)
+def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and message in res.output
+
+
+def test_valid_flow_and_fit_parameters_load(tmp_path):
+    # the documents the bad cases above start from are themselves valid
+    flow_cfg = load_config(write_config(tmp_path, _flow_doc(), "flow.json"), "flow")
+    assert flow_cfg["section"]["state"].final_points[0] == 0.5
+    fit_cfg = load_config(
+        write_config(tmp_path, _fit_doc(init={"mass": 1.1, "coefficients": {"2": 0.4}})),
+        "fit",
+    )
+    init = fit_cfg["section"]["init"]
+    assert init.mass == 1.1 and init.potential.coefficients == {-2: 0.0, 0: 0.0, 2: 0.4}
 
 
 def test_propagator_outputs_are_deterministic(runner, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qaction import flow
 from qaction.fit import FitResult, equidistant
 from qaction.flow import (
     FlowState,
@@ -18,8 +19,14 @@ from qaction.flow import (
     step,
     write_trace_csv,
 )
-from qaction.model import ActionParams, Domain, PotentialSpec
-from qaction.trajectory import SolverError, TimeGrid
+from qaction.model import (
+    ActionParams,
+    Domain,
+    PotentialSpec,
+    potential_derivative,
+    potential_value,
+)
+from qaction.trajectory import SolverError, TimeGrid, path_sensitivities, sensitivities
 
 HARMONIC = ActionParams(
     mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE
@@ -215,3 +222,173 @@ def test_write_trace_csv(tmp_path):
     second = lines[3].split(",")
     assert float(second[0]) == 1.1
     assert float(second[-4]) == 1e-9 and second[-2:] == ["3", "0"]
+
+
+# --- stacked assembly: bit-identity with the point-by-point loop -------------
+
+
+def _reference_partials(params, traj, lower, upper):
+    """(d_mass, d_coeff, d_time, d_x, d_xx) of one final point, written out directly."""
+    step, n_int = traj.grid.step, traj.grid.intervals
+    m, hbar = params.mass, params.hbar
+
+    def momentum(t):
+        x = t.positions
+        slope = (x[-1] - x[-2]) / t.grid.step
+        return m * slope / hbar**2 + 0.5 * t.grid.step * potential_derivative(
+            params.potential, x[-1]
+        )
+
+    x = traj.positions
+    dx = np.diff(x)
+    kinetic_sum = float(np.sum(dx * dx))
+    v = potential_value(params.potential, x)
+    pot_sum = float(np.sum(v[:-1] + v[1:])) * 0.5
+    d_coeff = {}
+    for k in sorted(params.potential.coefficients):
+        if k == 0:
+            d_coeff[k] = step * n_int
+        else:
+            p = x**k
+            d_coeff[k] = step * float(np.sum(p[:-1] + p[1:])) * 0.5
+    d_mass = kinetic_sum / (2.0 * hbar**2 * step)
+    d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
+    d_xx = (momentum(upper) - momentum(lower)) / (upper.end - lower.end)
+    return d_mass, d_coeff, d_time, momentum(traj), d_xx
+
+
+def _reference_assemble(state, classical, grid, cache=None):
+    """assemble_system as a loop over final points, one row at a time."""
+    exponents = state.exponents()
+    cache = cache if cache is not None else {}
+    a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
+    rhs = np.empty(len(state.final_points))
+    hbar = classical.hbar
+    paths, neighbours = flow._solve_stage(state, grid, cache)
+    for j, x_f in enumerate(state.final_points):
+        d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(
+            state.params, paths[j], neighbours[2 * j], neighbours[2 * j + 1]
+        )
+        a_mat[j, 0] = -1.0
+        a_mat[j, 1] = d_mass
+        for col, k in enumerate(exponents):
+            a_mat[j, 2 + col] = d_coeff[k]
+        rhs[j] = (
+            -d_time
+            - hbar**2 / (2.0 * classical.mass) * (d_x**2 - d_xx)
+            + potential_value(classical.potential, x_f)
+        )
+    return a_mat, rhs
+
+
+QUARTIC = ActionParams(
+    mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, 4: 0.1}), domain=Domain.FULL_LINE
+)
+HEAVY = ActionParams(mass=1.3, hbar=0.7, potential=PotentialSpec({2: 0.45, -2: 0.8}))
+
+
+def _fitted_state(initial_point=10.0):
+    return FlowState(
+        beta=0.35,
+        params=ActionParams(
+            mass=0.99994533,
+            hbar=1.0,
+            potential=PotentialSpec({0: 1.1676274, 2: 0.4998810, -2: 1.2280919}),
+        ),
+        log_norm=0.0,
+        initial_point=initial_point,
+        final_points=equidistant(0.2, 7.0, 30),
+    )
+
+
+ASSEMBLY_CASES = {
+    "fitted_0_2_-2": (_fitted_state, STANDARD, 0.35),
+    # final point 6 has a d_x whose float square (libm pow) and array square
+    # (a product) differ in the last bit on x86-64 glibc
+    "fitted_from_10.5": (lambda: _fitted_state(10.5), STANDARD, 0.35),
+    "harmonic": (harmonic_state, HARMONIC, 1.0),
+    "ansatz_0_2_4": (
+        lambda: FlowState(
+            beta=0.8,
+            params=ActionParams(
+                mass=1.02, hbar=1.0, potential=PotentialSpec({0: 0.3, 2: 0.48, 4: 0.11}),
+                domain=Domain.FULL_LINE,
+            ),
+            log_norm=0.1,
+            initial_point=0.3,
+            final_points=equidistant(-1.2, 1.6, 12),
+        ),
+        QUARTIC,
+        0.8,
+    ),
+    "hbar_and_mass": (
+        lambda: FlowState(
+            beta=0.6,
+            params=ActionParams(
+                mass=1.25, hbar=0.7, potential=PotentialSpec({0: 0.2, 2: 0.4, -2: 0.9})
+            ),
+            log_norm=-0.2,
+            initial_point=1.8,
+            final_points=equidistant(0.4, 3.5, 10),
+        ),
+        HEAVY,
+        0.6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+def test_assemble_system_matches_per_point_loop(case):
+    make_state, classical, beta = ASSEMBLY_CASES[case]
+    state = make_state()
+    grid = TimeGrid(beta, intervals=500)
+    a_mat, rhs = assemble_system(state, classical, grid)
+    want_a, want_rhs = _reference_assemble(state, classical, grid)
+    assert np.array_equal(a_mat, want_a)
+    assert np.array_equal(rhs, want_rhs)
+
+
+def test_sensitivities_is_the_batch_of_one():
+    state = _fitted_state()
+    grid = TimeGrid(0.35, intervals=500)
+    paths, neighbours = flow._solve_stage(state, grid, {})
+    rows = path_sensitivities(state.params, paths, neighbours[0::2], neighbours[1::2])
+    for j, traj in enumerate(paths):
+        one = sensitivities(state.params, traj, (neighbours[2 * j], neighbours[2 * j + 1]))
+        assert one == rows.row(j)
+        d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(
+            state.params, traj, neighbours[2 * j], neighbours[2 * j + 1]
+        )
+        assert (one.d_mass, one.d_coeff, one.d_time, one.d_x, one.d_xx) == (
+            d_mass, d_coeff, d_time, d_x, d_xx
+        )
+
+
+def test_path_sensitivities_validation():
+    state = _fitted_state()
+    grid = TimeGrid(0.35, intervals=100)
+    paths, neighbours = flow._solve_stage(state, grid, {})
+    lower, upper = neighbours[0::2], neighbours[1::2]
+    with pytest.raises(ValueError, match="neighbour"):
+        path_sensitivities(state.params, paths, lower[:-1], upper)
+    with pytest.raises(ValueError, match="neighbour"):
+        path_sensitivities(state.params, [], [], [])
+    with pytest.raises(ValueError, match="bracket"):
+        path_sensitivities(state.params, paths, upper, lower)
+    other = flow._solve_stage(state, TimeGrid(0.35, intervals=120), {})[0]
+    with pytest.raises(ValueError, match="one time grid"):
+        path_sensitivities(state.params, paths[:1] + other[1:2], lower[:2], upper[:2])
+
+
+def test_flow_run_matches_per_point_loop(monkeypatch):
+    state = _fitted_state()
+    policy = default_grid_policy(300)
+    beta_end = state.beta + 3 * 3.75e-3
+    trace = run(state, STANDARD, beta_end, dbeta=3.75e-3, grid_policy=policy)
+    monkeypatch.setattr(flow, "assemble_system", _reference_assemble)
+    want = run(state, STANDARD, beta_end, dbeta=3.75e-3, grid_policy=policy)
+    assert len(trace.states) == len(want.states) == 4
+    assert trace.diagnostics == want.diagnostics
+    for got, ref in zip(trace.states, want.states):
+        assert got.beta == ref.beta and got.log_norm == ref.log_norm
+        assert got.params == ref.params

@@ -27,7 +27,7 @@ from .model import (
     potential_minimum,
     potential_value,
 )
-from .specfun import bessel_i, ln_gamma
+from .specfun import libm, ln_gamma, log_bessel_i
 
 QUAD_ABS_TOL = 1e-10
 
@@ -96,17 +96,21 @@ def _log_sinh(u: float) -> float:
     return math.log(math.sinh(u))
 
 
-def euclidean_log_amplitude(
-    params: ActionParams, a: float, b: float, time: float
-) -> float:
+def euclidean_log_amplitude(params: ActionParams, a, b, time: float):
     """ln G_E(b, T; a, 0) for the solvable family.
 
     G_E = [m omega sqrt(ab) / (hbar sinh(omega T))]
           * exp(-(m omega / 2 hbar)(a^2 + b^2) coth(omega T))
           * I_gamma(m omega a b / (hbar sinh(omega T))).
+
+    a and b may be arrays, broadcast against each other, at one time T; every
+    element has the bits of a call with its own scalar endpoints, and scalar
+    endpoints give a float.
     """
     w, _ = _require_family(params)
-    if not (a > 0.0 and b > 0.0):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not ((a > 0.0).all() and (b > 0.0).all()):
         raise ValueError("endpoints must be positive on the half-line")
     if not (time > 0.0):
         raise ValueError("time must be positive")
@@ -114,21 +118,26 @@ def euclidean_log_amplitude(
     m, hbar = params.mass, params.hbar
     u = w * time
     coth = 1.0 / math.tanh(u)
-    log_z = math.log(m * w * a * b / hbar) - _log_sinh(u)
-    if log_z < -30.0:
+    log_sinh = _log_sinh(u)
+    log_z = libm(math.log, m * w * a * b / hbar) - log_sinh
+    log_bessel = np.empty(log_z.shape)
+    tiny = log_z < -30.0
+    if tiny.any():
         # kernel argument far below the series scale: one explicit term suffices
-        log_bessel = gamma * (log_z - math.log(2.0)) - ln_gamma(gamma + 1.0) + math.log1p(
-            math.exp(2.0 * log_z) / (4.0 * (gamma + 1.0))
+        lz = log_z[tiny]
+        log_bessel[tiny] = gamma * (lz - math.log(2.0)) - ln_gamma(gamma + 1.0) + libm(
+            math.log1p, libm(math.exp, 2.0 * lz) / (4.0 * (gamma + 1.0))
         )
-    else:
-        log_bessel = bessel_i(gamma, math.exp(log_z)).log_value
-    return (
+    if not tiny.all():
+        log_bessel[~tiny] = log_bessel_i(gamma, libm(math.exp, log_z[~tiny]))
+    out = (
         math.log(m * w / hbar)
-        + 0.5 * math.log(a * b)
-        - _log_sinh(u)
+        + 0.5 * libm(math.log, a * b)
+        - log_sinh
         - m * w * (a * a + b * b) * coth / (2.0 * hbar)
         + log_bessel
     )
+    return float(out) if out.ndim == 0 else out
 
 
 def harmonic_log_kernel(
@@ -138,6 +147,8 @@ def harmonic_log_kernel(
 
     G_HO = sqrt(m omega / (2 pi hbar sinh(omega T)))
            * exp(-m omega [(a^2+b^2) cosh(omega T) - 2ab] / (2 hbar sinh(omega T))).
+
+    a and b may be arrays, broadcast against each other, at one time T.
     """
     if not (time > 0.0):
         raise ValueError("time must be positive")
@@ -149,6 +160,22 @@ def harmonic_log_kernel(
         - mass * freq * (a * a + b * b) * coth / (2.0 * hbar)
         + csch_ab
     )
+
+
+def closed_form_kernel(params: ActionParams):
+    """The closed-form ln G(b, T; a) of a model, as a function of (a, b, time).
+
+    The half-line x^2 + x^-2 family maps to euclidean_log_amplitude and the
+    full-line harmonic oscillator to harmonic_log_kernel; both take array
+    endpoints at one time. Any other model has no closed form: ValueError.
+    """
+    nonzero = {k for k, v in params.potential.coefficients.items() if v != 0.0}
+    if nonzero <= {2, -2} and params.domain is Domain.HALF_LINE:
+        return lambda a, b, time: euclidean_log_amplitude(params, a, b, time)
+    if nonzero <= {2} and params.domain is Domain.FULL_LINE:
+        w = omega(params)
+        return lambda a, b, time: harmonic_log_kernel(params.mass, w, params.hbar, a, b, time)
+    raise ValueError("no closed-form amplitude for this model; use the oracle source")
 
 
 def ground_state(params: ActionParams) -> GroundState:

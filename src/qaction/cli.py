@@ -24,8 +24,8 @@ import numpy as np
 
 from .analytic import (
     asymptotic_quantum_params,
+    closed_form_kernel,
     dynamical_scales,
-    euclidean_log_amplitude,
     gamma_index,
     ground_state,
     harmonic_log_kernel,
@@ -377,13 +377,20 @@ def _validate_verify(section, model):
         "verify",
     )
     _require_scale_family(model, "verify")
-    return {
+    out = {
         "gamma_shift": _float(section.get("gamma_shift", 0.0), "verify.gamma_shift"),
         "spacing": _float(section.get("spacing", 5e-4), "verify.spacing"),
         "extent": _float(section.get("extent", 10.0), "verify.extent"),
         "composition_time": _float(section.get("composition_time", 0.5), "verify.composition_time"),
         "boundary": _float(section.get("boundary", 1.0), "verify.boundary"),
     }
+    if not 0.0 < out["spacing"] < out["extent"]:
+        raise ConfigError("verify grid needs 0 < spacing < extent")
+    if not out["composition_time"] > 0.0:
+        raise ConfigError("verify.composition_time must be positive")
+    if not 0.0 < out["boundary"] < out["extent"]:
+        raise ConfigError("verify.boundary must lie in (0, extent)")
+    return out
 
 
 def _validate_scales(section, model):
@@ -447,12 +454,18 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _decomposition(model, spacing, extent, levels, refine):
-    fine = solve_spectrum(model, default_grid(model.domain, spacing=spacing, extent=extent), levels)
+def _decomposition(model, spacing, extent, levels, refine, vectors=True):
+    fine = solve_spectrum(
+        model, default_grid(model.domain, spacing=spacing, extent=extent), levels, vectors
+    )
     if not refine:
         return fine
+    # the Richardson partner contributes energies only
     coarse = solve_spectrum(
-        model, default_grid(model.domain, spacing=2.0 * spacing, extent=extent), levels
+        model,
+        default_grid(model.domain, spacing=2.0 * spacing, extent=extent),
+        levels,
+        vectors=False,
     )
     return refine_energies(coarse, fine)
 
@@ -462,13 +475,6 @@ def _map_entries(worker, entries, threads):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, entries))
     return [worker(e) for e in entries]
-
-
-def _log_amplitude(model, a, b, t):
-    nonzero = {k for k, v in model.potential.coefficients.items() if v != 0.0}
-    if model.domain is Domain.HALF_LINE and nonzero <= {2, -2}:
-        return euclidean_log_amplitude(model, a, b, t)
-    return harmonic_log_kernel(model.mass, omega(model), model.hbar, a, b, t)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -490,10 +496,13 @@ def _run_propagator(cfg, out_dir, threads, seed):
     rows = []
     if entries:
         dec = _decomposition(model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"])
+        kernel = closed_form_kernel(model)
+        initial = np.array(sec["initial"])[:, None]
+        final = np.array(sec["final"])[None, :]
+        log_analytic = np.concatenate([kernel(initial, final, t).ravel() for t in sec["times"]])
 
         def worker(entry):
-            a, b, t = entry
-            log_an = _log_amplitude(model, a, b, t)
+            (a, b, t), log_an = entry
             an = math.exp(log_an)
             orc = amplitude(dec, a, b, t)
             rel = abs(an - orc) / abs(orc)
@@ -506,7 +515,7 @@ def _run_propagator(cfg, out_dir, threads, seed):
                 row += [image, abs(an - image) / abs(image)]
             return row
 
-        rows = _map_entries(worker, entries, threads)
+        rows = _map_entries(worker, list(zip(entries, log_analytic)), threads)
     path = out_dir / "propagator.csv"
     _write_csv(path, columns, rows, _meta(cfg, seed))
     worst = max((r[6] for r in rows), default=0.0)
@@ -516,7 +525,9 @@ def _run_propagator(cfg, out_dir, threads, seed):
 def _run_spectrum(cfg, out_dir, threads, seed):
     model = cfg["model"]
     sec = cfg["section"]
-    dec = _decomposition(model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"])
+    dec = _decomposition(
+        model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"], vectors=False
+    )
     rows = [[i, float(e)] for i, e in enumerate(dec.energies)]
     path = out_dir / "spectrum.csv"
     _write_csv(path, ["level", "energy"], rows, _meta(cfg, seed))
@@ -695,12 +706,12 @@ def _quantum_from_asymptotics(model, gamma_shift=0.0):
     )
 
 
-def _chapman_kolmogorov_defect(model, t_half, a, b, spacing, extent):
+def _chapman_kolmogorov_defect(kernel, t_half, a, b, spacing, extent):
     x = np.arange(spacing, extent + 0.5 * spacing, spacing)
-    left = np.array([_log_amplitude(model, a, xi, t_half) for xi in x])
-    right = np.array([_log_amplitude(model, xi, b, t_half) for xi in x])
+    left = kernel(a, x, t_half)
+    right = kernel(x, b, t_half)
     composed = np.trapezoid(np.exp(left + right), dx=spacing)
-    direct = math.exp(_log_amplitude(model, a, b, 2.0 * t_half))
+    direct = math.exp(kernel(a, b, 2.0 * t_half))
     return abs(composed - direct) / direct
 
 
@@ -708,6 +719,7 @@ def _run_verify(cfg, out_dir, threads, seed):
     model = cfg["model"]
     sec = cfg["section"]
     gs = ground_state(model)
+    kernel = closed_form_kernel(model)
     quantum = _quantum_from_asymptotics(model, sec["gamma_shift"])
     checks = []
 
@@ -729,7 +741,7 @@ def _run_verify(cfg, out_dir, threads, seed):
     )
 
     ck = _chapman_kolmogorov_defect(
-        model,
+        kernel,
         sec["composition_time"],
         sec["boundary"],
         sec["boundary"],
@@ -740,8 +752,8 @@ def _run_verify(cfg, out_dir, threads, seed):
 
     # ground-state energy from the long-time decay of the diagonal amplitude
     t1, t2 = 6.0, 8.0
-    la = _log_amplitude(model, sec["boundary"], sec["boundary"], t1)
-    lb = _log_amplitude(model, sec["boundary"], sec["boundary"], t2)
+    la = kernel(sec["boundary"], sec["boundary"], t1)
+    lb = kernel(sec["boundary"], sec["boundary"], t2)
     energy_est = model.hbar * (la - lb) / (t2 - t1)
     checks.append(("long_time_energy", abs(energy_est - gs.energy) / gs.energy, 1e-5))
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .analytic import euclidean_log_amplitude, harmonic_log_kernel
-from .model import ActionParams, Domain, PotentialSpec, omega
+from .analytic import closed_form_kernel
+from .model import ActionParams, Domain, PotentialSpec
 from .oracle import SpectralDecomposition, amplitude
 from .trajectory import SolverError, TimeGrid, Trajectory, action_values, solve_paths
 
@@ -91,15 +91,13 @@ def build_table(
     if not (time > 0.0):
         raise ValueError("time must be positive")
     bounds.require_domain(model.domain)
-    logs = np.empty((len(bounds.initial), len(bounds.final)))
     if source == "analytic":
-        fill = _analytic_log_amplitude(model)
-        for i, a in enumerate(bounds.initial):
-            for j, b in enumerate(bounds.final):
-                logs[i, j] = fill(a, b, time)
+        kernel = closed_form_kernel(model)
+        logs = kernel(np.array(bounds.initial)[:, None], np.array(bounds.final)[None, :], time)
     elif source == "oracle":
         if decomposition is None:
             raise ValueError("oracle source needs a spectral decomposition")
+        logs = np.empty((len(bounds.initial), len(bounds.final)))
         for i, a in enumerate(bounds.initial):
             for j, b in enumerate(bounds.final):
                 val = amplitude(decomposition, a, b, time)
@@ -112,18 +110,6 @@ def build_table(
     else:
         raise ValueError(f"unknown amplitude source {source!r}")
     return AmplitudeTable(model=model, bounds=bounds, time=time, log_entries=logs, source=source)
-
-
-def _analytic_log_amplitude(model: ActionParams):
-    nonzero = {k for k, v in model.potential.coefficients.items() if v != 0.0}
-    if nonzero <= {2, -2} and model.domain is Domain.HALF_LINE:
-        return lambda a, b, t: euclidean_log_amplitude(model, a, b, t)
-    if nonzero <= {2} and model.domain is Domain.FULL_LINE:
-        w = omega(model)
-        return lambda a, b, t: harmonic_log_kernel(model.mass, w, model.hbar, a, b, t)
-    raise ValueError(
-        "no closed-form amplitude for this model; use the oracle source"
-    )
 
 
 @dataclass(frozen=True)

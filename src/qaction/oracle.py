@@ -73,11 +73,14 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Lowest eigenpairs; wavefunctions normalised to sum psi^2 dx = 1."""
+    """Lowest eigenpairs; wavefunctions normalised to sum psi^2 dx = 1.
+
+    wavefunctions is None for an energies-only decomposition.
+    """
 
     grid: SpatialGrid
     energies: np.ndarray
-    wavefunctions: np.ndarray
+    wavefunctions: np.ndarray | None
     hbar: float
 
 
@@ -95,32 +98,46 @@ def discretize(params: ActionParams, grid: SpatialGrid) -> TridiagonalOperator:
     return TridiagonalOperator(diagonal=diag, off_diagonal=off, grid=grid, hbar=params.hbar)
 
 
-def spectrum(operator: TridiagonalOperator, n_states: int) -> SpectralDecomposition:
-    """Lowest n_states eigenpairs of the discretised Hamiltonian."""
+def spectrum(
+    operator: TridiagonalOperator, n_states: int, vectors: bool = True
+) -> SpectralDecomposition:
+    """Lowest n_states eigenpairs of the discretised Hamiltonian.
+
+    With vectors=False only the energies are computed (the same bisection,
+    so the same bits) and wavefunctions is None.
+    """
     if n_states < 1 or n_states > operator.grid.n_points - 2:
         raise ValueError(f"n_states must be in [1, {operator.grid.n_points - 2}]")
-    energies, vectors = eigh_tridiagonal(
+    solved = eigh_tridiagonal(
         operator.diagonal,
         operator.off_diagonal,
+        eigvals_only=not vectors,
         select="i",
         select_range=(0, n_states - 1),
     )
-    vectors = vectors / math.sqrt(operator.grid.spacing)
+    if vectors:
+        energies, states = solved
+        states = states / math.sqrt(operator.grid.spacing)
+    else:
+        energies, states = solved, None
     return SpectralDecomposition(
         grid=operator.grid,
         energies=energies,
-        wavefunctions=vectors,
+        wavefunctions=states,
         hbar=operator.hbar,
     )
 
 
 def solve_spectrum(
-    params: ActionParams, grid: SpatialGrid | None = None, n_states: int = 64
+    params: ActionParams,
+    grid: SpatialGrid | None = None,
+    n_states: int = 64,
+    vectors: bool = True,
 ) -> SpectralDecomposition:
     """Convenience wrapper combining discretize and spectrum."""
     if grid is None:
         grid = default_grid(params.domain)
-    return spectrum(discretize(params, grid), n_states)
+    return spectrum(discretize(params, grid), n_states, vectors)
 
 
 def refine_energies(
@@ -129,15 +146,15 @@ def refine_energies(
     """Richardson-extrapolate energies from a spacing pair h, h/2.
 
     Returns the fine decomposition with energies (4 E_fine - E_coarse) / 3,
-    accurate to fourth order in the fine spacing.
+    accurate to fourth order in the fine spacing. Only the coarse energies
+    are read, so the coarse partner can be an energies-only decomposition.
     """
     if not math.isclose(coarse.grid.spacing, 2.0 * fine.grid.spacing, rel_tol=1e-9):
         raise ValueError("refine_energies needs spacings in ratio 2:1")
     n = min(len(coarse.energies), len(fine.energies))
     improved = (4.0 * fine.energies[:n] - coarse.energies[:n]) / 3.0
-    return dataclasses.replace(
-        fine, energies=improved, wavefunctions=fine.wavefunctions[:, :n]
-    )
+    states = None if fine.wavefunctions is None else fine.wavefunctions[:, :n]
+    return dataclasses.replace(fine, energies=improved, wavefunctions=states)
 
 
 def _interpolate_states(dec: SpectralDecomposition, point: float) -> np.ndarray:
@@ -165,6 +182,8 @@ def amplitude(dec: SpectralDecomposition, a: float, b: float, time: float) -> fl
     """
     if not (time > 0.0):
         raise ValueError("time must be positive")
+    if dec.wavefunctions is None:
+        raise ValueError("amplitude needs a decomposition with wavefunctions")
     gap = float(dec.energies[-1] - dec.energies[0])
     tail = math.exp(-gap * time / dec.hbar)
     if tail > TRUNCATION_TAIL:

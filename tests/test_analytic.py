@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from qaction.analytic import (
     asymptotic_quantum_params,
+    closed_form_kernel,
     dynamical_scales,
     euclidean_log_amplitude,
     gamma_index,
@@ -17,6 +18,7 @@ from qaction.analytic import (
     transformation_residual,
 )
 from qaction.model import ActionParams, Domain, PotentialSpec
+from scalar_transcriptions import scalar_log_kernel
 
 mp.mp.dps = 40
 
@@ -229,3 +231,75 @@ def test_reconstruction_quadrature_branch_matches_dense_integral():
         integrand = np.sqrt(2.0 * v)
         want = math.exp(-np.trapezoid(integrand, grid))
         assert gi == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "g, boundary, t_half", [(1.0, 1.0, 0.5), (5.0, 1.0, 0.5), (1.0, 0.97, 0.51)]
+)
+def test_array_kernel_on_chapman_kolmogorov_grid(g, boundary, t_half):
+    # the verify composition grid (spacing 5e-4, extent 10), both orientations
+    params = family(g=g)
+    x = np.arange(5e-4, 10.0 + 0.5 * 5e-4, 5e-4)
+    left = euclidean_log_amplitude(params, boundary, x, t_half)
+    right = euclidean_log_amplitude(params, x, boundary, t_half)
+    assert np.array_equal(left, [scalar_log_kernel(params, boundary, xi, t_half) for xi in x])
+    assert np.array_equal(right, [scalar_log_kernel(params, xi, boundary, t_half) for xi in x])
+
+
+def test_array_kernel_matches_scalar_on_every_branch():
+    rng = np.random.default_rng(23)
+    cases = [STANDARD, family(g=5.0), family(mass=1.7, hbar=0.9, v2=1.2, g=0.3), family(g=0.0)]
+    branches = set()
+    for params in cases:
+        w = math.sqrt(2.0 * params.potential.coefficients[2] / params.mass)
+        crossover = max(30.0, 2.0 * gamma_index(params) ** 2)
+        for t in 10.0 ** rng.uniform(-2.5, 1.8, 12):
+            a = 10.0 ** rng.uniform(-3.0, 1.2, 40)
+            b = 10.0 ** rng.uniform(-3.0, 1.2, 40)
+            got = euclidean_log_amplitude(params, a[:, None], b[None, :], t)
+            want = [[scalar_log_kernel(params, ai, bj, t) for bj in b] for ai in a]
+            assert got.shape == (40, 40)
+            assert np.array_equal(got, want)
+            z = params.mass * w * np.outer(a, b) / (params.hbar * math.sinh(w * t))
+            branches.update(np.where(z > crossover, "asymptotic", "series")[z >= math.exp(-30.0)])
+            if (z < math.exp(-30.0)).any():
+                branches.add("one_term")
+        # scalar endpoints give a float with the same bits
+        got = euclidean_log_amplitude(params, 1.3, 2.1, 0.7)
+        assert type(got) is float and got == scalar_log_kernel(params, 1.3, 2.1, 0.7)
+    assert branches == {"one_term", "series", "asymptotic"}
+
+
+def test_array_kernel_rejects_non_positive_input():
+    x = np.linspace(0.1, 3.0, 50)
+    for bad in (0.0, -0.2, math.nan):
+        y = x.copy()
+        y[17] = bad
+        with pytest.raises(ValueError):
+            euclidean_log_amplitude(STANDARD, 1.0, y, 0.5)
+        with pytest.raises(ValueError):
+            euclidean_log_amplitude(STANDARD, y[:, None], x[None, :], 0.5)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            euclidean_log_amplitude(STANDARD, x, x, t)
+
+
+def test_closed_form_kernel_dispatch():
+    x = np.linspace(0.2, 3.0, 7)
+    image = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5}))
+    for params in (STANDARD, image):
+        kernel = closed_form_kernel(params)
+        want = euclidean_log_amplitude(params, x[:, None], x[None, :], 0.8)
+        assert np.array_equal(kernel(x[:, None], x[None, :], 0.8), want)
+    oscillator = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE)
+    y = np.linspace(-2.0, 2.0, 9)
+    got = closed_form_kernel(oscillator)(y[:, None], y[None, :], 0.8)
+    want = [[harmonic_log_kernel(1.0, 1.0, 1.0, a, b, 0.8) for b in y] for a in y]
+    assert np.array_equal(got, want)
+    for params in (
+        ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, 4: 0.1})),
+        ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, 4: 0.1}), domain=Domain.FULL_LINE),
+        ActionParams(1.0, 1.0, PotentialSpec({0: 0.3, 2: 0.5, -2: 1.0})),
+    ):
+        with pytest.raises(ValueError, match="no closed-form"):
+            closed_form_kernel(params)

@@ -228,6 +228,30 @@ def test_valid_flow_and_fit_parameters_load(tmp_path):
     assert init.mass == 1.1 and init.potential.coefficients == {-2: 0.0, 0: 0.0, 2: 0.4}
 
 
+@pytest.mark.parametrize(
+    "verify, message",
+    [
+        ({"spacing": 0.0}, "spacing"),
+        ({"spacing": -0.01}, "spacing"),
+        ({"spacing": 10.0}, "spacing"),
+        ({"composition_time": -0.5}, "composition_time"),
+        ({"composition_time": 0.0}, "composition_time"),
+        ({"boundary": -1.0}, "boundary"),
+        ({"boundary": 0.0}, "boundary"),
+        ({"boundary": 20.0, "extent": 10.0}, "boundary"),
+    ],
+    ids=[
+        "zero_spacing", "negative_spacing", "spacing_equals_extent", "negative_time",
+        "zero_time", "negative_boundary", "zero_boundary", "boundary_beyond_extent",
+    ],
+)
+def test_bad_verify_parameters_exit_one(runner, tmp_path, verify, message):
+    cfg = write_config(tmp_path, {"model": STANDARD_MODEL, "verify": verify})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and message in res.output
+
+
 def test_propagator_outputs_are_deterministic(runner, tmp_path):
     doc = {
         "model": STANDARD_MODEL,

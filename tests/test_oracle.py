@@ -238,3 +238,40 @@ def test_write_spectrum_csv(tmp_path):
     assert rows[0] == "n,energy"
     assert len(rows) == 4
     assert float(rows[1].split(",")[1]) == pytest.approx(0.5, abs=1e-4)
+
+
+IMAGE = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}))
+QUARTIC = ActionParams(
+    mass=1.0, hbar=1.0, potential=PotentialSpec({2: 1.0, 4: 0.01}), domain=Domain.FULL_LINE
+)
+
+
+@pytest.mark.parametrize("spacing", [2e-3, 4e-3])
+@pytest.mark.parametrize("levels", [160, 40])
+@pytest.mark.parametrize("params", [STANDARD, IMAGE, QUARTIC], ids=["family", "image", "quartic"])
+def test_energies_only_spectrum_matches_with_vectors(params, levels, spacing):
+    # 3,000 or 6,000 nodes on either domain, as on the command line's half-line grids
+    extent = 12.0 if params.domain is Domain.HALF_LINE else 6.0
+    grid = default_grid(params.domain, spacing=spacing, extent=extent)
+    bare = solve_spectrum(params, grid, levels, vectors=False)
+    assert bare.wavefunctions is None
+    assert np.array_equal(bare.energies, solve_spectrum(params, grid, levels).energies)
+
+
+def test_energies_only_richardson_partner():
+    fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 120)
+    coarse_grid = SpatialGrid.from_spacing(2e-2, 12.0, 2e-2)
+    refined = refine_energies(solve_spectrum(STANDARD, coarse_grid, 120, vectors=False), fine)
+    reference = refine_energies(solve_spectrum(STANDARD, coarse_grid, 120), fine)
+    assert np.array_equal(refined.energies, reference.energies)
+    assert np.array_equal(refined.wavefunctions, reference.wavefunctions)
+    assert amplitude(refined, 1.0, 2.0, 1.0) == amplitude(reference, 1.0, 2.0, 1.0)
+    # no wavefunctions anywhere: the refined decomposition has none either
+    bare = refine_energies(
+        solve_spectrum(STANDARD, coarse_grid, 120, vectors=False),
+        solve_spectrum(STANDARD, fine.grid, 120, vectors=False),
+    )
+    assert bare.wavefunctions is None
+    assert np.array_equal(bare.energies, reference.energies)
+    with pytest.raises(ValueError, match="wavefunctions"):
+        amplitude(bare, 1.0, 2.0, 1.0)

@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qaction.specfun import asymptotic_crossover, bessel_i, ln_gamma
+from qaction.specfun import asymptotic_crossover, bessel_i, ln_gamma, log_bessel_i
+from scalar_transcriptions import scalar_log_iv
 
 mp.mp.dps = 40
 
@@ -97,3 +98,37 @@ def test_invalid_inputs():
 def test_crossover_rule():
     assert asymptotic_crossover(0.0) == 30.0
     assert asymptotic_crossover(5.0) == 50.0
+
+
+def _seam_arguments(nu, rng):
+    seam = asymptotic_crossover(nu)
+    fixed = [0.0, 1e-300, 1e-8, 0.3, seam * (1 - 1e-9), seam, seam * (1 + 1e-9), 2.0 * seam, 9000.0]
+    below = seam * rng.uniform(0.0, 1.0, 2000)
+    near = seam * rng.uniform(1.0, 1.2, 1000)  # the slowest expansions, past one block of terms
+    above = seam * 10.0 ** rng.uniform(0.0, 2.5, 3000)
+    return np.concatenate([fixed, below, near, above])
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 0.5 * math.sqrt(41.0), 4.75, 9.0])
+def test_log_bessel_i_matches_scalar_transcription(nu):
+    z = _seam_arguments(nu, np.random.default_rng(int(nu * 100)))
+    want = np.array([scalar_log_iv(nu, zi) for zi in z])
+    assert np.array_equal(log_bessel_i(nu, z), want)
+    # in any order and shape, and bessel_i is the batch of one
+    perm = np.random.default_rng(1).permutation(z.size)
+    assert np.array_equal(log_bessel_i(nu, z[perm].reshape(-1, 3)), want[perm].reshape(-1, 3))
+    for zi, wi in zip(z[::37], want[::37]):
+        res = bessel_i(nu, zi)
+        assert res.log_value == wi
+        assert res.scaled_value == math.exp(wi - zi)
+
+
+def test_log_bessel_i_rejects_bad_elements():
+    good = np.array([0.5, 2.0, 40.0])
+    for bad in (-1.0, math.nan, math.inf):
+        z = good.copy()
+        z[1] = bad
+        with pytest.raises(ValueError):
+            log_bessel_i(1.5, z)
+    with pytest.raises(ValueError):
+        log_bessel_i(-0.5, good)

@@ -23,6 +23,7 @@ import click
 import numpy as np
 
 from .analytic import (
+    _require_family,
     asymptotic_quantum_params,
     closed_form_kernel,
     dynamical_scales,
@@ -166,11 +167,10 @@ def _require_closed_form(model: ActionParams, where):
 
 
 def _require_scale_family(model: ActionParams, where):
-    nonzero = {k for k, v in model.potential.coefficients.items() if k != 0 and v != 0.0}
-    if model.domain is not Domain.HALF_LINE or not nonzero <= {2, -2}:
-        raise ConfigError(f"{where} is defined for the half-line x^2 + x^-2 family")
-    if model.potential.coefficients.get(2, 0.0) <= 0.0:
-        raise ConfigError(f"{where} needs a confining x^2 term")
+    try:
+        _require_family(model)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _oracle_keys(section, defaults=(("spacing", 2e-3), ("extent", 12.0), ("levels", 160), ("refine", True))):
@@ -454,17 +454,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _decomposition(model, spacing, extent, levels, refine, vectors=True):
+def _decomposition(model, spacing, extent, levels, refine, vectors=True, t_min=None):
     fine = solve_spectrum(
-        model, default_grid(model.domain, spacing=spacing, extent=extent), levels, vectors
+        model, default_grid(model.domain, spacing=spacing, extent=extent), levels, vectors, t_min
     )
     if not refine:
         return fine
-    # the Richardson partner contributes energies only
+    # the Richardson partner contributes energies only, of the levels kept
     coarse = solve_spectrum(
         model,
         default_grid(model.domain, spacing=2.0 * spacing, extent=extent),
-        levels,
+        len(fine.energies),
         vectors=False,
     )
     return refine_energies(coarse, fine)
@@ -494,8 +494,14 @@ def _run_propagator(cfg, out_dir, threads, seed):
         (a, b, t) for t in sec["times"] for a in sec["initial"] for b in sec["final"]
     ]
     rows = []
+    kept = 0
     if entries:
-        dec = _decomposition(model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"])
+        # only the levels the smallest time can see; sec["levels"] caps them
+        dec = _decomposition(
+            model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"],
+            t_min=min(sec["times"]),
+        )
+        kept = len(dec.energies)
         kernel = closed_form_kernel(model)
         initial = np.array(sec["initial"])[:, None]
         final = np.array(sec["final"])[None, :]
@@ -519,7 +525,10 @@ def _run_propagator(cfg, out_dir, threads, seed):
     path = out_dir / "propagator.csv"
     _write_csv(path, columns, rows, _meta(cfg, seed))
     worst = max((r[6] for r in rows), default=0.0)
-    click.echo(f"wrote {path} ({len(rows)} rows, max rel_diff {worst:.3e})")
+    click.echo(
+        f"wrote {path} ({len(rows)} rows, max rel_diff {worst:.3e}, "
+        f"{kept} of {sec['levels']} levels)"
+    )
 
 
 def _run_spectrum(cfg, out_dir, threads, seed):

@@ -13,6 +13,12 @@ Eigenvalues converge with the square of the spacing, so a Richardson pair of
 decompositions (refine_energies) upgrades the energies to fourth order when
 long times demand it. Off-node endpoints are handled by local cubic
 interpolation of the eigenvectors.
+
+Given the smallest query time t_min, spectrum solves only the levels an
+amplitude at t >= t_min can see (see VISIBLE_EFOLDS). Bisection runs at
+LAPACK's default absolute tolerance, about ulp times the Gershgorin norm of
+the operator, so the bits of an energy depend on which levels are selected:
+at spacing 2e-3 a different selection moves energies by up to 8e-11.
 """
 
 from __future__ import annotations
@@ -22,11 +28,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .model import ActionParams, Domain, potential_value
 
 TRUNCATION_TAIL = 1e-12
+# A level more than 53 ln 2 e-folds above the ground level weighs less than
+# 2^-53 of it in the spectral sum, below the last bit of the leading term.
+VISIBLE_EFOLDS = 53.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,22 +108,34 @@ def discretize(params: ActionParams, grid: SpatialGrid) -> TridiagonalOperator:
 
 
 def spectrum(
-    operator: TridiagonalOperator, n_states: int, vectors: bool = True
+    operator: TridiagonalOperator,
+    n_states: int,
+    vectors: bool = True,
+    t_min: float | None = None,
 ) -> SpectralDecomposition:
-    """Lowest n_states eigenpairs of the discretised Hamiltonian.
+    """Lowest eigenpairs of the discretised Hamiltonian.
 
-    With vectors=False only the energies are computed (the same bisection,
-    so the same bits) and wavefunctions is None.
+    Without t_min the lowest n_states are solved. With t_min only the levels
+    visible at times >= t_min are: the lowest ones up to and including the
+    first level whose weight exp(-(E_n - E_0) t_min / hbar) is below 2^-53,
+    at most n_states of them. Keeping that first invisible level bounds the
+    truncation tail at t_min by 2^-53 whenever n_states does not bind; when
+    it binds, the lowest n_states are solved as without t_min.
+
+    With vectors=False only the energies are computed (the same bisection at
+    the same selection, so the same bits) and wavefunctions is None.
     """
     if n_states < 1 or n_states > operator.grid.n_points - 2:
         raise ValueError(f"n_states must be in [1, {operator.grid.n_points - 2}]")
-    solved = eigh_tridiagonal(
-        operator.diagonal,
-        operator.off_diagonal,
-        eigvals_only=not vectors,
-        select="i",
-        select_range=(0, n_states - 1),
-    )
+    solved = None if t_min is None else _visible_levels(operator, n_states, t_min, vectors)
+    if solved is None:
+        solved = eigh_tridiagonal(
+            operator.diagonal,
+            operator.off_diagonal,
+            eigvals_only=not vectors,
+            select="i",
+            select_range=(0, n_states - 1),
+        )
     if vectors:
         energies, states = solved
         states = states / math.sqrt(operator.grid.spacing)
@@ -128,16 +149,65 @@ def spectrum(
     )
 
 
+def _visible_levels(operator: TridiagonalOperator, cap: int, t_min: float, vectors: bool):
+    """The levels spectrum keeps at t_min, as eigh_tridiagonal returns them.
+
+    Returns None when the cap binds. Otherwise one bisection over the levels
+    within VISIBLE_EFOLDS of the ground level, plus one for the first level
+    past them, and inverse iteration for the vectors of all of them.
+    """
+    if not t_min > 0.0:
+        raise ValueError("t_min must be positive")
+    d, e = operator.diagonal, operator.off_diagonal
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
+
+    def bisect(*selection):
+        # LAPACK range 1: levels in (vl, vu]; range 2: 1-based indices il..iu
+        m, w, iblock, isplit, info = stebz(d, e, *selection, 0.0, "B")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stebz failed with info {info}")
+        return w[:m], iblock[:m], isplit
+
+    def level(index):
+        w, iblock, _ = bisect(2, 0.0, 0.0, index + 1, index + 1)
+        return w[0], iblock[0]
+
+    ground, _ = level(0)
+    top = ground + VISIBLE_EFOLDS * operator.hbar / t_min
+    if level(cap - 1)[0] <= top:
+        return None
+    # every level in (-inf, top]; stebz clips -inf to its Gershgorin bound
+    w, iblock, isplit = bisect(1, -np.inf, top, 0, 0)
+    # the cap's own bisection and the count at top can disagree within the
+    # bisection tolerance of top
+    w, iblock = w[:cap], iblock[:cap]
+    if len(w) < cap:
+        first_past, block = level(len(w))
+        w, iblock = np.append(w, first_past), np.append(iblock, block)
+    if not vectors:
+        return np.sort(w)
+    order = np.lexsort((w, iblock))  # stein takes the levels in block order
+    w = w[order]
+    blocks = np.zeros(len(d), dtype=iblock.dtype)
+    blocks[: len(w)] = iblock[order]
+    v, info = stein(d, e, w, blocks, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
 def solve_spectrum(
     params: ActionParams,
     grid: SpatialGrid | None = None,
     n_states: int = 64,
     vectors: bool = True,
+    t_min: float | None = None,
 ) -> SpectralDecomposition:
     """Convenience wrapper combining discretize and spectrum."""
     if grid is None:
         grid = default_grid(params.domain)
-    return spectrum(discretize(params, grid), n_states, vectors)
+    return spectrum(discretize(params, grid), n_states, vectors, t_min)
 
 
 def refine_energies(

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qaction.cli import config_hash, load_config, main
+from qaction.cli import _decomposition, config_hash, load_config, main
+from qaction.oracle import amplitude
 
 STANDARD_MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
 OSCILLATOR_MODEL = {
@@ -282,6 +283,73 @@ def test_propagator_outputs_are_deterministic(runner, tmp_path):
     assert len(lines) == 2 + 4
     for line in lines[2:]:
         assert float(line.split(",")[-1]) < 1e-4  # closed form vs oracle
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "name, kept", [("propagator_cross_check", 45), ("propagator_image_formula", 38)]
+)
+def test_propagator_solves_levels_visible_at_smallest_time(runner, tmp_path, name, kept):
+    cfg = str(CONFIGS / f"{name}.json")
+    res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert f", {kept} of 160 levels)" in res.output
+    loaded = load_config(cfg, "propagator")
+    sec = loaded["section"]
+    # all 160 levels, as solved before the smallest time chose the count
+    full = _decomposition(loaded["model"], sec["spacing"], sec["extent"], 160, sec["refine"])
+    lines = (tmp_path / "propagator.csv").read_text().strip().split("\n")
+    assert len(lines) == 2 + len(sec["times"]) * len(sec["initial"]) * len(sec["final"])
+    columns = lines[1].split(",")
+    for line in lines[2:]:
+        row = dict(zip(columns, map(float, line.split(","))))
+        reference = amplitude(full, row["initial"], row["final"], row["time"])
+        assert row["oracle"] == pytest.approx(reference, rel=1e-8, abs=0.0)
+
+
+def test_propagator_too_small_level_cap_is_numerical_failure(runner, tmp_path):
+    doc = {
+        "model": STANDARD_MODEL,
+        "propagator": {"initial": [1.0], "final": [2.0], "times": [0.4], "levels": 20},
+    }
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "need E_last - E_0 >= 69.1, have 38.0" in res.output
+
+
+def test_propagator_steep_model_passes_truncation_check(runner, tmp_path):
+    # levels 50 apart: E_0 and E_1 lie within 53 ln 2 / 0.4 = 91.9 of E_0, and
+    # with E_2, the first level past it, three are solved
+    doc = {
+        "model": {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 312.5, "-2": 1.0}},
+        "propagator": {"initial": [0.2, 0.3], "final": [0.25, 0.4], "times": [0.4, 1.0]},
+    }
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert ", 3 of 160 levels)" in res.output
+    for line in (tmp_path / "propagator.csv").read_text().strip().split("\n")[2:]:
+        assert float(line.split(",")[-1]) < 3e-5
+
+
+@pytest.mark.parametrize("cmd", ["verify", "scales"])
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        ({"0": 0.3, "2": 0.5, "-2": 1.0}, "extra terms [0]"),
+        ({"2": 0.5, "-2": -0.1}, "v_-2 >= 0"),
+    ],
+    ids=["constant_term", "negative_inverse_square"],
+)
+def test_scale_commands_need_the_solvable_family(runner, tmp_path, cmd, coefficients, message):
+    doc = {"model": {"mass": 1.0, "hbar": 1.0, "coefficients": coefficients}, cmd: {}}
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and message in res.output
 
 
 def test_propagator_empty_times(runner, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from qaction.analytic import euclidean_log_amplitude
 from qaction.model import ActionParams, Domain, PotentialSpec
 from qaction.oracle import (
+    VISIBLE_EFOLDS,
     SpatialGrid,
     amplitude,
     default_grid,
@@ -275,3 +277,64 @@ def test_energies_only_richardson_partner():
     assert np.array_equal(bare.energies, reference.energies)
     with pytest.raises(ValueError, match="wavefunctions"):
         amplitude(bare, 1.0, 2.0, 1.0)
+
+
+# v_2 = 312.5: omega = 25, so the levels sit 50 apart, above 9 hbar / t_min at
+# t_min = 0.4, and only the ground level and one more are visible there
+STEEP = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 312.5, -2: 1.0}))
+
+
+@pytest.mark.parametrize(
+    "params, t_min, extent, kept",
+    [(STANDARD, 0.4, 12.0, 45), (IMAGE, 0.5, 12.0, 38), (STEEP, 0.4, 3.0, 3)],
+    ids=["family", "image", "steep"],
+)
+def test_visible_levels_end_at_first_level_past_threshold(params, t_min, extent, kept):
+    operator = discretize(params, default_grid(params.domain, spacing=5e-3, extent=extent))
+    dec = spectrum(operator, 160, t_min=t_min)
+    assert len(dec.energies) == kept == dec.wavefunctions.shape[1]
+    efolds = (dec.energies - dec.energies[0]) * t_min / params.hbar
+    assert efolds[-2] <= VISIBLE_EFOLDS < efolds[-1]
+    # the same levels as a full solve, to its bisection noise
+    full = spectrum(operator, 160)
+    npt.assert_allclose(dec.energies, full.energies[:kept], rtol=1e-11)
+    signs = np.sign(np.sum(dec.wavefunctions * full.wavefunctions[:, :kept], axis=0))
+    npt.assert_allclose(dec.wavefunctions * signs, full.wavefunctions[:, :kept], atol=1e-10)
+    bare = spectrum(operator, 160, vectors=False, t_min=t_min)
+    assert bare.wavefunctions is None and np.array_equal(bare.energies, dec.energies)
+
+
+def test_binding_cap_solves_the_lowest_levels():
+    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=5e-3))
+    capped = spectrum(operator, 20, t_min=0.4)
+    plain = spectrum(operator, 20)
+    assert np.array_equal(capped.energies, plain.energies)
+    assert np.array_equal(capped.wavefunctions, plain.wavefunctions)
+    # at t_min = 0.4 the rule keeps 45 levels: a cap of 44 binds, 45 does not
+    bound = spectrum(operator, 44, vectors=False, t_min=0.4)
+    assert np.array_equal(bound.energies, spectrum(operator, 44, vectors=False).energies)
+    assert len(spectrum(operator, 45, t_min=0.4).energies) == 45
+    # at t_min = 0.01 the rule would keep far more than 60 levels
+    tiny = spectrum(operator, 60, vectors=False, t_min=0.01)
+    assert np.array_equal(tiny.energies, spectrum(operator, 60, vectors=False).energies)
+    for bad in (0.0, -0.4):
+        with pytest.raises(ValueError, match="t_min"):
+            spectrum(operator, 20, t_min=bad)
+
+
+def test_steep_spectrum_keeps_first_invisible_level_for_truncation_check():
+    grid = default_grid(STEEP.domain, spacing=2e-3, extent=3.0)
+    fine = solve_spectrum(STEEP, grid, 160, t_min=0.4)
+    coarse_grid = default_grid(STEEP.domain, spacing=4e-3, extent=3.0)
+    coarse = solve_spectrum(STEEP, coarse_grid, len(fine.energies), vectors=False)
+    refined = refine_energies(coarse, fine)
+    assert len(refined.energies) == 3
+    for a, b, t in ((0.2, 0.25, 0.4), (0.3, 0.4, 0.4), (0.3, 0.4, 1.0)):
+        exact = math.exp(euclidean_log_amplitude(STEEP, a, b, t))
+        assert amplitude(refined, a, b, t) == pytest.approx(exact, rel=5e-5)
+    # without the first invisible level the tail at t_min is 2e-9
+    visible = dataclasses.replace(
+        refined, energies=refined.energies[:2], wavefunctions=refined.wavefunctions[:, :2]
+    )
+    with pytest.raises(ValueError, match="retain more states"):
+        amplitude(visible, 0.2, 0.25, 0.4)

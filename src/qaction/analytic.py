@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .model import (
     ActionParams,
@@ -167,14 +165,17 @@ def closed_form_kernel(params: ActionParams):
 
     The half-line x^2 + x^-2 family maps to euclidean_log_amplitude and the
     full-line harmonic oscillator to harmonic_log_kernel; both take array
-    endpoints at one time. Any other model has no closed form: ValueError.
+    endpoints at one time. Any other model, and any member with v_2 <= 0 or a
+    half-line v_-2 < 0, has no closed form: ValueError.
     """
-    nonzero = {k for k, v in params.potential.coefficients.items() if v != 0.0}
-    if nonzero <= {2, -2} and params.domain is Domain.HALF_LINE:
-        return lambda a, b, time: euclidean_log_amplitude(params, a, b, time)
-    if nonzero <= {2} and params.domain is Domain.FULL_LINE:
-        w = omega(params)
-        return lambda a, b, time: harmonic_log_kernel(params.mass, w, params.hbar, a, b, time)
+    coeffs = params.potential.coefficients
+    nonzero = {k for k, v in coeffs.items() if v != 0.0}
+    if coeffs.get(2, 0.0) > 0.0:
+        if params.domain is Domain.HALF_LINE and nonzero <= {2, -2} and coeffs.get(-2, 0.0) >= 0.0:
+            return lambda a, b, time: euclidean_log_amplitude(params, a, b, time)
+        if params.domain is Domain.FULL_LINE and nonzero <= {2}:
+            w = omega(params)
+            return lambda a, b, time: harmonic_log_kernel(params.mass, w, params.hbar, a, b, time)
     raise ValueError("no closed-form amplitude for this model; use the oracle source")
 
 
@@ -201,6 +202,9 @@ def ground_state(params: ActionParams) -> GroundState:
 
 def dynamical_scales(params: ActionParams, probability: float = 0.95) -> DynamicalScales:
     """T_sc = hbar / E_gr and the length containing `probability` of |psi_gr|^2."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     gs = ground_state(params)
     if not (0.0 < probability < 1.0):
         raise ValueError("probability must lie in (0, 1)")
@@ -306,6 +310,8 @@ def reconstruct_ground_state(params: ActionParams, x, normalised: bool = True):
             log_shape = log_shape + anchor - 0.5 * log_sq_norm
         out = np.exp(log_shape)
         return float(out[0]) if scalar else out
+
+    from scipy.integrate import quad
 
     def grand(t):
         dv = potential_value(params.potential, t) - vmin

@@ -154,16 +154,13 @@ def _model_from(payload) -> ActionParams:
 
 
 def _require_closed_form(model: ActionParams, where):
-    nonzero = {k for k, v in model.potential.coefficients.items() if v != 0.0}
-    half = model.domain is Domain.HALF_LINE
-    if half and nonzero <= {2, -2} and model.potential.coefficients.get(2, 0.0) > 0.0:
-        return
-    if not half and nonzero <= {2} and model.potential.coefficients.get(2, 0.0) > 0.0:
-        return
-    raise ConfigError(
-        f"{where} needs a model with a closed-form amplitude "
-        "(half-line x^2 + x^-2 family, or a full-line oscillator)"
-    )
+    try:
+        closed_form_kernel(model)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where} needs a model with a closed-form amplitude "
+            "(half-line x^2 + x^-2 family, or a full-line oscillator)"
+        ) from exc
 
 
 def _require_scale_family(model: ActionParams, where):

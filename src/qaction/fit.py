@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analytic import closed_form_kernel
 from .model import ActionParams, Domain, PotentialSpec
@@ -207,6 +206,8 @@ def fit_at_time(
     from its own optimum, and flags convergence when the scaled simplex
     diameter falls below 1e-10 within the evaluation budget.
     """
+    from scipy.optimize import minimize
+
     exponents = sorted(int(k) for k in ansatz)
     if len(set(exponents)) != len(exponents):
         raise ValueError("ansatz exponents must be distinct")

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 ALLOWED_EXPONENTS = (-6, -4, -2, 0, 2, 4, 6)
 
@@ -133,6 +132,8 @@ def potential_minimum(spec: PotentialSpec, domain: Domain = Domain.HALF_LINE):
     if len(idx) == 0:
         raise ValueError("no interior minimum found for potential")
     lo, hi = xs[idx[0]], xs[idx[0] + 1]
+    from scipy.optimize import brentq
+
     xm = brentq(lambda t: potential_derivative(spec, t), lo, hi, xtol=1e-14, rtol=1e-15)
     return float(xm), float(potential_value(spec, xm))
 

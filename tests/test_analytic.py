@@ -303,3 +303,21 @@ def test_closed_form_kernel_dispatch():
     ):
         with pytest.raises(ValueError, match="no closed-form"):
             closed_form_kernel(params)
+
+
+@pytest.mark.parametrize(
+    "coefficients, domain",
+    [
+        ({2: 0.5, -2: -0.1}, Domain.HALF_LINE),
+        ({-2: 1.0}, Domain.HALF_LINE),
+        ({2: -0.5, -2: 1.0}, Domain.HALF_LINE),
+        ({2: 0.0}, Domain.FULL_LINE),
+        ({2: -0.5}, Domain.FULL_LINE),
+    ],
+    ids=["negative_inverse_square", "no_x2", "negative_x2", "full_line_zero_x2",
+         "full_line_negative_x2"],
+)
+def test_closed_form_kernel_rejects_members_without_amplitude(coefficients, domain):
+    params = ActionParams(1.0, 1.0, PotentialSpec(coefficients), domain=domain)
+    with pytest.raises(ValueError, match="no closed-form"):
+        closed_form_kernel(params)

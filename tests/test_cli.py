@@ -352,6 +352,23 @@ def test_scale_commands_need_the_solvable_family(runner, tmp_path, cmd, coeffici
     assert "config error" in res.output and message in res.output
 
 
+@pytest.mark.parametrize(
+    "cmd, section",
+    [
+        ("propagator", {"initial": [1.0], "final": [2.0], "times": [1.0]}),
+        ("fit", {"ansatz": [0, 2, -2], "initial": [1.0], "final": [1.5, 2.0], "times": [1.0]}),
+    ],
+    ids=["propagator", "analytic_fit"],
+)
+def test_closed_form_commands_reject_negative_inverse_square(runner, tmp_path, cmd, section):
+    # the kernel has no closed form for v_-2 < 0, so the config is bad input
+    model = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": -0.1}}
+    cfg = write_config(tmp_path, {"model": model, cmd: section})
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and "closed-form amplitude" in res.output
+
+
 def test_propagator_empty_times(runner, tmp_path):
     doc = {
         "model": STANDARD_MODEL,

@@ -1,0 +1,141 @@
+"""Start-up cost: the package loads scipy.optimize, .integrate and .special only on use.
+
+Each check runs in a fresh interpreter with PYTHONPATH=src, because the test
+session itself has long since imported all of scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports qaction from src; return its last line as JSON."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = """
+import sys
+def loaded(prefixes):
+    return sorted(k for k in sys.modules if k.startswith(prefixes))
+"""
+
+
+def test_cli_import_and_runs_without_fits_load_no_deferred_scipy(tmp_path):
+    # the flow is the benchmark's layer probe: 8 final points, 1 step, 100 intervals
+    flow = {
+        "initial": {
+            "beta": 0.35,
+            "mass": 0.99994533,
+            "coefficients": {"-2": 1.2280919, "0": 1.1676274, "2": 0.499881},
+        },
+        "initial_point": 10.0,
+        "final_points": {"start": 0.2, "stop": 7.0, "count": 8},
+        "beta_end": 0.35375,
+        "dbeta": 3.75e-3,
+        "intervals": 100,
+    }
+    propagator = {"initial": [1.0, 2.0], "final": [1.5, 2.5], "times": [0.5, 1.0],
+                  "spacing": 1e-2, "extent": 10.0, "levels": 60}
+    for cmd, section in (("flow", flow), ("propagator", propagator), ("verify", {})):
+        (tmp_path / f"{cmd}.json").write_text(json.dumps({"model": MODEL, cmd: section}))
+    code = LOADED + f"""
+import json
+from pathlib import Path
+import qaction.cli
+out = {{"import": loaded({DEFERRED!r}),
+        "module_level": loaded(("numpy", "scipy.linalg", "qaction."))}}
+work = Path(sys.argv[1])
+for cmd in ("flow", "propagator", "verify"):
+    argv = [cmd, "--config", str(work / f"{{cmd}}.json"), "--out", str(work / cmd)]
+    qaction.cli.main.main(args=argv, prog_name="qaction", standalone_mode=False)
+    out[cmd] = loaded({DEFERRED!r})
+print(json.dumps(out))
+"""
+    got = fresh_python(code, str(tmp_path))  # a failed command exits non-zero
+    assert got["import"] == got["flow"] == got["propagator"] == got["verify"] == []
+    assert (tmp_path / "flow" / "flow_trace.csv").exists()
+    assert (tmp_path / "propagator" / "propagator.csv").exists()
+    # numpy, scipy.linalg and every layer stay imported at module level
+    for name in ("numpy", "scipy.linalg", "scipy.linalg.lapack", "qaction.model",
+                 "qaction.specfun", "qaction.analytic", "qaction.oracle",
+                 "qaction.trajectory", "qaction.fit", "qaction.flow"):
+        assert name in got["module_level"]
+
+
+# Each deferred import site, called once; `value` is a list of floats.
+FIRST_CALLS = {
+    "fit_at_time": (
+        "scipy.optimize",
+        """
+from qaction.fit import BoundarySet, build_table, equidistant, fit_at_time
+from qaction.model import ActionParams, PotentialSpec
+from qaction.trajectory import TimeGrid
+model = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, -2: 1.0}))
+table = build_table(model, BoundarySet((1.0, 2.0), equidistant(1.2, 2.6, 4)), 1.0)
+init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
+res = fit_at_time(table, [0, 2, -2], init, TimeGrid(1.0, intervals=100), max_evaluations=200)
+value = [res.params.mass, *res.params.potential.coefficients.values(), res.log_norm,
+         res.objective, float(res.evaluations)]
+""",
+    ),
+    "potential_minimum": (
+        "scipy.optimize",
+        """
+from qaction.model import PotentialSpec, potential_minimum
+value = list(potential_minimum(PotentialSpec({2: 0.5, 4: 0.1, -2: 1.0})))
+""",
+    ),
+    "dynamical_scales": (
+        "scipy.integrate",
+        """
+from qaction.analytic import dynamical_scales
+from qaction.model import ActionParams, PotentialSpec
+sc = dynamical_scales(ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, -2: 1.0})))
+value = [sc.time_scale, sc.length_scale]
+""",
+    ),
+    "reconstruct_ground_state_fallback": (
+        "scipy.integrate",
+        """
+from qaction.analytic import reconstruct_ground_state
+from qaction.model import ActionParams, Domain, PotentialSpec
+quartic = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, 4: 0.1}), domain=Domain.FULL_LINE)
+value = reconstruct_ground_state(quartic, [0.5, 1.0, 1.8], normalised=False).tolist()
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIRST_CALLS))
+def test_deferred_import_sites_run_in_a_fresh_process(site):
+    module, call = FIRST_CALLS[site]
+    code = LOADED + f"""
+import json
+import qaction.cli
+before = loaded({module!r})
+{call}
+print(json.dumps({{"before": before, "after": loaded({module!r}), "value": value}}))
+"""
+    got = fresh_python(code)
+    assert got["before"] == []
+    assert module in got["after"]
+    here = {}
+    exec(call, here)
+    assert got["value"] == here["value"]

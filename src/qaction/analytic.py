@@ -221,7 +221,9 @@ def dynamical_scales(params: ActionParams, probability: float = 0.95) -> Dynamic
     return DynamicalScales(time_scale=params.hbar / gs.energy, length_scale=float(lam))
 
 
-def asymptotic_quantum_params(params: ActionParams) -> tuple[float, float, float]:
+def asymptotic_quantum_params(
+    params: ActionParams, gamma_shift: float = 0.0
+) -> tuple[float, float, float]:
     """Long-time limits (m~ v~_2, m~ v~_-2, E_gr) of the quantum action.
 
     m~ v~_2 = m^2 omega^2 / 2,
@@ -232,14 +234,32 @@ def asymptotic_quantum_params(params: ActionParams) -> tuple[float, float, float
     standard parameter point) regardless of the coupling; the inverse-square
     product carries the gamma dependence. Any listing that attaches the
     gamma-dependent number to the x^2 slot has the two labels swapped.
+    A nonzero gamma_shift evaluates all three at gamma + gamma_shift.
     """
     w, _ = _require_family(params)
-    gamma = gamma_index(params)
+    gamma = gamma_index(params) + gamma_shift
     m, hbar = params.mass, params.hbar
     return (
         0.5 * m * m * w * w,
         0.5 * hbar**2 * (0.5 + gamma) ** 2,
         hbar * w * (1.0 + gamma),
+    )
+
+
+def asymptotic_quantum_action(params: ActionParams, gamma_shift: float = 0.0) -> ActionParams:
+    """Long-time quantum action in the m~ = m gauge.
+
+    v~_0 = E_gr - 2 sqrt(m~ v~_2 m~ v~_-2) / m~ puts the minimum of V~ at E_gr.
+    A nonzero gamma_shift builds a deliberately wrong action for the checks.
+    """
+    mv2, mvm2, energy = asymptotic_quantum_params(params, gamma_shift)
+    m = params.mass
+    v0 = energy - 2.0 * math.sqrt(mv2 * mvm2) / m
+    return ActionParams(
+        mass=m,
+        hbar=params.hbar,
+        potential=PotentialSpec({0: v0, 2: mv2 / m, -2: mvm2 / m}),
+        domain=Domain.HALF_LINE,
     )
 
 

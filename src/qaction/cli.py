@@ -24,10 +24,10 @@ import numpy as np
 
 from .analytic import (
     _require_family,
+    asymptotic_quantum_action,
     asymptotic_quantum_params,
     closed_form_kernel,
     dynamical_scales,
-    gamma_index,
     ground_state,
     harmonic_log_kernel,
     reconstruct_ground_state,
@@ -42,7 +42,7 @@ from .model import (
     PotentialSpec,
     omega,
     params_from_dict,
-    potential_value,
+    write_csv,
 )
 from .oracle import amplitude, default_grid, refine_energies, solve_spectrum
 from .specfun import bessel_i
@@ -189,6 +189,24 @@ def _oracle_keys(section, defaults=(("spacing", 2e-3), ("extent", 12.0), ("level
     return out
 
 
+def _amplitude_table(section, model, where):
+    """Keys of a fitted amplitude table, shared by fit and flow.compare_fit."""
+    source = section.get("source", "analytic")
+    if source not in ("analytic", "oracle"):
+        raise ConfigError(f"{where}.source must be 'analytic' or 'oracle'")
+    if source == "analytic":
+        _require_closed_form(model, f"{where} with analytic source")
+    out = _oracle_keys(section)
+    out["source"] = source
+    for key in ("initial", "final"):
+        out[key] = _point_set(section[key], f"{where}.{key}")
+        _require_positive(model, out[key], f"{where}.{key}")
+    out["max_evaluations"] = _int(
+        section.get("max_evaluations", 50000), f"{where}.max_evaluations", 1
+    )
+    return out
+
+
 def _validate_propagator(section, model):
     _check_keys(
         section,
@@ -237,32 +255,21 @@ def _validate_fit(section, model):
         raise ConfigError("fit.ansatz must be a non-empty list of exponents")
     ansatz = sorted({_int(k, "fit.ansatz entry") for k in section["ansatz"]})
     _built(lambda: PotentialSpec(dict.fromkeys(ansatz, 0.0)), "fit.ansatz")
-    source = section.get("source", "analytic")
-    if source not in ("analytic", "oracle"):
-        raise ConfigError("fit.source must be 'analytic' or 'oracle'")
-    if source == "analytic":
-        _require_closed_form(model, "fit with analytic source")
-    out = _oracle_keys(section)
+    out = _amplitude_table(section, model, "fit")
     out["ansatz"] = ansatz
-    out["source"] = source
-    out["initial"] = _point_set(section["initial"], "fit.initial")
-    out["final"] = _point_set(section["final"], "fit.final")
-    _require_positive(model, out["initial"], "fit.initial")
-    _require_positive(model, out["final"], "fit.final")
     out["times"] = _time_list(section["times"], "fit.times")
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("fit.times must be positive")
     if "points_per_unit" in section and "intervals" in section:
         raise ConfigError("fit: give either points_per_unit or intervals, not both")
-    out["points_per_unit"] = (
-        _float(section["points_per_unit"], "fit.points_per_unit")
-        if "points_per_unit" in section
-        else None
-    )
-    out["intervals"] = (
-        _int(section["intervals"], "fit.intervals", minimum=2) if "intervals" in section else 500
-    )
-    out["max_evaluations"] = _int(section.get("max_evaluations", 50000), "fit.max_evaluations", 1)
+    if "points_per_unit" in section:
+        ppu = _float(section["points_per_unit"], "fit.points_per_unit")
+        if not ppu > 0.0:
+            raise ConfigError("fit.points_per_unit must be positive")
+        out["grid"] = {"points_per_unit": ppu}
+    else:
+        n_int = _int(section.get("intervals", 500), "fit.intervals", minimum=2)
+        out["grid"] = {"intervals": n_int}
     out["divergence_threshold"] = _float(
         section.get("divergence_threshold", 1e-2), "fit.divergence_threshold"
     )
@@ -352,16 +359,8 @@ def _validate_flow(section, model):
             ("initial", "final"),
             "flow.compare_fit",
         )
-        compare = _oracle_keys(sub)
-        compare["initial"] = _point_set(sub["initial"], "flow.compare_fit.initial")
-        compare["final"] = _point_set(sub["final"], "flow.compare_fit.final")
-        compare["source"] = sub.get("source", "analytic")
-        if compare["source"] not in ("analytic", "oracle"):
-            raise ConfigError("flow.compare_fit.source must be 'analytic' or 'oracle'")
-        if compare["source"] == "analytic":
-            _require_closed_form(model, "flow.compare_fit with analytic source")
+        compare = _amplitude_table(sub, model, "flow.compare_fit")
         compare["stride"] = _int(sub.get("stride", 1), "flow.compare_fit.stride", minimum=1)
-        compare["max_evaluations"] = _int(sub.get("max_evaluations", 50000), "flow.compare_fit.max_evaluations", 1)
     out["compare_fit"] = compare
     return out
 
@@ -428,21 +427,6 @@ def load_config(path, command):
 
 def _meta(cfg, seed) -> str:
     return f"config_hash=sha256:{cfg['hash']} seed={seed}"
-
-
-def _write_csv(path, columns, rows, meta):
-    def cell(v):
-        if isinstance(v, bool):
-            return str(int(v))
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return f"{float(v):.17g}"
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {meta}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 def _write_json(path, payload):
@@ -520,7 +504,7 @@ def _run_propagator(cfg, out_dir, threads, seed):
 
         rows = _map_entries(worker, list(zip(entries, log_analytic)), threads)
     path = out_dir / "propagator.csv"
-    _write_csv(path, columns, rows, _meta(cfg, seed))
+    write_csv(path, columns, rows, _meta(cfg, seed))
     worst = max((r[6] for r in rows), default=0.0)
     click.echo(
         f"wrote {path} ({len(rows)} rows, max rel_diff {worst:.3e}, "
@@ -536,29 +520,22 @@ def _run_spectrum(cfg, out_dir, threads, seed):
     )
     rows = [[i, float(e)] for i, e in enumerate(dec.energies)]
     path = out_dir / "spectrum.csv"
-    _write_csv(path, ["level", "energy"], rows, _meta(cfg, seed))
+    write_csv(path, ["level", "energy"], rows, _meta(cfg, seed))
     click.echo(f"wrote {path} ({len(rows)} levels, ground {dec.energies[0]:.10g})")
 
 
-def _fit_rows(model, sec, times, decomposition, init_params):
-    bounds = BoundarySet(initial=sec["initial"], final=sec["final"])
-    if sec.get("points_per_unit"):
-        ppu = sec["points_per_unit"]
-
-        def grid_policy(t):
-            return TimeGrid(t / model.hbar, ppu)
-    else:
-        n_int = sec.get("intervals") or 500
-
-        def grid_policy(t):
-            return TimeGrid(t / model.hbar, intervals=n_int)
-
+def _fit_rows(model, sec, times, init_params):
+    decomposition = None
+    if sec["source"] == "oracle":
+        decomposition = _decomposition(
+            model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"]
+        )
     return sweep(
         model,
-        bounds,
+        BoundarySet(initial=sec["initial"], final=sec["final"]),
         sec["ansatz"],
         times,
-        grid_policy=grid_policy,
+        grid_policy=lambda t: TimeGrid(t / model.hbar, **sec["grid"]),
         source=sec["source"],
         decomposition=decomposition,
         init=init_params,
@@ -566,25 +543,27 @@ def _fit_rows(model, sec, times, decomposition, init_params):
     )
 
 
+def _final_block(params, **extra):
+    """The `final` block of a summary: mass, coefficients and m v_k products."""
+    coeffs = params.potential.coefficients
+    return {
+        "mass": params.mass,
+        "coefficients": {str(k): v for k, v in coeffs.items()},
+        "products": {f"mass_v_{k}": params.mass * v for k, v in coeffs.items()},
+        **extra,
+    }
+
+
 def _run_fit(cfg, out_dir, threads, seed):
     model = cfg["model"]
     sec = cfg["section"]
-    decomposition = None
-    if sec["source"] == "oracle":
-        decomposition = _decomposition(
-            model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"]
-        )
-    results = _fit_rows(model, sec, sec["times"], decomposition, sec["init"])
+    results = _fit_rows(model, sec, sec["times"], sec["init"])
     path = out_dir / "fit_results.csv"
     write_results_csv(results, path, header_comment=_meta(cfg, seed))
 
     errors = [r.relative_error for r in results]
     peak = int(np.argmax(errors))
     last = results[-1]
-    products = {
-        f"mass_v_{k}": last.params.mass * v
-        for k, v in last.params.potential.coefficients.items()
-    }
     onset = next(
         (r.time for r in results if r.relative_error > sec["divergence_threshold"]), None
     )
@@ -593,14 +572,12 @@ def _run_fit(cfg, out_dir, threads, seed):
         "seed": seed,
         "source": sec["source"],
         "times": len(results),
-        "final": {
-            "time": last.time,
-            "mass": last.params.mass,
-            "coefficients": {str(k): v for k, v in last.params.potential.coefficients.items()},
-            "products": products,
-            "constant_term": constant_term(last),
-            "converged": last.converged,
-        },
+        "final": _final_block(
+            last.params,
+            time=last.time,
+            constant_term=constant_term(last),
+            converged=last.converged,
+        ),
         "peak_relative_error": {"time": results[peak].time, "value": errors[peak]},
         "divergence_onset": onset,
     }
@@ -629,10 +606,6 @@ def _run_flow(cfg, out_dir, threads, seed):
     write_trace_csv(trace, path, header_comment=_meta(cfg, seed))
 
     last = trace.states[-1]
-    products = {
-        f"mass_v_{k}": last.params.mass * v
-        for k, v in last.params.potential.coefficients.items()
-    }
     max_deficiency = max((d.deficiency for d in trace.diagnostics), default=0)
     summary = {
         "config_hash": f"sha256:{cfg['hash']}",
@@ -641,29 +614,19 @@ def _run_flow(cfg, out_dir, threads, seed):
         "recorded_states": len(trace.states),
         "max_rank_deficiency": max_deficiency,
         "degenerate_directions_detected": max_deficiency > 0,
-        "final": {
-            "beta": last.beta,
-            "mass": last.params.mass,
-            "coefficients": {str(k): v for k, v in last.params.potential.coefficients.items()},
-            "log_norm": last.log_norm,
-            "products": products,
-        },
+        "final": _final_block(last.params, beta=last.beta, log_norm=last.log_norm),
     }
 
     if sec["compare_fit"] is not None:
-        comp = dict(sec["compare_fit"])
-        comp["ansatz"] = sorted(sec["coefficients"])
-        comp["max_evaluations"] = comp.get("max_evaluations", 50000)
+        # the comparison fits run at a fixed 500 intervals per slice
+        comp = dict(
+            sec["compare_fit"], ansatz=sorted(sec["coefficients"]), grid={"intervals": 500}
+        )
         states = trace.states[:: comp["stride"]]
         if states[-1] is not trace.states[-1]:
             states.append(trace.states[-1])
         times = [st.beta * model.hbar for st in states]
-        decomposition = None
-        if comp["source"] == "oracle":
-            decomposition = _decomposition(
-                model, comp["spacing"], comp["extent"], comp["levels"], comp["refine"]
-            )
-        fit_results = _fit_rows(model, comp, times, decomposition, None)
+        fit_results = _fit_rows(model, comp, times, None)
         names = ["mass"] + [f"v_{k}" for k in sorted(sec["coefficients"])]
         columns = ["beta"]
         for name in names:
@@ -684,31 +647,13 @@ def _run_flow(cfg, out_dir, threads, seed):
                 denom = max(abs(fv), abs(gv), 1e-12)
                 spread[name] = max(spread[name], abs(fv - gv) / denom)
             rows.append(row)
-        _write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(cfg, seed))
+        write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(cfg, seed))
         summary["comparison"] = {"max_rel_diff": spread, "points": len(rows)}
 
     _write_json(out_dir / "flow_summary.json", summary)
     click.echo(
         f"wrote {path} and flow_summary.json "
         f"(beta {initial.beta:g} -> {last.beta:g}, deficiency {max_deficiency})"
-    )
-
-
-def _quantum_from_asymptotics(model, gamma_shift=0.0):
-    """Long-time quantum action in the m~ = m gauge, optionally corrupted."""
-    w = omega(model)
-    gamma = gamma_index(model) + gamma_shift
-    m, hbar = model.mass, model.hbar
-    mv2 = 0.5 * m * m * w * w
-    mvm2 = 0.5 * hbar**2 * (0.5 + gamma) ** 2
-    energy = hbar * w * (1.0 + gamma)
-    v2, vm2 = mv2 / m, mvm2 / m
-    v0 = energy - 2.0 * math.sqrt(m * v2 * m * vm2) / m
-    return ActionParams(
-        mass=m,
-        hbar=hbar,
-        potential=PotentialSpec({0: v0, 2: v2, -2: vm2}),
-        domain=Domain.HALF_LINE,
     )
 
 
@@ -726,7 +671,7 @@ def _run_verify(cfg, out_dir, threads, seed):
     sec = cfg["section"]
     gs = ground_state(model)
     kernel = closed_form_kernel(model)
-    quantum = _quantum_from_asymptotics(model, sec["gamma_shift"])
+    quantum = asymptotic_quantum_action(model, sec["gamma_shift"])
     checks = []
 
     # modified Bessel recurrence I_{nu-1} - I_{nu+1} = (2 nu / z) I_nu
@@ -793,8 +738,7 @@ def _run_scales(cfg, out_dir, threads, seed):
     sec = cfg["section"]
     gs = ground_state(model)
     sc = dynamical_scales(model, probability=sec["probability"])
-    mv2, mvm2, energy = asymptotic_quantum_params(model)
-    v0 = energy - 2.0 * math.sqrt(mv2 * mvm2) / model.mass
+    mv2, mvm2, _ = asymptotic_quantum_params(model)
     payload = {
         "config_hash": f"sha256:{cfg['hash']}",
         "seed": seed,
@@ -805,7 +749,7 @@ def _run_scales(cfg, out_dir, threads, seed):
         "length_scale": sc.length_scale,
         "probability": sec["probability"],
         "asymptotic_products": {"mass_v_2": mv2, "mass_v_-2": mvm2},
-        "asymptotic_v_0": v0,
+        "asymptotic_v_0": asymptotic_quantum_action(model).potential.coefficients[0],
     }
     _write_json(out_dir / "scales.json", payload)
     click.echo(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import closed_form_kernel
-from .model import ActionParams, Domain, PotentialSpec
+from .model import ActionParams, Domain, PotentialSpec, write_csv
 from .oracle import SpectralDecomposition, amplitude
 from .trajectory import SolverError, TimeGrid, Trajectory, action_values, solve_paths
 
@@ -366,19 +366,10 @@ def write_results_csv(results: list[FitResult], path, header_comment: str | None
         "converged",
         "evaluations",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(cols) + "\n")
-        for r in results:
-            coeffs = r.params.potential.coefficients
-            row = [f"{r.time:.17g}", f"{r.params.mass:.17g}"]
-            row += [f"{coeffs.get(k, 0.0):.17g}" for k in exponents]
-            row += [
-                f"{r.log_norm:.17g}",
-                f"{r.relative_error:.17g}",
-                f"{r.objective:.17g}",
-                str(int(r.converged)),
-                str(r.evaluations),
-            ]
-            fh.write(",".join(row) + "\n")
+    rows = [
+        [r.time, r.params.mass]
+        + [r.params.potential.coefficients.get(k, 0.0) for k in exponents]
+        + [r.log_norm, r.relative_error, r.objective, r.converged, r.evaluations]
+        for r in results
+    ]
+    write_csv(path, cols, rows, header_comment)

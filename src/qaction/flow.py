@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ActionParams, PotentialSpec, potential_value
+from .model import ActionParams, PotentialSpec, potential_value, write_csv
 from .trajectory import (
     SolverError,
     TimeGrid,
@@ -400,18 +400,16 @@ def write_trace_csv(trace: FlowTrace, path, header_comment: str | None = None):
         "rank",
         "deficiency",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(cols) + "\n")
-        for i, st in enumerate(trace.states):
-            coeffs = st.params.potential.coefficients
-            if i == 0:
-                res, cond, rank, defi = math.nan, math.nan, -1, -1
-            else:
-                d = trace.diagnostics[i - 1]
-                res, cond, rank, defi = d.residual_norm, d.condition, d.rank, d.deficiency
-            row = [f"{st.beta:.17g}", f"{st.params.mass:.17g}"]
-            row += [f"{coeffs[k]:.17g}" for k in exponents]
-            row += [f"{st.log_norm:.17g}", f"{res:.17g}", f"{cond:.17g}", str(rank), str(defi)]
-            fh.write(",".join(row) + "\n")
+    rows = []
+    for i, st in enumerate(trace.states):
+        if i == 0:
+            res, cond, rank, defi = math.nan, math.nan, -1, -1
+        else:
+            d = trace.diagnostics[i - 1]
+            res, cond, rank, defi = d.residual_norm, d.condition, d.rank, d.deficiency
+        rows.append(
+            [st.beta, st.params.mass]
+            + [st.params.potential.coefficients[k] for k in exponents]
+            + [st.log_norm, res, cond, rank, defi]
+        )
+    write_csv(path, cols, rows, header_comment)

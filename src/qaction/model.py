@@ -146,6 +146,25 @@ def omega(params: ActionParams) -> float:
     return math.sqrt(2.0 * v2 / params.mass)
 
 
+def write_csv(path, columns, rows, comment: str | None = None) -> None:
+    """Header line and rows of bools/ints as integers, everything else as .17g.
+
+    A given comment goes first, as a `# comment` line.
+    """
+
+    def cell(v):
+        if isinstance(v, (int, np.integer)):  # bool is an int
+            return str(int(v))
+        return f"{float(v):.17g}"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
 def params_to_json(params: ActionParams) -> str:
     """Serialise to the JSON shape used by config files and CSV metadata."""
     payload = {

@@ -267,11 +267,3 @@ def amplitude(dec: SpectralDecomposition, a: float, b: float, time: float) -> fl
     weights = np.exp(-(dec.energies - dec.energies[0]) * time / dec.hbar)
     scale = math.exp(-float(dec.energies[0]) * time / dec.hbar)
     return scale * float(np.sum(psi_a * psi_b * weights))
-
-
-def write_spectrum_csv(dec: SpectralDecomposition, path) -> None:
-    """Dump (n, E_n) rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,energy\n")
-        for n, e in enumerate(dec.energies):
-            fh.write(f"{n},{e:.17g}\n")

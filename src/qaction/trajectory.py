@@ -643,12 +643,3 @@ def neighbour_pair(
         [traj, traj],
     )
     return lo, hi
-
-
-def write_csv(traj: Trajectory, path) -> None:
-    """Dump (t, x) rows."""
-    times = traj.grid.times()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x\n")
-        for t, xv in zip(times, traj.positions):
-            fh.write(f"{t:.17g},{xv:.17g}\n")

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from qaction.analytic import (
+    asymptotic_quantum_action,
     asymptotic_quantum_params,
     closed_form_kernel,
     dynamical_scales,
@@ -180,25 +181,15 @@ def test_asymptotic_products_standard_and_strong_coupling():
     assert energy == pytest.approx(1.0 + 0.5 * math.sqrt(41.0), rel=1e-14)
 
 
-def asymptotic_action(params):
-    mv2, mvm2, energy = asymptotic_quantum_params(params)
-    m = params.mass
-    v2, vm2 = mv2 / m, mvm2 / m
-    v0 = energy - 2.0 * math.sqrt(v2 * vm2)
-    return ActionParams(
-        mass=m, hbar=params.hbar, potential=PotentialSpec({0: v0, 2: v2, -2: vm2})
-    )
-
-
 def test_transformation_residual_vanishes_for_asymptotic_action():
     xs = np.linspace(0.05, 8.0, 200)
     for params in (STANDARD, family(g=5.0), family(mass=1.3, hbar=0.8, v2=0.9, g=0.4)):
-        resid = transformation_residual(params, asymptotic_action(params), xs)
+        resid = transformation_residual(params, asymptotic_quantum_action(params), xs)
         assert np.max(np.abs(resid)) < 1e-9
 
 
 def test_transformation_residual_detects_mismatch():
-    wrong = asymptotic_action(STANDARD)
+    wrong = asymptotic_quantum_action(STANDARD)
     bumped = ActionParams(
         mass=wrong.mass,
         hbar=wrong.hbar,
@@ -213,7 +204,7 @@ def test_transformation_residual_detects_mismatch():
 def test_reconstruction_matches_ground_state():
     gs = ground_state(STANDARD)
     xs = np.linspace(0.05, 6.0, 150)
-    rebuilt = reconstruct_ground_state(asymptotic_action(STANDARD), xs)
+    rebuilt = reconstruct_ground_state(asymptotic_quantum_action(STANDARD), xs)
     npt.assert_allclose(rebuilt, gs.wavefunction(xs), atol=1e-10)
 
 

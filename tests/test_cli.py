@@ -202,12 +202,17 @@ def _fit_doc(**changes):
         ("fit", _fit_doc(ansatz=[0, 2, 3]), "exponent 3"),
         ("fit", _fit_doc(final={"start": -0.5, "stop": 2.0, "count": 4}), "fit.final"),
         ("fit", _fit_doc(init={"mass": -1.0, "coefficients": {"2": 0.5}}), "mass"),
+        ("flow", _flow_doc(compare_fit={"initial": [-0.5, 0.8], "final": [1.0, 2.0]}),
+         "flow.compare_fit.initial"),
+        ("fit", _fit_doc(points_per_unit=0), "fit.points_per_unit"),
+        ("fit", _fit_doc(points_per_unit=-5), "fit.points_per_unit"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
         "flow_zero_initial",
         "flow_negative_initial", "flow_negative_mass", "flow_exponent_3", "fit_exponent_3",
-        "fit_negative_final", "fit_negative_mass",
+        "fit_negative_final", "fit_negative_mass", "flow_compare_fit_negative_initial",
+        "fit_zero_points_per_unit", "fit_negative_points_per_unit",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
@@ -215,6 +220,8 @@ def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, messag
     res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 1, res.output
     assert "config error" in res.output and message in res.output
+    # rejected at load: nothing ran, nothing was written
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_valid_flow_and_fit_parameters_load(tmp_path):
@@ -286,6 +293,21 @@ def test_propagator_outputs_are_deterministic(runner, tmp_path):
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_checked_in_config_loads(path):
+    doc = json.loads(path.read_text())
+    (command,) = set(doc) - {"model"}
+    assert load_config(path, command)["hash"] == config_hash(doc)
+
+
+def test_readme_fit_example_loads(tmp_path):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    after = readme.split("Minimal fit example:", 1)[1]
+    example = after.split("```json\n", 1)[1].split("```", 1)[0]
+    sec = load_config(write_config(tmp_path, json.loads(example)), "fit")["section"]
+    assert sec["source"] == "analytic" and sec["grid"] == {"intervals": 500}
 
 
 @pytest.mark.parametrize(

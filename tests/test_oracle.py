@@ -16,7 +16,6 @@ from qaction.oracle import (
     refine_energies,
     solve_spectrum,
     spectrum,
-    write_spectrum_csv,
 )
 
 STANDARD = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -2: 1.0}))
@@ -69,6 +68,9 @@ def test_harmonic_ground_energy():
     assert dec.energies[0] == pytest.approx(0.5, abs=1e-5)
     # discretisation error grows roughly with E^2, so the tower is looser
     npt.assert_allclose(dec.energies[:4], [0.5, 1.5, 2.5, 3.5], atol=1e-4)
+    # a coarser, shorter grid still lands E_0 within 1e-4
+    coarse = solve_spectrum(HARMONIC, SpatialGrid.from_spacing(-10.0, 10.0, 2e-2), 3)
+    assert coarse.energies[0] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_parity_alternation_on_symmetric_grid():
@@ -230,16 +232,6 @@ def test_quartic_ground_energy_stable_under_refinement():
     assert abs(e1 - e2) <= 1e-6
     # omega' = sqrt(2 v2 / m), E0 ~ hbar omega'/2 plus a small quartic shift
     assert e2 == pytest.approx(0.7108116, abs=1e-6)
-
-
-def test_write_spectrum_csv(tmp_path):
-    dec = solve_spectrum(HARMONIC, SpatialGrid.from_spacing(-10.0, 10.0, 2e-2), 3)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(dec, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "n,energy"
-    assert len(rows) == 4
-    assert float(rows[1].split(",")[1]) == pytest.approx(0.5, abs=1e-4)
 
 
 IMAGE = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}))

@@ -31,7 +31,6 @@ from qaction.trajectory import (
     solve_bvp,
     solve_paths,
     time_derivative_fd,
-    write_csv,
 )
 
 HARMONIC = ActionParams(
@@ -270,18 +269,6 @@ def test_two_point_grid_is_trivial():
     traj = solve_bvp(STANDARD, 1.0, 2.0, TimeGrid(0.5, intervals=1))
     npt.assert_allclose(traj.positions, [1.0, 2.0])
     assert traj.iterations == 0
-
-
-def test_write_csv_round_trip(tmp_path):
-    traj = solve_bvp(STANDARD, 1.0, 2.0, TimeGrid(0.5, intervals=20))
-    path = tmp_path / "traj.csv"
-    write_csv(traj, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "t,x"
-    assert len(rows) == traj.grid.n_points + 1
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    npt.assert_allclose(data[:, 0], traj.grid.times(), atol=1e-15)
-    npt.assert_allclose(data[:, 1], traj.positions, rtol=1e-15)
 
 
 # --- batched relaxation: bit-identity with one-path-at-a-time solves ---------

@@ -12,6 +12,7 @@ plus the full-line harmonic kernel used as an independent cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,10 @@ from .model import (
     potential_minimum,
     potential_value,
 )
-from .specfun import libm, ln_gamma, log_bessel_i
+from .specfun import libm, ln_gamma, log_bessel_i, regularised_gamma
 
 QUAD_ABS_TOL = 1e-10
+_MAX_INVERSE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -201,24 +203,54 @@ def ground_state(params: ActionParams) -> GroundState:
 
 
 def dynamical_scales(params: ActionParams, probability: float = 0.95) -> DynamicalScales:
-    """T_sc = hbar / E_gr and the length containing `probability` of |psi_gr|^2."""
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
+    """T_sc = hbar / E_gr and the length containing `probability` of |psi_gr|^2.
 
+    |psi_gr|^2 is proportional to x^(2 gamma + 1) exp(-s x^2), s = m omega / hbar,
+    so the probability within L is P(gamma + 1, s L^2), the regularised lower
+    incomplete gamma function; L_sc = sqrt(u / s) at its inverse u.
+    """
     gs = ground_state(params)
     if not (0.0 < probability < 1.0):
         raise ValueError("probability must lie in (0, 1)")
+    u = _inverse_regularised_gamma(gs.gamma + 1.0, probability)
+    return DynamicalScales(
+        time_scale=params.hbar / gs.energy,
+        length_scale=math.sqrt(u * gs.hbar / (gs.mass * gs.omega)),
+    )
 
-    def cumulative(lam: float) -> float:
-        val, _ = quad(lambda x: gs.wavefunction(x) ** 2, 0.0, lam, epsabs=QUAD_ABS_TOL)
-        return val
 
-    # bracket: grow until the enclosed probability exceeds the target
-    hi = 1.0 / math.sqrt(gs.mass * gs.omega / gs.hbar)
-    while cumulative(hi) < probability:
-        hi *= 2.0
-    lam = brentq(lambda t: cumulative(t) - probability, 1e-8, hi, xtol=1e-10, rtol=1e-12)
-    return DynamicalScales(time_scale=params.hbar / gs.energy, length_scale=float(lam))
+def _inverse_regularised_gamma(a: float, p: float) -> float:
+    """The u with P(a, u) = p, for 0 < p < 1.
+
+    Newton steps on P(a, u) - p, whose derivative is u^(a-1) e^-u / Gamma(a),
+    kept in a bracket of the root: a step that would leave it is replaced by
+    bisection. Above p = 1/2 the residual is taken as (1 - p) - Q(a, u), which
+    keeps its small tail exact.
+    """
+
+    def residual(u):
+        lower, upper = regularised_gamma(a, u)
+        return lower - p if p <= 0.5 else (1.0 - p) - upper
+
+    lo, hi = 0.0, a
+    while residual(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    u = hi
+    log_gamma_a = ln_gamma(a)
+    for _ in range(_MAX_INVERSE_STEPS):
+        r = residual(u)
+        if r < 0.0:
+            lo = u
+        else:
+            hi = u
+        slope = math.exp((a - 1.0) * math.log(u) - u - log_gamma_a)
+        step = r / slope if slope > 0.0 else math.inf
+        if abs(step) <= 4.0 * sys.float_info.epsilon * u:
+            return u - step
+        u -= step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+    raise RuntimeError(f"inverse incomplete gamma failed to converge for a={a}, p={p}")
 
 
 def asymptotic_quantum_params(

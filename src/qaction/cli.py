@@ -80,6 +80,8 @@ def _check_keys(section, allowed, required, where):
 def _float(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
     return float(value)
 
 
@@ -148,9 +150,13 @@ def _model_from(payload) -> ActionParams:
     if not isinstance(payload, dict):
         raise ConfigError("model must be a JSON object")
     try:
-        return params_from_dict(payload)
+        model = params_from_dict(payload)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"model: {exc}") from exc
+    for k, v in model.potential.coefficients.items():
+        if not math.isfinite(v):
+            raise ConfigError(f"model.coefficients[{k}] must be finite, got {v}")
+    return model
 
 
 def _require_closed_form(model: ActionParams, where):

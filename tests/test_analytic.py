@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,7 @@ from qaction.analytic import (
     transformation_residual,
 )
 from qaction.model import ActionParams, Domain, PotentialSpec
+from qaction.specfun import _CHUNK
 from scalar_transcriptions import scalar_log_kernel
 
 mp.mp.dps = 40
@@ -162,6 +164,35 @@ def test_dynamical_scales_standard_model():
     )
     assert sc.length_scale == pytest.approx(lam_ref, abs=1e-8)
     assert sc.length_scale == pytest.approx(2.3527109569, abs=1e-6)
+
+
+def mp_length_scale(params, probability):
+    """L with P(gamma + 1, m omega L^2 / hbar) = probability, in 40 digits."""
+    m, hbar = mp.mpf(params.mass), mp.mpf(params.hbar)
+    w = mp.sqrt(2 * mp.mpf(params.potential.coefficients[2]) / m)
+    gam = mp.sqrt(1 + 8 * m * mp.mpf(params.potential.coefficients[-2]) / hbar**2) / 2
+    p = mp.mpf(probability)
+
+    def excess(q):
+        return mp.gammainc(gam + 1, 0, q, regularized=True) - p
+
+    # 60 bisections of ln u bracket the root; the secant method polishes it
+    lo, hi = mp.log(mp.mpf("1e-30")), mp.log(mp.mpf(200))
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mp.exp(mid)) < 0 else (lo, mid)
+    u = mp.findroot(excess, mp.exp((lo + hi) / 2))
+    return float(mp.sqrt(u * hbar / (m * w)))
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("mass", [1.0, 1.3])
+def test_dynamical_scales_length_matches_incomplete_gamma_root(g, hbar, mass):
+    params = family(mass=mass, hbar=hbar, g=g)
+    for probability in (1e-9, 0.5, 0.95, 1.0 - 1e-9):
+        got = dynamical_scales(params, probability).length_scale
+        assert got == pytest.approx(mp_length_scale(params, probability), abs=1e-13), probability
 
 
 def test_dynamical_scales_probability_monotone():
@@ -312,3 +343,38 @@ def test_closed_form_kernel_rejects_members_without_amplitude(coefficients, doma
     params = ActionParams(1.0, 1.0, PotentialSpec(coefficients), domain=domain)
     with pytest.raises(ValueError, match="no closed-form"):
         closed_form_kernel(params)
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_array_kernel_across_bessel_chunks(size):
+    # at T = 0.25 the Bessel argument b / sinh(0.25) passes the seam at b = 7.6:
+    # even positions below it, odd ones above, so every chunk holds both branches
+    rng = np.random.default_rng(size)
+    b = rng.uniform(1e-3, 7.0, size)
+    b[1::2] = rng.uniform(8.0, 20.0, size // 2)
+    want = np.array([scalar_log_kernel(STANDARD, 1.0, bi, 0.25) for bi in b])
+    assert np.array_equal(euclidean_log_amplitude(STANDARD, 1.0, b, 0.25), want)
+    # a 2-D broadcast of both endpoints keeps its shape and the bits
+    a = np.array([1.0, 0.5])
+    got = euclidean_log_amplitude(STANDARD, a[:, None], b[None, :], 0.25)
+    assert got.shape == (2, size)
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(got[1], [scalar_log_kernel(STANDARD, 0.5, bi, 0.25) for bi in b])
+
+
+def test_array_kernel_working_memory_is_bounded():
+    # The kernel holds a few full-length arrays of its own (about five) while
+    # log_bessel_i works through one chunk at a time, with about a hundred
+    # chunk-length rows of block arrays. Without the chunks the block arrays
+    # span the whole input: 87.6 MiB here, against a bound of 14.2 MiB.
+    n = 200_000
+    b = np.linspace(1e-3, 12.0, n)
+    itemsize = b.dtype.itemsize
+    bound = (8 * n + 128 * _CHUNK) * itemsize
+    tracemalloc.start()
+    try:
+        euclidean_log_amplitude(STANDARD, 1.0, b, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)

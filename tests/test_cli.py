@@ -236,6 +236,48 @@ def test_valid_flow_and_fit_parameters_load(tmp_path):
     assert init.mass == 1.1 and init.potential.coefficients == {-2: 0.0, 0: 0.0, 2: 0.4}
 
 
+def _propagator_doc(**changes):
+    propagator = {"initial": [1.0], "final": [1.5], "times": [0.5], "spacing": 1e-2, "levels": 40}
+    propagator.update(changes)
+    return {"model": STANDARD_MODEL, "propagator": propagator}
+
+
+def _spectrum_doc(coefficients):
+    model = dict(STANDARD_MODEL, coefficients=coefficients)
+    return {"model": model, "spectrum": {"spacing": 1e-2, "levels": 5}}
+
+
+# JSON's NaN and Infinity parse as floats; every case here exited 2 after the
+# numbers got past validation.
+@pytest.mark.parametrize(
+    "cmd, doc, message",
+    [
+        ("fit", _fit_doc(times=[math.nan]), "fit.times[0]"),
+        ("fit", _fit_doc(times=[math.inf]), "fit.times[0]"),
+        ("fit", _fit_doc(final=[math.nan, 2.0]), "fit.final[0]"),
+        ("fit", _fit_doc(final=[1.5, math.inf]), "fit.final[1]"),
+        ("propagator", _propagator_doc(times=[math.nan]), "propagator.times[0]"),
+        ("propagator", _propagator_doc(final=[math.inf]), "propagator.final[0]"),
+        ("propagator", _propagator_doc(initial=[-math.inf]), "propagator.initial[0]"),
+        ("verify", {"model": STANDARD_MODEL, "verify": {"gamma_shift": math.nan}},
+         "verify.gamma_shift"),
+        ("spectrum", _spectrum_doc({"2": 0.5, "-2": math.inf}), "model.coefficients[-2]"),
+        ("spectrum", _spectrum_doc({"2": -math.inf}), "model.coefficients[2]"),
+    ],
+    ids=[
+        "fit_times_nan", "fit_times_infinity", "fit_final_nan", "fit_final_infinity",
+        "propagator_times_nan", "propagator_final_infinity",
+        "propagator_initial_minus_infinity", "verify_gamma_shift_nan",
+        "model_v_minus_2_infinity", "model_v_2_minus_infinity",
+    ],
+)
+def test_non_finite_numbers_exit_one(runner, tmp_path, cmd, doc, message):
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and f"{message} must be finite" in res.output
+
+
 @pytest.mark.parametrize(
     "verify, message",
     [

@@ -4,7 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qaction.specfun import asymptotic_crossover, bessel_i, ln_gamma, log_bessel_i
+from qaction.specfun import (
+    _CHUNK,
+    asymptotic_crossover,
+    bessel_i,
+    ln_gamma,
+    log_bessel_i,
+    regularised_gamma,
+)
 from scalar_transcriptions import scalar_log_iv
 
 mp.mp.dps = 40
@@ -132,3 +139,52 @@ def test_log_bessel_i_rejects_bad_elements():
             log_bessel_i(1.5, z)
     with pytest.raises(ValueError):
         log_bessel_i(-0.5, good)
+
+
+def _alternating_seam_arguments(nu, size, rng):
+    # even positions below the seam, odd ones above: every chunk of two or more
+    # elements holds both branches
+    seam = asymptotic_crossover(nu)
+    z = seam * rng.uniform(0.0, 1.0, size)
+    z[1::2] = seam * 10.0 ** rng.uniform(0.0, 1.5, size // 2)
+    return z
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_log_bessel_i_chunks_keep_the_bits(size):
+    nu = 2.5
+    z = _alternating_seam_arguments(nu, size, np.random.default_rng(size))
+    assert (z > asymptotic_crossover(nu)).sum() == size // 2
+    want = np.array([scalar_log_iv(nu, zi) for zi in z])
+    assert np.array_equal(log_bessel_i(nu, z), want)
+    # a 2-D broadcast view (stride 0) and a transposed copy keep shape and bits
+    got = log_bessel_i(nu, np.broadcast_to(z, (3, size)))
+    assert got.shape == (3, size) and np.array_equal(got, np.broadcast_to(want, (3, size)))
+    got = log_bessel_i(nu, np.stack([z, z[::-1]]).T)
+    assert got.shape == (size, 2) and np.array_equal(got, np.stack([want, want[::-1]]).T)
+
+
+def mp_regularised_gamma(a, u):
+    lower = mp.gammainc(mp.mpf(a), 0, mp.mpf(u), regularized=True)
+    upper = mp.gammainc(mp.mpf(a), mp.mpf(u), mp.inf, regularized=True)
+    return float(lower), float(upper)
+
+
+@pytest.mark.parametrize("a", [1.5, 2.5, 4.2, 6.17])
+def test_regularised_gamma_matches_mpmath(a):
+    # both sides of u = a + 1, where the series hands over to the continued
+    # fraction, and both tails. The front factor exp(a ln u - u - ln Gamma(a))
+    # carries the rounding of its exponent, so the bound grows with it.
+    for u in (1e-12, 1e-4, 0.3, a, a + 1.0 - 1e-9, a + 1.0, 2.0 * a + 3.0, 40.0, 300.0):
+        lower, upper = regularised_gamma(a, u)
+        want_lower, want_upper = mp_regularised_gamma(a, u)
+        rel = 4e-16 * (10.0 + abs(a * math.log(u) - u))
+        assert lower == pytest.approx(want_lower, rel=rel, abs=1e-300), u
+        assert upper == pytest.approx(want_upper, rel=rel, abs=1e-300), u
+    assert regularised_gamma(a, 0.0) == (0.0, 1.0)
+
+
+def test_regularised_gamma_rejects_bad_arguments():
+    for a, u in ((0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            regularised_gamma(a, u)

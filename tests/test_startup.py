@@ -53,7 +53,9 @@ def test_cli_import_and_runs_without_fits_load_no_deferred_scipy(tmp_path):
     }
     propagator = {"initial": [1.0, 2.0], "final": [1.5, 2.5], "times": [0.5, 1.0],
                   "spacing": 1e-2, "extent": 10.0, "levels": 60}
-    for cmd, section in (("flow", flow), ("propagator", propagator), ("verify", {})):
+    sections = {"flow": flow, "propagator": propagator, "verify": {},
+                "spectrum": {"spacing": 1e-2, "levels": 10}, "scales": {}}
+    for cmd, section in sections.items():
         (tmp_path / f"{cmd}.json").write_text(json.dumps({"model": MODEL, cmd: section}))
     code = LOADED + f"""
 import json
@@ -62,16 +64,19 @@ import qaction.cli
 out = {{"import": loaded({DEFERRED!r}),
         "module_level": loaded(("numpy", "scipy.linalg", "qaction."))}}
 work = Path(sys.argv[1])
-for cmd in ("flow", "propagator", "verify"):
+for cmd in {tuple(sections)!r}:
     argv = [cmd, "--config", str(work / f"{{cmd}}.json"), "--out", str(work / cmd)]
     qaction.cli.main.main(args=argv, prog_name="qaction", standalone_mode=False)
     out[cmd] = loaded({DEFERRED!r})
 print(json.dumps(out))
 """
     got = fresh_python(code, str(tmp_path))  # a failed command exits non-zero
-    assert got["import"] == got["flow"] == got["propagator"] == got["verify"] == []
+    for key in ("import", *sections):
+        assert got[key] == [], key
     assert (tmp_path / "flow" / "flow_trace.csv").exists()
     assert (tmp_path / "propagator" / "propagator.csv").exists()
+    assert (tmp_path / "spectrum" / "spectrum.csv").exists()
+    assert (tmp_path / "scales" / "scales.json").exists()
     # numpy, scipy.linalg and every layer stay imported at module level
     for name in ("numpy", "scipy.linalg", "scipy.linalg.lapack", "qaction.model",
                  "qaction.specfun", "qaction.analytic", "qaction.oracle",
@@ -100,15 +105,6 @@ value = [res.params.mass, *res.params.potential.coefficients.values(), res.log_n
         """
 from qaction.model import PotentialSpec, potential_minimum
 value = list(potential_minimum(PotentialSpec({2: 0.5, 4: 0.1, -2: 1.0})))
-""",
-    ),
-    "dynamical_scales": (
-        "scipy.integrate",
-        """
-from qaction.analytic import dynamical_scales
-from qaction.model import ActionParams, PotentialSpec
-sc = dynamical_scales(ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, -2: 1.0})))
-value = [sc.time_scale, sc.length_scale]
 """,
     ),
     "reconstruct_ground_state_fallback": (

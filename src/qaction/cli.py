@@ -4,19 +4,20 @@ Every subcommand reads a single JSON document (unknown keys rejected), runs
 one experiment and writes its outputs under --out.  The first line of every
 CSV is a comment embedding the sha256 hash of the config document, so any
 result file can be traced back to the exact configuration that produced it.
-Identical config and seed give bit-identical output; --threads only
-parallelises independent table entries and never changes the numbers.
+Identical config and seed give bit-identical output. --threads is accepted
+and validated (>= 1) but has no effect; it stays until the benchmark stops
+passing it.
 
 Exit codes: 0 success, 1 config validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -45,7 +46,7 @@ from .model import (
     write_csv,
 )
 from .oracle import amplitude, default_grid, refine_energies, solve_spectrum
-from .specfun import bessel_i
+from .specfun import bessel_i, libm
 from .trajectory import SolverError, TimeGrid, neighbour_offset
 
 
@@ -176,22 +177,37 @@ def _require_scale_family(model: ActionParams, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _oracle_keys(section, defaults=(("spacing", 2e-3), ("extent", 12.0), ("levels", 160), ("refine", True))):
-    out = {}
-    for key, default in defaults:
-        if key in section:
-            if key == "refine":
-                if not isinstance(section[key], bool):
-                    raise ConfigError("refine must be a boolean")
-                out[key] = section[key]
-            elif key == "levels":
-                out[key] = _int(section[key], "levels", minimum=1)
-            else:
-                out[key] = _float(section[key], key)
-        else:
-            out[key] = default
+def _oracle_keys(section):
+    out = {
+        "spacing": _float(section.get("spacing", 2e-3), "spacing"),
+        "extent": _float(section.get("extent", 12.0), "extent"),
+        "levels": _int(section.get("levels", 160), "levels", minimum=1),
+        "refine": section.get("refine", True),
+    }
+    if not isinstance(out["refine"], bool):
+        raise ConfigError("refine must be a boolean")
     if out["spacing"] <= 0 or out["extent"] <= out["spacing"]:
         raise ConfigError("oracle grid needs 0 < spacing < extent")
+    return out
+
+
+def _endpoints(section, model, where, oracle=None):
+    """The initial and final point sets, positive on the half-line and, given
+    the oracle keys, on the span of the oracle's grid."""
+    try:
+        grid = default_grid(model.domain, oracle["spacing"], oracle["extent"]) if oracle else None
+    except ValueError:
+        grid = None  # a grid too coarse to solve fails in the eigensolve
+    out = {}
+    for key in ("initial", "final"):
+        out[key] = _point_set(section[key], f"{where}.{key}")
+        _require_positive(model, out[key], f"{where}.{key}")
+        outside = [x for x in out[key] if grid and not grid.x_min <= x <= grid.x_max]
+        if outside:
+            raise ConfigError(
+                f"{where}.{key} point {outside[0]} lies outside the oracle grid "
+                f"[{grid.x_min}, {grid.x_max}]"
+            )
     return out
 
 
@@ -204,9 +220,7 @@ def _amplitude_table(section, model, where):
         _require_closed_form(model, f"{where} with analytic source")
     out = _oracle_keys(section)
     out["source"] = source
-    for key in ("initial", "final"):
-        out[key] = _point_set(section[key], f"{where}.{key}")
-        _require_positive(model, out[key], f"{where}.{key}")
+    out.update(_endpoints(section, model, where, out if source == "oracle" else None))
     out["max_evaluations"] = _int(
         section.get("max_evaluations", 50000), f"{where}.max_evaluations", 1
     )
@@ -222,8 +236,7 @@ def _validate_propagator(section, model):
     )
     _require_closed_form(model, "propagator")
     out = _oracle_keys(section)
-    out["initial"] = _point_set(section["initial"], "propagator.initial")
-    out["final"] = _point_set(section["final"], "propagator.final")
+    out.update(_endpoints(section, model, "propagator", out))
     out["times"] = _time_list(section["times"], "propagator.times", allow_empty=True)
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("propagator.times must be positive")
@@ -436,9 +449,12 @@ def _meta(cfg, seed) -> str:
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """payload as JSON; a non-finite number fails before anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"{path.name} not written: a result is not finite") from exc
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _decomposition(model, spacing, extent, levels, refine, vectors=True, t_min=None):
@@ -457,17 +473,16 @@ def _decomposition(model, spacing, extent, levels, refine, vectors=True, t_min=N
     return refine_energies(coarse, fine)
 
 
-def _map_entries(worker, entries, threads):
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, entries))
-    return [worker(e) for e in entries]
+def _rel_diff(value, reference):
+    """|value - reference| / |reference|; a zero reference is a numerical failure."""
+    with np.errstate(divide="raise", invalid="raise"):
+        return abs(value - reference) / abs(reference)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def _run_propagator(cfg, out_dir, threads, seed):
+def _run_propagator(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     with_image = (
@@ -477,12 +492,9 @@ def _run_propagator(cfg, out_dir, threads, seed):
     columns = ["initial", "final", "time", "log_analytic", "analytic", "oracle", "rel_diff"]
     if with_image:
         columns += ["image", "image_rel_diff"]
-    entries = [
-        (a, b, t) for t in sec["times"] for a in sec["initial"] for b in sec["final"]
-    ]
     rows = []
     kept = 0
-    if entries:
+    if sec["times"]:
         # only the levels the smallest time can see; sec["levels"] caps them
         dec = _decomposition(
             model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"],
@@ -492,23 +504,19 @@ def _run_propagator(cfg, out_dir, threads, seed):
         kernel = closed_form_kernel(model)
         initial = np.array(sec["initial"])[:, None]
         final = np.array(sec["final"])[None, :]
-        log_analytic = np.concatenate([kernel(initial, final, t).ravel() for t in sec["times"]])
-
-        def worker(entry):
-            (a, b, t), log_an = entry
-            an = math.exp(log_an)
-            orc = amplitude(dec, a, b, t)
-            rel = abs(an - orc) / abs(orc)
-            row = [a, b, t, log_an, an, orc, rel]
+        a, b = np.broadcast_arrays(initial, final)
+        w = omega(model) if with_image else None
+        for t in sec["times"]:
+            log_an = kernel(initial, final, t)
+            an = libm(math.exp, log_an)
+            orc = amplitude(dec, initial, final, t)
+            table = [a, b, np.full(a.shape, t), log_an, an, orc, _rel_diff(an, orc)]
             if with_image:
-                w = omega(model)
-                direct = harmonic_log_kernel(model.mass, w, model.hbar, a, b, t)
-                mirror = harmonic_log_kernel(model.mass, w, model.hbar, -a, b, t)
-                image = math.exp(direct) - math.exp(mirror)
-                row += [image, abs(an - image) / abs(image)]
-            return row
-
-        rows = _map_entries(worker, list(zip(entries, log_analytic)), threads)
+                direct = harmonic_log_kernel(model.mass, w, model.hbar, initial, final, t)
+                mirror = harmonic_log_kernel(model.mass, w, model.hbar, -initial, final, t)
+                image = libm(math.exp, direct) - libm(math.exp, mirror)
+                table += [image, _rel_diff(an, image)]
+            rows += np.stack([c.ravel() for c in table], axis=1).tolist()
     path = out_dir / "propagator.csv"
     write_csv(path, columns, rows, _meta(cfg, seed))
     worst = max((r[6] for r in rows), default=0.0)
@@ -518,7 +526,7 @@ def _run_propagator(cfg, out_dir, threads, seed):
     )
 
 
-def _run_spectrum(cfg, out_dir, threads, seed):
+def _run_spectrum(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     dec = _decomposition(
@@ -560,7 +568,7 @@ def _final_block(params, **extra):
     }
 
 
-def _run_fit(cfg, out_dir, threads, seed):
+def _run_fit(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     results = _fit_rows(model, sec, sec["times"], sec["init"])
@@ -594,7 +602,7 @@ def _run_fit(cfg, out_dir, threads, seed):
     )
 
 
-def _run_flow(cfg, out_dir, threads, seed):
+def _run_flow(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     initial = sec["state"]
@@ -672,7 +680,7 @@ def _chapman_kolmogorov_defect(kernel, t_half, a, b, spacing, extent):
     return abs(composed - direct) / direct
 
 
-def _run_verify(cfg, out_dir, threads, seed):
+def _run_verify(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     gs = ground_state(model)
@@ -739,7 +747,7 @@ def _run_verify(cfg, out_dir, threads, seed):
         raise VerificationFailure(f"{failures} of {len(checks)} checks failed")
 
 
-def _run_scales(cfg, out_dir, threads, seed):
+def _run_scales(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     gs = ground_state(model)
@@ -771,7 +779,7 @@ def _common_options(fn):
     fn = click.option("--seed", default=0, show_default=True, type=int,
                       help="Recorded in outputs; reserved for stochastic strategies.")(fn)
     fn = click.option("--threads", default=1, show_default=True, type=int,
-                      help="Worker cap for independent table entries.")(fn)
+                      help="No effect; must be >= 1.")(fn)
     fn = click.option("--out", "out_dir", default=".", show_default=True,
                       type=click.Path(file_okay=False), help="Output directory.")(fn)
     fn = click.option("--config", "config_path", required=True,
@@ -790,7 +798,7 @@ def _invoke(command, worker, config_path, out_dir, threads, seed):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        worker(cfg, out, threads, seed)
+        worker(cfg, out, seed)
     except (SolverError, VerificationFailure, ValueError, ArithmeticError, RuntimeError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
@@ -801,46 +809,18 @@ def main():
     """Quantum-action laboratory: amplitudes, fits, flows and cross-checks."""
 
 
-@main.command()
-@_common_options
-def propagator(config_path, out_dir, threads, seed):
-    """Tabulate closed-form vs grid-oracle amplitudes on a boundary/time grid."""
-    _invoke("propagator", _run_propagator, config_path, out_dir, threads, seed)
-
-
-@main.command()
-@_common_options
-def spectrum(config_path, out_dir, threads, seed):
-    """Write the low-lying spectrum of the discretised Hamiltonian."""
-    _invoke("spectrum", _run_spectrum, config_path, out_dir, threads, seed)
-
-
-@main.command()
-@_common_options
-def fit(config_path, out_dir, threads, seed):
-    """Fit quantum-action parameters over a grid of transition times."""
-    _invoke("fit", _run_fit, config_path, out_dir, threads, seed)
-
-
-@main.command()
-@_common_options
-def flow(config_path, out_dir, threads, seed):
-    """Integrate the parameter flow in beta, optionally against a fit."""
-    _invoke("flow", _run_flow, config_path, out_dir, threads, seed)
-
-
-@main.command()
-@_common_options
-def verify(config_path, out_dir, threads, seed):
-    """Run the invariant suite and report measured tolerances."""
-    _invoke("verify", _run_verify, config_path, out_dir, threads, seed)
-
-
-@main.command()
-@_common_options
-def scales(config_path, out_dir, threads, seed):
-    """Report characteristic scales and asymptotic products of a model."""
-    _invoke("scales", _run_scales, config_path, out_dir, threads, seed)
+_COMMANDS = {
+    "propagator": (
+        _run_propagator, "Tabulate closed-form vs grid-oracle amplitudes on a boundary/time grid."
+    ),
+    "spectrum": (_run_spectrum, "Write the low-lying spectrum of the discretised Hamiltonian."),
+    "fit": (_run_fit, "Fit quantum-action parameters over a grid of transition times."),
+    "flow": (_run_flow, "Integrate the parameter flow in beta, optionally against a fit."),
+    "verify": (_run_verify, "Run the invariant suite and report measured tolerances."),
+    "scales": (_run_scales, "Report characteristic scales and asymptotic products of a model."),
+}
+for _name, (_worker, _help) in _COMMANDS.items():
+    main.command(_name, help=_help)(_common_options(functools.partial(_invoke, _name, _worker)))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 from .analytic import closed_form_kernel
 from .model import ActionParams, Domain, PotentialSpec, write_csv
 from .oracle import SpectralDecomposition, amplitude
+from .specfun import libm
 from .trajectory import SolverError, TimeGrid, Trajectory, action_values, solve_paths
 
 MAX_EVALUATIONS = 50000
@@ -90,22 +91,21 @@ def build_table(
     if not (time > 0.0):
         raise ValueError("time must be positive")
     bounds.require_domain(model.domain)
+    initial, final = np.array(bounds.initial)[:, None], np.array(bounds.final)[None, :]
     if source == "analytic":
-        kernel = closed_form_kernel(model)
-        logs = kernel(np.array(bounds.initial)[:, None], np.array(bounds.final)[None, :], time)
+        logs = closed_form_kernel(model)(initial, final, time)
     elif source == "oracle":
         if decomposition is None:
             raise ValueError("oracle source needs a spectral decomposition")
-        logs = np.empty((len(bounds.initial), len(bounds.final)))
-        for i, a in enumerate(bounds.initial):
-            for j, b in enumerate(bounds.final):
-                val = amplitude(decomposition, a, b, time)
-                if val <= 0.0:
-                    raise ValueError(
-                        f"oracle amplitude at ({a}, {b}, T={time}) fell below the "
-                        "roundoff floor; shrink the boundary span or the time"
-                    )
-                logs[i, j] = math.log(val)
+        values = amplitude(decomposition, initial, final, time)
+        below = np.argwhere(values <= 0.0)  # row-major: the first pair of a loop
+        if len(below):
+            i, j = below[0]
+            raise ValueError(
+                f"oracle amplitude at ({bounds.initial[i]}, {bounds.final[j]}, T={time}) "
+                "fell below the roundoff floor; shrink the boundary span or the time"
+            )
+        logs = libm(math.log, values)
     else:
         raise ValueError(f"unknown amplitude source {source!r}")
     return AmplitudeTable(model=model, bounds=bounds, time=time, log_entries=logs, source=source)

@@ -227,25 +227,36 @@ def refine_energies(
     return dataclasses.replace(fine, energies=improved, wavefunctions=states)
 
 
-def _interpolate_states(dec: SpectralDecomposition, point: float) -> np.ndarray:
-    """Cubic 4-point Lagrange interpolation of every eigenvector at one point."""
+def _interpolate_states(dec: SpectralDecomposition, points) -> np.ndarray:
+    """Cubic 4-point Lagrange interpolation of every eigenvector at each point.
+
+    The level axis follows the axes of points.
+    """
     g = dec.grid
-    if not (g.x_min <= point <= g.x_max):
-        raise ValueError(f"point {point} outside the oracle grid [{g.x_min}, {g.x_max}]")
     h = g.spacing
-    idx = int(math.floor((point - g.x_min) / h))
-    i0 = min(max(idx - 1, 0), g.n_points - 4)
-    ts = g.x_min + (i0 + np.arange(4)) * h
-    w = np.ones(4)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                w[i] *= (point - ts[j]) / (ts[i] - ts[j])
-    return w @ dec.wavefunctions[i0 : i0 + 4, :]
+    points = np.asarray(points, dtype=float)
+    rows = []
+    for point in map(float, points.flat):
+        if not (g.x_min <= point <= g.x_max):
+            raise ValueError(f"point {point} outside the oracle grid [{g.x_min}, {g.x_max}]")
+        idx = int(math.floor((point - g.x_min) / h))
+        i0 = min(max(idx - 1, 0), g.n_points - 4)
+        ts = g.x_min + (i0 + np.arange(4)) * h
+        w = np.ones(4)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    w[i] *= (point - ts[j]) / (ts[i] - ts[j])
+        rows.append(w @ dec.wavefunctions[i0 : i0 + 4, :])
+    return np.reshape(rows, points.shape + dec.wavefunctions.shape[1:])
 
 
-def amplitude(dec: SpectralDecomposition, a: float, b: float, time: float) -> float:
+def amplitude(dec: SpectralDecomposition, a, b, time: float):
     """Spectral-sum amplitude G(b, time; a).
+
+    a and b may be arrays, broadcast against each other, at one time; scalar
+    endpoints give a float. Each entry is the same pairwise sum over the
+    levels whatever the shape of the call, so it keeps its bits.
 
     Requires the retained states to cover the requested time: the truncation
     tail exp(-(E_last - E_0) * time / hbar) must be below 1e-12.
@@ -262,8 +273,9 @@ def amplitude(dec: SpectralDecomposition, a: float, b: float, time: float) -> fl
             f"spectral truncation tail {tail:.2e} exceeds {TRUNCATION_TAIL:.0e}: "
             f"need E_last - E_0 >= {needed:.1f}, have {gap:.1f}; retain more states"
         )
-    psi_a = _interpolate_states(dec, a)
-    psi_b = _interpolate_states(dec, b)
+    psi_a, psi_b = _interpolate_states(dec, a), _interpolate_states(dec, b)
     weights = np.exp(-(dec.energies - dec.energies[0]) * time / dec.hbar)
     scale = math.exp(-float(dec.energies[0]) * time / dec.hbar)
-    return scale * float(np.sum(psi_a * psi_b * weights))
+    # the level axis is last and contiguous: each entry is one pairwise sum
+    values = scale * np.sum(psi_a * psi_b * weights, axis=-1)
+    return float(values) if values.ndim == 0 else values

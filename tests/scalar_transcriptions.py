@@ -1,11 +1,17 @@
-"""Scalar transcriptions of the closed-form kernel and the Bessel routine.
+"""Scalar transcriptions of the closed-form kernel, the Bessel routine and the
+oracle amplitude.
 
-The package evaluates both on arrays. These one-point loops, in plain math
-module arithmetic, are the references the array results must reproduce bit
-for bit.
+The package evaluates all three on arrays. These one-point versions are the
+references the array results must reproduce bit for bit: the kernel and the
+Bessel routine in plain math module arithmetic, the amplitude as the 1-D
+spectral sum of one endpoint pair.
 """
 
 import math
+
+import numpy as np
+
+from qaction.oracle import _interpolate_states
 
 
 def scalar_log_iv(nu, z):
@@ -64,3 +70,12 @@ def scalar_log_kernel(params, a, b, time):
         - m * w * (a * a + b * b) * coth / (2.0 * hbar)
         + log_bessel
     )
+
+
+def scalar_amplitude(dec, a, b, time):
+    """The oracle's spectral sum G(b, time; a) for one pair of endpoints."""
+    psi_a = _interpolate_states(dec, a)
+    psi_b = _interpolate_states(dec, b)
+    weights = np.exp(-(dec.energies - dec.energies[0]) * time / dec.hbar)
+    scale = math.exp(-float(dec.energies[0]) * time / dec.hbar)
+    return scale * float(np.sum(psi_a * psi_b * weights))

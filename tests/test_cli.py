@@ -206,6 +206,13 @@ def _fit_doc(**changes):
          "flow.compare_fit.initial"),
         ("fit", _fit_doc(points_per_unit=0), "fit.points_per_unit"),
         ("fit", _fit_doc(points_per_unit=-5), "fit.points_per_unit"),
+        # an oracle table's points must lie on the oracle grid
+        ("fit", _fit_doc(source="oracle", final=[1.5, 13.0]),
+         "fit.final point 13.0 lies outside the oracle grid [0.002, "),
+        ("fit", _fit_doc(source="oracle", extent=8.0, initial=[9.0]),
+         "fit.initial point 9.0 lies outside the oracle grid [0.002, "),
+        ("flow", _flow_doc(compare_fit={"initial": [1.0], "final": [1.0, 20.0], "source": "oracle"}),
+         "flow.compare_fit.final point 20.0 lies outside the oracle grid"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
@@ -213,6 +220,8 @@ def _fit_doc(**changes):
         "flow_negative_initial", "flow_negative_mass", "flow_exponent_3", "fit_exponent_3",
         "fit_negative_final", "fit_negative_mass", "flow_compare_fit_negative_initial",
         "fit_zero_points_per_unit", "fit_negative_points_per_unit",
+        "oracle_fit_final_past_extent", "oracle_fit_initial_past_extent",
+        "oracle_compare_fit_final_past_extent",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
@@ -240,6 +249,45 @@ def _propagator_doc(**changes):
     propagator = {"initial": [1.0], "final": [1.5], "times": [0.5], "spacing": 1e-2, "levels": 40}
     propagator.update(changes)
     return {"model": STANDARD_MODEL, "propagator": propagator}
+
+
+# Endpoints the oracle cannot evaluate: rejected at load, before the
+# eigensolve. Each case exited 2 after it.
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_propagator_doc(initial=[-1.0]), "propagator.initial must be positive"),
+        (_propagator_doc(final=[0.0]), "propagator.final must be positive"),
+        (_propagator_doc(final=[1.5, 30.0]),
+         "propagator.final point 30.0 lies outside the oracle grid [0.01, 12.0]"),
+        # positive, but below the half-line grid's first node at one spacing
+        (_propagator_doc(initial=[0.005]),
+         "propagator.initial point 0.005 lies outside the oracle grid"),
+    ],
+    ids=["negative_initial", "zero_final", "final_past_extent", "initial_below_grid"],
+)
+def test_bad_propagator_endpoints_exit_one(runner, tmp_path, doc, message):
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and message in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_analytic_fit_endpoints_need_no_oracle_grid(tmp_path):
+    # the oracle keys of an analytic-source table describe no grid it uses
+    cfg = load_config(write_config(tmp_path, _fit_doc(final=[1.5, 13.0])), "fit")
+    assert cfg["section"]["final"] == (1.5, 13.0)
+
+
+def test_scales_with_overflowing_results_is_numerical_failure(runner, tmp_path):
+    # omega = sqrt(2 v_2 / m) overflows: nothing may write Infinity into JSON
+    model = dict(STANDARD_MODEL, coefficients={"2": 1e308, "-2": 1.0})
+    cfg = write_config(tmp_path, {"model": model, "scales": {}})
+    res = runner.invoke(main, ["scales", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "numerical failure: scales.json not written" in res.output
+    assert not (tmp_path / "scales.json").exists()
 
 
 def _spectrum_doc(coefficients):
@@ -382,6 +430,14 @@ def test_propagator_too_small_level_cap_is_numerical_failure(runner, tmp_path):
     res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 2
     assert "need E_last - E_0 >= 69.1, have 38.0" in res.output
+
+
+def test_propagator_underflowing_amplitude_is_numerical_failure(runner, tmp_path):
+    # exp(-E_0 T) underflows to 0 at T = 300, so rel_diff would be 0/0
+    cfg = write_config(tmp_path, _propagator_doc(times=[300.0]))
+    res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "numerical failure" in res.output
 
 
 def test_propagator_steep_model_passes_truncation_check(runner, tmp_path):

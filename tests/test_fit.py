@@ -270,3 +270,28 @@ def test_parameter_uncertainty_cases(standard_table):
     v4 = r4.params.potential.coefficients[4]
     assert u4["v_4"] >= 0.5 * abs(v4)  # fitted weight compatible with zero
     assert u4["v_-2"] > u["v_-2"]  # degeneracy inflates the shared directions
+
+
+def test_oracle_table_matches_per_pair_loop():
+    from scalar_transcriptions import scalar_amplitude
+
+    fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 120)
+    bounds = BoundarySet(equidistant(0.5, 2.0, 3), equidistant(1.2, 3.0, 5))
+    table = build_table(STANDARD, bounds, 0.8, source="oracle", decomposition=fine)
+    loop = np.empty((3, 5))
+    for i, a in enumerate(bounds.initial):
+        for j, b in enumerate(bounds.final):
+            loop[i, j] = math.log(scalar_amplitude(fine, a, b, 0.8))
+    assert np.array_equal(table.log_entries, loop)
+
+
+def test_oracle_floor_error_names_first_pair_in_row_major_order(monkeypatch):
+    import qaction.fit
+
+    values = np.ones((len(BOUNDS.initial), len(BOUNDS.final)))
+    values[0, 3] = -1e-22  # first in row-major order
+    values[1, 0] = 0.0  # first in column-major order
+    monkeypatch.setattr(qaction.fit, "amplitude", lambda dec, a, b, time: values)
+    with pytest.raises(ValueError, match="roundoff floor") as err:
+        build_table(STANDARD, BOUNDS, 1.0, source="oracle", decomposition=object())
+    assert f"({BOUNDS.initial[0]}, {BOUNDS.final[3]}, T=1.0)" in str(err.value)

@@ -330,3 +330,26 @@ def test_steep_spectrum_keeps_first_invisible_level_for_truncation_check():
     )
     with pytest.raises(ValueError, match="retain more states"):
         amplitude(visible, 0.2, 0.25, 0.4)
+
+
+def test_array_amplitude_keeps_the_bits_of_one_entry_calls():
+    from scalar_transcriptions import scalar_amplitude
+
+    _, refined = standard_pair(spacing=1e-2, levels=120)
+    g, h = refined.grid, refined.grid.spacing
+    # interior and on-node points, and both ends, where the 4-point stencil
+    # is clamped to the first and last nodes
+    a = np.array([0.37, g.x_min + 100 * h, 2.5 + 0.3 * h, g.x_min, g.x_min + 0.5 * h])
+    b = np.array([1.0, g.x_min + 1.5 * h, g.x_max - 0.5 * h, g.x_max, 7.0, g.x_min + 250 * h])
+    for t in (0.5, 2.0):
+        got = amplitude(refined, a[:, None], b[None, :], t)
+        assert got.shape == (len(a), len(b))
+        want = np.array([[scalar_amplitude(refined, x, y, t) for y in b] for x in a])
+        assert np.array_equal(got, want)
+        one = np.array([[amplitude(refined, float(x), float(y), t) for y in b] for x in a])
+        assert np.array_equal(got, one)
+        # a 1-D column against a scalar endpoint
+        assert np.array_equal(amplitude(refined, a, float(b[2]), t), want[:, 2])
+    scalar = amplitude(refined, 1.0, 2.0, 1.0)
+    assert type(scalar) is float
+    assert scalar == scalar_amplitude(refined, 1.0, 2.0, 1.0)

@@ -84,6 +84,17 @@ print(json.dumps(out))
         assert name in got["module_level"]
 
 
+def test_cli_import_loads_no_thread_pool():
+    # scipy.linalg imports the concurrent.futures package itself; its executor
+    # modules load only when an executor is first used
+    code = LOADED + """
+import json
+import qaction.cli
+print(json.dumps(loaded(("concurrent.futures.thread", "concurrent.futures.process"))))
+"""
+    assert fresh_python(code) == []
+
+
 # Each deferred import site, called once; `value` is a list of floats.
 FIRST_CALLS = {
     "fit_at_time": (

@@ -191,13 +191,33 @@ def _oracle_keys(section):
     return out
 
 
-def _endpoints(section, model, where, oracle=None):
+def _oracle_grid(keys, model, all_levels):
+    """The fine grid of the oracle keys, checked against the eigensolves on it.
+
+    The fine grid, and with refine its Richardson partner at twice the
+    spacing, each need 100 nodes, and the fine one room for `levels`. With
+    all_levels the command solves every level on the partner too (spectrum,
+    oracle-source fits); the propagator solves there only the levels its
+    smallest time keeps, so that count is checked when it solves.
+    """
+    spacings = (keys["spacing"], 2.0 * keys["spacing"])[: 2 if keys["refine"] else 1]
+    grids = [
+        _built(functools.partial(default_grid, model.domain, h, keys["extent"]),
+               f"oracle grid at spacing {h:g}")
+        for h in spacings
+    ]
+    for grid in grids if all_levels else grids[:1]:
+        if keys["levels"] > grid.n_points - 2:
+            raise ConfigError(
+                f"levels {keys['levels']} exceeds {grid.n_points - 2}, the most the "
+                f"{grid.n_points}-node oracle grid at spacing {grid.spacing:g} holds"
+            )
+    return grids[0]
+
+
+def _endpoints(section, model, where, grid=None):
     """The initial and final point sets, positive on the half-line and, given
-    the oracle keys, on the span of the oracle's grid."""
-    try:
-        grid = default_grid(model.domain, oracle["spacing"], oracle["extent"]) if oracle else None
-    except ValueError:
-        grid = None  # a grid too coarse to solve fails in the eigensolve
+    the oracle grid, on its span."""
     out = {}
     for key in ("initial", "final"):
         out[key] = _point_set(section[key], f"{where}.{key}")
@@ -220,7 +240,8 @@ def _amplitude_table(section, model, where):
         _require_closed_form(model, f"{where} with analytic source")
     out = _oracle_keys(section)
     out["source"] = source
-    out.update(_endpoints(section, model, where, out if source == "oracle" else None))
+    grid = _oracle_grid(out, model, all_levels=True) if source == "oracle" else None
+    out.update(_endpoints(section, model, where, grid))
     out["max_evaluations"] = _int(
         section.get("max_evaluations", 50000), f"{where}.max_evaluations", 1
     )
@@ -236,7 +257,7 @@ def _validate_propagator(section, model):
     )
     _require_closed_form(model, "propagator")
     out = _oracle_keys(section)
-    out.update(_endpoints(section, model, "propagator", out))
+    out.update(_endpoints(section, model, "propagator", _oracle_grid(out, model, all_levels=False)))
     out["times"] = _time_list(section["times"], "propagator.times", allow_empty=True)
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("propagator.times must be positive")
@@ -245,7 +266,9 @@ def _validate_propagator(section, model):
 
 def _validate_spectrum(section, model):
     _check_keys(section, ("levels", "spacing", "extent", "refine"), (), "spectrum")
-    return _oracle_keys(section)
+    out = _oracle_keys(section)
+    _oracle_grid(out, model, all_levels=True)
+    return out
 
 
 def _validate_fit(section, model):

@@ -6,6 +6,11 @@ set. The match runs in the log domain with ln Z~ profiled out in closed form,
 leaving a derivative-free simplex search over (mass, coefficients); the
 reported relative error goes back to the linear domain,
 sum |G - Z~ e^-Sigma| / sum |G|.
+
+The simplex search is a transcription of scipy 1.17.1's Nelder-Mead
+(`scipy.optimize._optimize._minimize_neldermead`) for the options the fit
+uses, so its iterates do not depend on the installed scipy and a fit does not
+import scipy.optimize.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .trajectory import SolverError, TimeGrid, Trajectory, action_values, solve_
 
 MAX_EVALUATIONS = 50000
 SIMPLEX_TOL = 1e-10
+VALUE_TOL = 1e-14
 _SCALE_FLOOR = 0.01
 
 
@@ -192,6 +198,87 @@ def _initial_simplex(n: int, center: np.ndarray, spread: float) -> np.ndarray:
     return simplex
 
 
+class _BudgetSpent(Exception):
+    """An objective call was refused because the evaluation budget is spent."""
+
+
+def _nelder_mead(func, simplex, max_evaluations: int) -> tuple[np.ndarray, int, bool]:
+    """Minimise func from an (n + 1, n) simplex; return (x, evaluations, converged).
+
+    A line-for-line transcription of scipy 1.17.1's `_minimize_neldermead`
+    with an initial simplex, xatol = SIMPLEX_TOL, fatol = VALUE_TOL, maxfev =
+    max_evaluations and no other option, so its iterates and counts are
+    scipy's bit for bit. converged is scipy's status 0: the tolerances were
+    met before the budget ran out.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    evaluations = 0
+
+    def call(x):
+        # the budget is checked before the call, and func gets its own copy
+        nonlocal evaluations
+        if evaluations >= max_evaluations:
+            raise _BudgetSpent
+        evaluations += 1
+        return func(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    while evaluations < max_evaluations:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= SIMPLEX_TOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= VALUE_TOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = call(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], evaluations, evaluations < max_evaluations
+
+
 def fit_at_time(
     table: AmplitudeTable,
     ansatz,
@@ -204,10 +291,11 @@ def fit_at_time(
 
     The search works in units of the initial parameter scales, restarts once
     from its own optimum, and flags convergence when the scaled simplex
-    diameter falls below 1e-10 within the evaluation budget.
+    diameter falls below 1e-10 within the evaluation budget. Each pass is
+    `_nelder_mead`, scipy 1.17.1's Nelder-Mead transcribed, so a fit gives
+    the bits that `scipy.optimize.minimize(method="Nelder-Mead")` of that
+    version gave.
     """
-    from scipy.optimize import minimize
-
     exponents = sorted(int(k) for k in ansatz)
     if len(set(exponents)) != len(exponents):
         raise ValueError("ansatz exponents must be distinct")
@@ -225,20 +313,8 @@ def fit_at_time(
         budget = max_evaluations - total_evals
         if budget <= n + 2:
             break
-        res = minimize(
-            objective,
-            y,
-            method="Nelder-Mead",
-            options={
-                "xatol": SIMPLEX_TOL,
-                "fatol": 1e-14,
-                "maxfev": budget,
-                "initial_simplex": _initial_simplex(n, y, spread),
-            },
-        )
-        y = res.x
-        total_evals += res.nfev
-        converged = bool(res.status == 0)
+        y, evals, converged = _nelder_mead(objective, _initial_simplex(n, y, spread), budget)
+        total_evals += evals
     best = objective.params_from(y)
     if best is None:
         raise SolverError("fit wandered into an invalid parameter region")

@@ -274,6 +274,66 @@ def test_bad_propagator_endpoints_exit_one(runner, tmp_path, doc, message):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def _oracle_fit_doc(**changes):
+    return _fit_doc(source="oracle", spacing=0.05, extent=12.0, **changes)
+
+
+# Oracle grids the eigensolves cannot use, on extent 12: rejected at load.
+# Each case exited 2 after it. Half-line grids at spacing 0.05, 0.1 and 0.2
+# have 240, 120 and 60 nodes; the second of each pair is the Richardson partner.
+@pytest.mark.parametrize(
+    "cmd, doc, message",
+    [
+        ("propagator", _propagator_doc(spacing=0.2, extent=12.0),
+         "oracle grid at spacing 0.2: grid needs at least 100 points"),
+        ("propagator", _propagator_doc(spacing=0.1, extent=12.0),
+         "oracle grid at spacing 0.2: grid needs at least 100 points"),
+        ("propagator", _propagator_doc(spacing=0.05, extent=12.0, levels=239),
+         "levels 239 exceeds 238, the most the 240-node oracle grid at spacing 0.05 holds"),
+        ("spectrum", {"model": STANDARD_MODEL,
+                      "spectrum": {"spacing": 0.05, "extent": 12.0, "levels": 160}},
+         "levels 160 exceeds 118, the most the 120-node oracle grid at spacing 0.1 holds"),
+        ("spectrum", {"model": STANDARD_MODEL,
+                      "spectrum": {"spacing": 0.1, "extent": 12.0, "levels": 50}},
+         "oracle grid at spacing 0.2: grid needs at least 100 points"),
+        ("spectrum", {"model": STANDARD_MODEL, "spectrum": {
+            "spacing": 0.1, "extent": 12.0, "levels": 119, "refine": False}},
+         "levels 119 exceeds 118, the most the 120-node oracle grid at spacing 0.1 holds"),
+        ("fit", _oracle_fit_doc(levels=160),
+         "levels 160 exceeds 118, the most the 120-node oracle grid at spacing 0.1 holds"),
+        ("flow", _flow_doc(compare_fit={"initial": [1.0], "final": [1.5, 2.0], "source": "oracle",
+                                        "spacing": 0.2, "extent": 12.0}),
+         "oracle grid at spacing 0.2: grid needs at least 100 points"),
+    ],
+    ids=["propagator_fine_too_coarse", "propagator_partner_too_coarse",
+         "propagator_levels_past_fine", "spectrum_levels_past_partner",
+         "spectrum_partner_too_coarse", "spectrum_levels_past_fine_without_refine",
+         "oracle_fit_levels_past_partner", "compare_fit_fine_too_coarse"],
+)
+def test_unusable_oracle_grids_exit_one(runner, tmp_path, cmd, doc, message):
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error" in res.output and message in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_propagator_partner_needs_room_only_for_the_levels_kept(runner, tmp_path):
+    # 160 levels fit on the fine grid but not on its 120-node partner; the
+    # smallest time keeps 20 of them, and the partner solves only those
+    cfg = write_config(tmp_path, _propagator_doc(spacing=0.05, extent=12.0, levels=160, times=[1.0]))
+    res = runner.invoke(main, ["propagator", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert ", 20 of 160 levels)" in res.output
+
+
+def test_oracle_grids_are_not_checked_for_analytic_fits(tmp_path):
+    cfg = load_config(write_config(tmp_path, _fit_doc(spacing=0.2, extent=12.0)), "fit")
+    assert cfg["section"]["source"] == "analytic"
+    refined = load_config(write_config(tmp_path, _oracle_fit_doc(levels=118)), "fit")
+    assert refined["section"]["levels"] == 118
+
+
 def test_analytic_fit_endpoints_need_no_oracle_grid(tmp_path):
     # the oracle keys of an analytic-source table describe no grid it uses
     cfg = load_config(write_config(tmp_path, _fit_doc(final=[1.5, 13.0])), "fit")

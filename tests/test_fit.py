@@ -6,7 +6,12 @@ import numpy.testing as npt
 import pytest
 
 from qaction.fit import (
+    SIMPLEX_TOL,
+    VALUE_TOL,
     BoundarySet,
+    _initial_simplex,
+    _nelder_mead,
+    _Objective,
     build_table,
     constant_term,
     equidistant,
@@ -295,3 +300,109 @@ def test_oracle_floor_error_names_first_pair_in_row_major_order(monkeypatch):
     with pytest.raises(ValueError, match="roundoff floor") as err:
         build_table(STANDARD, BOUNDS, 1.0, source="oracle", decomposition=object())
     assert f"({BOUNDS.initial[0]}, {BOUNDS.final[3]}, T=1.0)" in str(err.value)
+
+
+# _nelder_mead against the scipy routine it transcribes, at the fit's options
+
+
+def scipy_nelder_mead(func, simplex, budget):
+    from scipy.optimize import minimize
+
+    res = minimize(
+        func,
+        simplex[0],
+        method="Nelder-Mead",
+        options={
+            "xatol": SIMPLEX_TOL,
+            "fatol": VALUE_TOL,
+            "maxfev": budget,
+            "initial_simplex": simplex,
+        },
+    )
+    return res.x, res.nfev, bool(res.status == 0)
+
+
+def assert_same_search(make_func, simplex, budget):
+    """Both searches on fresh objectives: the same bits of x, count and verdict."""
+    x, evaluations, converged = _nelder_mead(make_func(), simplex, budget)
+    ref_x, ref_evaluations, ref_converged = scipy_nelder_mead(make_func(), simplex, budget)
+    assert x.tobytes() == ref_x.tobytes()
+    assert (evaluations, converged) == (ref_evaluations, ref_converged)
+    return x, evaluations, converged
+
+
+@pytest.fixture(scope="module")
+def small_objective(standard_table):
+    # a fresh objective per search: its trajectory cache warm-starts each solve
+    init = standard_init(0, 2, -2)
+    return lambda: _Objective(standard_table, [-2, 0, 2], init, TimeGrid(1.0, intervals=100))
+
+
+@pytest.mark.parametrize("budget", [*range(5, 40), 57, 100, 200, 333, 1000])
+def test_nelder_mead_matches_scipy_on_fit_objective(small_objective, budget):
+    simplex = _initial_simplex(4, np.zeros(4), 0.05)
+    _, evaluations, converged = assert_same_search(small_objective, simplex, budget)
+    assert converged == (evaluations < budget)
+    assert converged or budget < 1000  # about 350 evaluations reach the tolerances
+
+
+@pytest.mark.parametrize("budget", range(5))
+def test_nelder_mead_budget_smaller_than_simplex(small_objective, budget):
+    # vertices past the budget stay at inf and sort last
+    simplex = _initial_simplex(4, np.zeros(4), 0.05)
+    x, evaluations, converged = assert_same_search(small_objective, simplex, budget)
+    assert (evaluations, converged) == (budget, False)
+    assert any(np.array_equal(x, vertex) for vertex in simplex)
+
+
+def plateau(simplex, calls):
+    """0, 1, 2 on the three vertices and 10 elsewhere: the first step must shrink."""
+    values = {tuple(v): float(i) for i, v in enumerate(simplex)}
+
+    def func(x):
+        calls.append(x)
+        return values.get(tuple(x), 10.0)
+
+    return func
+
+
+@pytest.mark.parametrize("budget", range(12))
+def test_nelder_mead_budget_ending_inside_a_shrink(budget):
+    simplex = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    calls = []
+    _nelder_mead(plateau(simplex, calls), simplex, 100)
+    # 3 vertices, a reflection, an inside contraction, then the shrink moves
+    # both other vertices halfway to the best one: calls 6 and 7
+    assert np.array_equal(calls[3], [1.0, -1.0])
+    assert np.array_equal(calls[4], [0.25, 0.5])
+    assert np.array_equal(calls[5], [0.5, 0.0]) and np.array_equal(calls[6], [0.0, 0.5])
+    assert_same_search(lambda: plateau(simplex, []), simplex, budget)
+
+
+def fenced_rosenbrock(calls):
+    """Rosenbrock inside the disc of radius 1.5, inf outside it.
+
+    It scribbles on its argument, which is harmless only if every call gets
+    a copy of the vertex.
+    """
+
+    def func(x):
+        calls.append(x.copy())
+        value = math.inf if x @ x > 2.25 else 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        x[:] = np.nan
+        return float(value)
+
+    return func
+
+
+@pytest.mark.parametrize("budget", [*range(3, 60, 4), 2000])
+def test_nelder_mead_objective_with_an_inf_region(budget):
+    simplex = np.array([[-1.2, 1.0], [-0.6, 1.0], [-1.2, 1.6]])  # the last vertex is fenced off
+    calls = []
+    x, evaluations, converged = assert_same_search(
+        lambda: fenced_rosenbrock(calls), simplex, budget
+    )
+    assert any(c @ c > 2.25 for c in calls)
+    if budget == 2000:
+        assert converged and evaluations < budget
+        npt.assert_allclose(x, [1.0, 1.0], atol=1e-8)

@@ -84,6 +84,66 @@ print(json.dumps(out))
         assert name in got["module_level"]
 
 
+FIT_CALL = """
+from qaction.fit import BoundarySet, build_table, equidistant, fit_at_time
+from qaction.model import ActionParams, PotentialSpec
+from qaction.trajectory import TimeGrid
+model = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, -2: 1.0}))
+table = build_table(model, BoundarySet((1.0, 2.0), equidistant(1.2, 2.6, 4)), 1.0)
+init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
+res = fit_at_time(table, [0, 2, -2], init, TimeGrid(1.0, intervals=100), max_evaluations=200)
+value = [res.params.mass, *res.params.potential.coefficients.values(), res.log_norm,
+         res.objective, float(res.evaluations)]
+"""
+
+
+def test_fits_load_no_deferred_scipy(tmp_path):
+    # the fit is the benchmark's layer probe; the flow's comparison fits two slices
+    fit = {
+        "ansatz": [0, 2, -2],
+        "initial": [4.5],
+        "final": {"start": 0.5, "stop": 3.0, "count": 5},
+        "times": [0.7],
+        "intervals": 100,
+        "source": "analytic",
+        "init": {"mass": 0.9983, "coefficients": {"2": 0.5044, "-2": 1.39, "0": 1.0}},
+    }
+    flow = {
+        "initial": {"beta": 0.35, "mass": 0.99994533,
+                    "coefficients": {"-2": 1.2280919, "0": 1.1676274, "2": 0.499881}},
+        "initial_point": 10.0,
+        "final_points": {"start": 0.2, "stop": 7.0, "count": 8},
+        "beta_end": 0.35375,
+        "dbeta": 3.75e-3,
+        "intervals": 100,
+        "compare_fit": {"initial": [4.5], "final": {"start": 0.5, "stop": 3.0, "count": 5},
+                        "max_evaluations": 40},
+    }
+    for cmd, section in (("fit", fit), ("flow", flow)):
+        (tmp_path / f"{cmd}.json").write_text(json.dumps({"model": MODEL, cmd: section}))
+    code = LOADED + f"""
+import json
+from pathlib import Path
+import qaction.cli
+{FIT_CALL}
+out = {{"value": value, "fit_at_time": loaded({DEFERRED!r})}}
+work = Path(sys.argv[1])
+for cmd in ("fit", "flow"):
+    argv = [cmd, "--config", str(work / f"{{cmd}}.json"), "--out", str(work / cmd)]
+    qaction.cli.main.main(args=argv, prog_name="qaction", standalone_mode=False)
+    out[cmd] = loaded({DEFERRED!r})
+print(json.dumps(out))
+"""
+    got = fresh_python(code, str(tmp_path))
+    for key in ("fit_at_time", "fit", "flow"):
+        assert got[key] == [], key
+    here = {}
+    exec(FIT_CALL, here)
+    assert got["value"] == here["value"]
+    assert (tmp_path / "fit" / "fit_results.csv").exists()
+    assert (tmp_path / "flow" / "flow_vs_fit.csv").exists()
+
+
 def test_cli_import_loads_no_thread_pool():
     # scipy.linalg imports the concurrent.futures package itself; its executor
     # modules load only when an executor is first used
@@ -97,20 +157,6 @@ print(json.dumps(loaded(("concurrent.futures.thread", "concurrent.futures.proces
 
 # Each deferred import site, called once; `value` is a list of floats.
 FIRST_CALLS = {
-    "fit_at_time": (
-        "scipy.optimize",
-        """
-from qaction.fit import BoundarySet, build_table, equidistant, fit_at_time
-from qaction.model import ActionParams, PotentialSpec
-from qaction.trajectory import TimeGrid
-model = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, -2: 1.0}))
-table = build_table(model, BoundarySet((1.0, 2.0), equidistant(1.2, 2.6, 4)), 1.0)
-init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
-res = fit_at_time(table, [0, 2, -2], init, TimeGrid(1.0, intervals=100), max_evaluations=200)
-value = [res.params.mass, *res.params.potential.coefficients.values(), res.log_norm,
-         res.objective, float(res.evaluations)]
-""",
-    ),
     "potential_minimum": (
         "scipy.optimize",
         """

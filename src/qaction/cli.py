@@ -372,7 +372,8 @@ def _validate_flow(section, model):
     if out["beta"] <= 0 or out["beta_end"] < out["beta"]:
         raise ConfigError("flow needs 0 < initial.beta <= beta_end")
     _require_positive(model, [out["initial_point"]], "flow.initial_point")
-    # each final point also needs its lower neighbour, at x - neighbour_offset(x)
+    # d_xx is the difference quotient over [x - h, x + h], h = neighbour_offset(x),
+    # so x - h must stay in the domain
     _require_positive(
         model, [x - neighbour_offset(x) for x in out["final_points"]],
         "flow.final_points less their neighbour offset 1e-3 max(1, |x|)",
@@ -649,6 +650,7 @@ def _run_flow(cfg, out_dir, seed):
         "seed": seed,
         "mode": sec["mode"],
         "recorded_states": len(trace.states),
+        "rejected_steps": trace.rejected_steps,
         "max_rank_deficiency": max_deficiency,
         "degenerate_directions_detected": max_deficiency > 0,
         "final": _final_block(last.params, beta=last.beta, log_norm=last.log_norm),

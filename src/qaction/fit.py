@@ -24,7 +24,14 @@ from .analytic import closed_form_kernel
 from .model import ActionParams, Domain, PotentialSpec, write_csv
 from .oracle import SpectralDecomposition, amplitude
 from .specfun import libm
-from .trajectory import SolverError, TimeGrid, Trajectory, action_values, solve_paths
+from .trajectory import (
+    SolverError,
+    TimeGrid,
+    Trajectory,
+    action_values,
+    path_sensitivities,
+    solve_cached,
+)
 
 MAX_EVALUATIONS = 50000
 SIMPLEX_TOL = 1e-10
@@ -166,14 +173,7 @@ class _Objective:
         )
 
     def actions(self, q: ActionParams) -> np.ndarray:
-        guesses = [self.cache.get(idx) for idx in range(len(self.pairs))]
-        try:
-            trajs = solve_paths(q, self.pairs, self.grid, guesses)
-        except SolverError as exc:
-            self.cache.update(enumerate(exc.solved))
-            raise
-        self.cache.update(enumerate(trajs))
-        return action_values(q, trajs)
+        return action_values(q, solve_cached(q, self.pairs, self.grid, self.cache))
 
     def residuals(self, q: ActionParams) -> tuple[np.ndarray, float]:
         sig = self.actions(q)
@@ -379,32 +379,25 @@ def sweep(
     return results
 
 
-def parameter_uncertainty(
-    result: FitResult, table: AmplitudeTable, fd_step: float = 1e-5
-) -> dict[str, float]:
+def parameter_uncertainty(result: FitResult, table: AmplitudeTable) -> dict[str, float]:
     """Heuristic 1-sigma spreads from the Gauss-Newton Hessian at the optimum.
 
-    Central finite differences of the profiled residual vector build J; the
-    covariance estimate is s^2 (J^T J)^-1 with s^2 the residual variance.
-    Directions with negligible curvature are reported as infinite.
+    J is the exact Jacobian of the profiled residual vector: the partials
+    d_mass and d_coeff of each pair's action from path_sensitivities, which
+    stationarity makes total derivatives, centred over the pairs as the
+    profiled ln Z~ centres the residuals. The covariance estimate is
+    s^2 (J^T J)^-1 with s^2 the residual variance. Directions with negligible
+    curvature are reported as infinite.
     """
     exponents = sorted(result.params.potential.coefficients)
     objective = _Objective(table, exponents, result.params, result.grid)
     names = ["mass"] + [f"v_{k}" for k in exponents]
     n = len(objective.center)
     res0, _ = objective.residuals(result.params)
-    jac = np.empty((len(res0), n))
-    for i in range(n):
-        y = np.zeros(n)
-        y[i] = fd_step
-        plus = objective.params_from(y)
-        y[i] = -fd_step
-        minus = objective.params_from(y)
-        if plus is None or minus is None:
-            raise SolverError("uncertainty stencil left the valid parameter region")
-        rp, _ = objective.residuals(plus)
-        rm, _ = objective.residuals(minus)
-        jac[:, i] = (rp - rm) / (2.0 * fd_step * objective.scales[i])
+    trajs = [objective.cache[idx] for idx in range(len(objective.pairs))]
+    sens = path_sensitivities(result.params, trajs)
+    jac = np.column_stack([sens.d_mass] + [sens.d_coeff[k] for k in exponents])
+    jac -= jac.mean(axis=0)
     hess = jac.T @ jac
     dof = max(len(res0) - n - 1, 1)
     variance = float(res0 @ res0) / dof

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ActionParams, PotentialSpec, potential_value, write_csv
-from .trajectory import (
-    SolverError,
-    TimeGrid,
-    Trajectory,
-    neighbour_offset,
-    path_sensitivities,
-    solve_paths,
-)
+from .trajectory import SolverError, TimeGrid, path_sensitivities, solve_cached
 
 DEFAULT_DBETA = 3.75e-3
 CONDITION_LIMIT = 1e12
@@ -77,6 +70,7 @@ class StepDiagnostics:
 class FlowTrace:
     states: list[FlowState]
     diagnostics: list[StepDiagnostics]
+    rejected_steps: int = 0  # step attempts retried at half the step size
 
 
 def assemble_system(
@@ -88,7 +82,7 @@ def assemble_system(
     """Rows of the flow system at every final point.
 
     The trajectory problems are warm-started from `cache` (keyed by final
-    point index and neighbour side), which assemble_system updates in place.
+    point index), which assemble_system updates in place (solve_cached).
     """
     if classical.hbar != state.params.hbar:
         raise ValueError("classical and quantum actions must share hbar")
@@ -96,8 +90,9 @@ def assemble_system(
     cache = cache if cache is not None else {}
     a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     hbar = classical.hbar
-    paths, neighbours = _solve_stage(state, grid, cache)
-    sens = path_sensitivities(state.params, paths, neighbours[0::2], neighbours[1::2])
+    start = state.initial_point
+    paths = solve_cached(state.params, [(start, x_f) for x_f in state.final_points], grid, cache)
+    sens = path_sensitivities(state.params, paths)
     a_mat[:, 0] = -1.0
     a_mat[:, 1] = sens.d_mass
     for col, k in enumerate(exponents):
@@ -112,52 +107,6 @@ def assemble_system(
         + potential_value(classical.potential, np.array(state.final_points))
     )
     return a_mat, rhs
-
-
-def _solve_stage(
-    state: FlowState, grid: TimeGrid, cache: dict
-) -> tuple[list[Trajectory], list[Trajectory]]:
-    """Paths to every final point, then their -/+ offset neighbours, as two batches.
-
-    Leaves `cache` as the point-by-point loop (path, lower, upper for each
-    final point in turn) would: on a SolverError, every trajectory that loop
-    would have stored before the failure is stored, and nothing after it.
-    """
-    start = state.initial_point
-    points = state.final_points
-    paths, error = _solved_prefix(
-        state.params,
-        [(start, x_f) for x_f in points],
-        grid,
-        [cache.get((j, 0)) for j in range(len(points))],
-    )
-    ends, guesses = [], []
-    for j, traj in enumerate(paths):
-        offset = neighbour_offset(points[j])
-        ends += [points[j] - offset, points[j] + offset]
-        guesses += [cache.get((j, -1), traj), cache.get((j, 1), traj)]
-    neighbours, neighbour_error = _solved_prefix(
-        state.params, [(start, end) for end in ends], grid, guesses
-    )
-    complete = len(neighbours) // 2
-    if neighbour_error is not None:
-        # the path of the failing point was solved and stored before its neighbours
-        paths, error = paths[: complete + 1], neighbour_error
-    for j, traj in enumerate(paths):
-        cache[(j, 0)] = traj
-    for j in range(complete):
-        cache[(j, -1)], cache[(j, 1)] = neighbours[2 * j], neighbours[2 * j + 1]
-    if error is not None:
-        raise error
-    return paths, neighbours
-
-
-def _solved_prefix(params, pairs, grid, guesses):
-    """(trajectories solved, SolverError or None) of one solve_paths batch."""
-    try:
-        return solve_paths(params, pairs, grid, guesses), None
-    except SolverError as exc:
-        return exc.solved, exc
 
 
 def solve_rates(
@@ -324,8 +273,9 @@ def run(
 ) -> FlowTrace:
     """March the flow from initial.beta to beta_end with rejection control.
 
-    Ill-conditioned steps are retried with halved dbeta (up to MAX_HALVINGS);
-    the nominal dbeta is restored after each accepted step. States are
+    Ill-conditioned steps are retried with halved dbeta (up to MAX_HALVINGS),
+    and the trace counts these retries in rejected_steps; the nominal dbeta
+    is restored after each accepted step. States are
     recorded every record_stride accepted steps, always including the first
     and last.
     """
@@ -339,7 +289,7 @@ def run(
     states = [initial]
     diags: list[StepDiagnostics] = []
     state = initial
-    accepted = 0
+    accepted = rejected = 0
     while state.beta < beta_end - 1e-12:
         step_size = min(dbeta, beta_end - state.beta)
         halvings = 0
@@ -350,6 +300,7 @@ def run(
                 )
                 break
             except (StepRejected, SolverError):
+                rejected += 1
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise SolverError(
@@ -365,7 +316,7 @@ def run(
     if states[-1] is not state:
         states.append(state)
         diags.append(diag)
-    return FlowTrace(states=states, diagnostics=diags)
+    return FlowTrace(states=states, diagnostics=diags, rejected_steps=rejected)
 
 
 def bootstrap_state(

@@ -85,6 +85,17 @@ def potential_second_derivative(spec: PotentialSpec, x):
     return out
 
 
+def potential_higher_derivative(spec: PotentialSpec, x, order: int):
+    """Evaluate the order-th derivative of V; d_xx needs the third and fourth."""
+    _check_domain(spec, x)
+    # k (k - 1) ... (k - order + 1) v x^(k - order); the product is 0 for 0 <= k < order
+    d = {
+        k - order: math.prod(range(k - order + 1, k + 1)) * v
+        for k, v in spec.coefficients.items()
+    }
+    return _poly(d, x)
+
+
 def _poly(coeffs: dict[int, float], x):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)

@@ -5,10 +5,13 @@ The discrete equation of motion
     m (x_{i+1} - 2 x_i + x_{i-1}) / dt^2 = hbar^2 V'(x_i)
 
 is the exact stationarity condition of the trapezoid action used by
-action_value, so every derivative reported by sensitivities is the exact
-partial of the discrete action and matches finite differences of re-solved
-problems to truncation error. Times are measured in inverse-temperature
-units (duration = T / hbar); with hbar = 1 they coincide with Euclidean time.
+action_value, so every first derivative reported by sensitivities is the
+exact partial of the discrete action and matches finite differences of
+re-solved problems to truncation error. The second endpoint derivative d_xx
+is the central difference of the endpoint momentum over the two neighbours
+at end +/- neighbour_offset(end), computed from the solved path alone. Times
+are measured in inverse-temperature units (duration = T / hbar); with
+hbar = 1 they coincide with Euclidean time.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .model import (
     PotentialSpec,
     _check_domain,
     potential_derivative,
+    potential_higher_derivative,
     potential_second_derivative,
     potential_value,
 )
@@ -436,6 +440,22 @@ def solve_paths(
     return solved
 
 
+def solve_cached(params: ActionParams, pairs, grid: TimeGrid, cache: dict) -> list[Trajectory]:
+    """solve_paths warm-started from cache[j] for pair j; what it solves goes back into cache.
+
+    On a SolverError the paths solved before the failed one are stored, as a
+    loop of solve_bvp calls would have stored them, and the error is raised.
+    """
+    pairs = list(pairs)
+    try:
+        trajs = solve_paths(params, pairs, grid, [cache.get(j) for j in range(len(pairs))])
+    except SolverError as exc:
+        cache.update(enumerate(exc.solved))
+        raise
+    cache.update(enumerate(trajs))
+    return trajs
+
+
 def _start_positions(params: ActionParams, grid: TimeGrid, pairs, guesses) -> np.ndarray:
     x = np.empty((len(pairs), grid.n_points))
     for row, ((start, end), guess) in enumerate(zip(pairs, guesses)):
@@ -504,39 +524,34 @@ def _trapezoid_actions(params: ActionParams, x: np.ndarray, step: float):
     return kinetic + potential
 
 
-def sensitivities(
-    params: ActionParams, traj: Trajectory, neighbours: tuple[Trajectory, Trajectory]
-) -> ActionSensitivities:
+def sensitivities(params: ActionParams, traj: Trajectory) -> ActionSensitivities:
     """Partial derivatives of the action at fixed trajectory.
 
-    The batch of one of path_sensitivities. d_xx comes from the endpoint
-    momenta of the two neighbour trajectories, which must share the grid and
-    start point and bracket the endpoint of traj.
+    The batch of one of path_sensitivities.
     """
-    lower, upper = neighbours
-    return path_sensitivities(params, [traj], [lower], [upper]).row(0)
+    return path_sensitivities(params, [traj]).row(0)
 
 
-def path_sensitivities(params: ActionParams, trajs, lower, upper) -> ActionSensitivities:
+def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
     """Partial derivatives of the action at fixed trajectories, row-wise on their stack.
 
     Stationarity makes the fixed-trajectory partials equal to total
-    derivatives of the solved action. The trajectories share one grid; the
-    neighbours lower[i] and upper[i] of trajs[i] share its grid and start
-    point and bracket its endpoint, and d_xx comes from their endpoint
-    momenta. Row sums of a C-contiguous stack equal the sums of the rows
-    alone, so every entry equals that of the trajectory on its own, bit for
-    bit.
+    derivatives of the solved action. The trajectories share one grid. d_xx
+    is the central difference quotient of the endpoint momentum over
+    end +/- neighbour_offset(end), in closed form (see _endpoint_curvature).
+    Row sums of a C-contiguous stack equal the sums of the rows alone, and
+    the stacked tangent solves equal those of each path alone, so every
+    entry equals that of the trajectory on its own, bit for bit. A singular
+    tangent system or a non-finite d_xx raises SolverError.
     """
-    trajs, lower, upper = list(trajs), list(lower), list(upper)
-    if not trajs or not len(trajs) == len(lower) == len(upper):
-        raise ValueError("need one lower and one upper neighbour per trajectory, at least one")
+    trajs = list(trajs)
+    if not trajs:
+        raise ValueError("need at least one trajectory")
     grid = trajs[0].grid
-    for traj, lo, hi in zip(trajs, lower, upper):
+    for traj in trajs:
         if traj.grid != grid:
             raise ValueError("trajectories must share one time grid")
         _check_traj(grid.n_points, traj)
-        _check_neighbours(traj, lo, hi)
 
     n, step, n_int = len(trajs), grid.step, grid.intervals
     m, hbar = params.mass, params.hbar
@@ -557,24 +572,13 @@ def path_sensitivities(params: ActionParams, trajs, lower, upper) -> ActionSensi
     # exact derivative of the discrete action with respect to duration at
     # fixed interval count: minus the mean interval energy
     d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
-    momenta = _endpoint_momenta(params, trajs + lower + upper)
-    spread = np.array([t.end for t in upper]) - np.array([t.end for t in lower])
-    d_xx = (momenta[2 * n :] - momenta[n : 2 * n]) / spread
     return ActionSensitivities(
-        d_mass=d_mass, d_coeff=d_coeff, d_time=d_time, d_x=momenta[:n], d_xx=d_xx
+        d_mass=d_mass,
+        d_coeff=d_coeff,
+        d_time=d_time,
+        d_x=_endpoint_momenta(params, trajs),
+        d_xx=_endpoint_curvature(params, x, step),
     )
-
-
-def _check_neighbours(traj: Trajectory, lower: Trajectory, upper: Trajectory):
-    for nb in (lower, upper):
-        if nb.grid.n_points != traj.grid.n_points or not math.isclose(
-            nb.grid.duration, traj.grid.duration, rel_tol=1e-12
-        ):
-            raise ValueError("neighbour trajectories must share the time grid")
-        if not math.isclose(nb.start, traj.start, rel_tol=0.0, abs_tol=1e-12):
-            raise ValueError("neighbour trajectories must share the start point")
-    if not (lower.end < traj.end < upper.end):
-        raise ValueError("neighbour endpoints must bracket the trajectory endpoint")
 
 
 def _endpoint_momenta(params: ActionParams, trajs) -> np.ndarray:
@@ -585,6 +589,64 @@ def _endpoint_momenta(params: ActionParams, trajs) -> np.ndarray:
     return params.mass * slope / params.hbar**2 + 0.5 * step * potential_derivative(
         params.potential, tails[:, 1]
     )
+
+
+def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.ndarray:
+    """(p(x_f + h) - p(x_f - h)) / 2h of the endpoint momentum p, without re-solving.
+
+    Rows of x are solved paths and h = neighbour_offset(x_f). The quotient is
+    p' + (h^2 / 6) p''' + O(h^4), and both derivatives follow from the
+    variational (Jacobi) equations of the discrete equation of motion. With
+    J = tridiag(m/dt^2, -2m/dt^2 - hbar^2 V''(x_i), m/dt^2), the Newton
+    matrix of the solved path, the derivatives y_k = d^k x_i / dx_f^k of the
+    interior points solve
+
+        J y1 = -(m/dt^2) e_last
+        J y2 = hbar^2 V'''(x) y1^2
+        J y3 = hbar^2 (3 V'''(x) y1 y2 + V''''(x) y1^3)
+
+    and p' = m (1 - y1_last) / (hbar^2 dt) + (dt/2) V''(x_f),
+    p''' = -m y3_last / (hbar^2 dt) + (dt/2) V''''(x_f).
+    """
+    spec, m, hbar2 = params.potential, params.mass, params.hbar**2
+    inner, ends = x[:, 1:-1], x[:, -1]
+    coupling = m / step**2
+    diag = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
+    v3 = hbar2 * potential_higher_derivative(spec, inner, 3)
+    v4 = hbar2 * potential_higher_derivative(spec, inner, 4)
+    rhs = np.zeros_like(inner)
+    rhs[:, -1:] = -coupling
+    y1 = _stacked_tridiagonal_solve(coupling, diag, rhs)
+    y2 = _stacked_tridiagonal_solve(coupling, diag, v3 * y1**2)
+    y3 = _stacked_tridiagonal_solve(coupling, diag, 3.0 * v3 * y1 * y2 + v4 * y1**3)
+    # a path of one interval has no interior points to move
+    y1_last, y3_last = (y1[:, -1], y3[:, -1]) if inner.shape[1] else (0.0, 0.0)
+    scale = m / (hbar2 * step)
+    first = scale * (1.0 - y1_last) + 0.5 * step * potential_second_derivative(spec, ends)
+    third = -scale * y3_last + 0.5 * step * potential_higher_derivative(spec, ends, 4)
+    h = np.array([neighbour_offset(float(end)) for end in ends])
+    d_xx = first + h**2 / 6.0 * third
+    if not np.isfinite(d_xx).all():
+        raise SolverError("tangent solve gave a non-finite d_xx")
+    return d_xx
+
+
+def _stacked_tridiagonal_solve(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve tridiag(coupling, diag[i], coupling) y[i] = rhs[i] for every row i at once.
+
+    One gtsv call on the stacked system with zero couplings between rows, so
+    each row equals its own solve_banded((1, 1), ...) bit for bit (see
+    _Relaxation.newton_steps). A zero pivot raises SolverError.
+    """
+    n_int = diag.shape[1]
+    if diag.size <= 1:  # solve_banded divides 1x1 systems; gtsv rejects empty bands
+        return rhs / diag
+    band = np.full(diag.size - 1, coupling)
+    band[n_int - 1 :: n_int] = 0.0
+    y, info = dgtsv(band, diag.reshape(-1), band, rhs.reshape(-1))[-2:]
+    if info != 0:
+        raise SolverError(f"singular tangent system (gtsv info {info})")
+    return y.reshape(rhs.shape)
 
 
 def conserved_energy_drift(params: ActionParams, traj: Trajectory) -> float:
@@ -624,7 +686,7 @@ def time_derivative_fd(
 
 
 def neighbour_offset(x: float) -> float:
-    """Distance of the two neighbours that bracket endpoint x for d_xx."""
+    """Half-width h of the central difference behind d_xx at endpoint x."""
     return 1e-3 * max(1.0, abs(x))
 
 
@@ -633,7 +695,11 @@ def neighbour_pair(
     traj: Trajectory,
     offset: float | None = None,
 ) -> tuple[Trajectory, Trajectory]:
-    """Solve the two bracketing problems at end +/- h, warm-started from traj."""
+    """Solve the two bracketing problems at end +/- h, warm-started from traj.
+
+    The difference quotient of their endpoint momenta is the d_xx that
+    path_sensitivities computes from traj alone; these re-solves check it.
+    """
     if offset is None:
         offset = neighbour_offset(traj.end)
     lo, hi = solve_paths(

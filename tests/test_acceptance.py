@@ -42,7 +42,6 @@ from qaction.trajectory import (
     TimeGrid,
     action_value,
     conserved_energy_drift,
-    neighbour_pair,
     sensitivities,
     solve_bvp,
 )
@@ -331,7 +330,7 @@ def test_criterion_11_property_suite():
     # sensitivities vs finite differences
     grid = TimeGrid(1.4, intervals=400)
     traj = solve_bvp(STANDARD, 0.8, 2.1, grid)
-    sens = sensitivities(STANDARD, traj, neighbour_pair(STANDARD, traj))
+    sens = sensitivities(STANDARD, traj)
     h = 1e-5
 
     def action_of(params, start=0.8, end=2.1):

@@ -652,3 +652,41 @@ def test_flow_smoke_with_fit_comparison(runner, tmp_path):
     vs_lines = (tmp_path / "flow_vs_fit.csv").read_text().strip().split("\n")
     assert vs_lines[1].split(",")[0] == "beta"
     assert len(vs_lines) == 2 + 2
+
+
+def test_flow_summary_counts_rejected_steps(runner, tmp_path, monkeypatch):
+    from qaction import flow
+
+    doc = {
+        "model": OSCILLATOR_MODEL,
+        "flow": {
+            "initial": {"beta": 1.0, "mass": 1.0, "coefficients": {"2": 0.5}},
+            "initial_point": 0.2,
+            "final_points": {"start": -1.0, "stop": 1.5, "count": 8},
+            "beta_end": 1.5,
+            "dbeta": 0.25,
+            "intervals": 200,
+        },
+    }
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, ["flow", "--config", cfg, "--out", str(tmp_path / "plain")])
+    assert res.exit_code == 0, res.output
+    plain = json.loads((tmp_path / "plain" / "flow_summary.json").read_text())
+    assert plain["rejected_steps"] == 0
+    # a 0.25 step is rejected as an ill-conditioned one would be and retried
+    # at 0.125: three rejections on the way to beta 1.375, then the last
+    # 0.125 step
+    real_step = flow.step
+
+    def limited(state, classical, dbeta, *args, **kwargs):
+        if dbeta > 0.2:
+            raise flow.StepRejected("condition beyond the limit")
+        return real_step(state, classical, dbeta, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", limited)
+    res = runner.invoke(main, ["flow", "--config", cfg, "--out", str(tmp_path / "halved")])
+    assert res.exit_code == 0, res.output
+    halved = json.loads((tmp_path / "halved" / "flow_summary.json").read_text())
+    assert halved["rejected_steps"] == 3
+    assert (plain["recorded_states"], halved["recorded_states"]) == (3, 5)
+    assert halved["final"]["beta"] == plain["final"]["beta"] == 1.5

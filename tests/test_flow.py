@@ -19,14 +19,26 @@ from qaction.flow import (
     step,
     write_trace_csv,
 )
+from scipy.linalg import solve_banded
+
 from qaction.model import (
     ActionParams,
     Domain,
     PotentialSpec,
     potential_derivative,
+    potential_higher_derivative,
+    potential_second_derivative,
     potential_value,
 )
-from qaction.trajectory import SolverError, TimeGrid, path_sensitivities, sensitivities
+from qaction.trajectory import (
+    SolverError,
+    TimeGrid,
+    Trajectory,
+    neighbour_pair,
+    path_sensitivities,
+    sensitivities,
+    solve_cached,
+)
 
 HARMONIC = ActionParams(
     mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE
@@ -227,7 +239,7 @@ def test_write_trace_csv(tmp_path):
 # --- stacked assembly: bit-identity with the point-by-point loop -------------
 
 
-def _reference_partials(params, traj, lower, upper):
+def _reference_partials(params, traj):
     """(d_mass, d_coeff, d_time, d_x, d_xx) of one final point, written out directly."""
     step, n_int = traj.grid.step, traj.grid.intervals
     m, hbar = params.mass, params.hbar
@@ -253,22 +265,45 @@ def _reference_partials(params, traj, lower, upper):
             d_coeff[k] = step * float(np.sum(p[:-1] + p[1:])) * 0.5
     d_mass = kinetic_sum / (2.0 * hbar**2 * step)
     d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
-    d_xx = (momentum(upper) - momentum(lower)) / (upper.end - lower.end)
-    return d_mass, d_coeff, d_time, momentum(traj), d_xx
+    return d_mass, d_coeff, d_time, momentum(traj), _reference_d_xx(params, traj)
+
+
+def _reference_d_xx(params, traj):
+    """p' + (h^2 / 6) p''' of one path from its Jacobi equations, one solve_banded each."""
+    spec, m, hbar2, step = params.potential, params.mass, params.hbar**2, traj.grid.step
+    inner, x_f = traj.positions[1:-1], traj.positions[-1]
+    coupling = m / step**2
+    band = np.empty((3, len(inner)))
+    band[0] = band[2] = coupling
+    band[1] = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
+    v3 = hbar2 * potential_higher_derivative(spec, inner, 3)
+    v4 = hbar2 * potential_higher_derivative(spec, inner, 4)
+    e_last = np.zeros(len(inner))
+    e_last[-1] = -coupling
+    y1 = solve_banded((1, 1), band, e_last)
+    y2 = solve_banded((1, 1), band, v3 * y1**2)
+    y3 = solve_banded((1, 1), band, 3.0 * v3 * y1 * y2 + v4 * y1**3)
+    scale = m / (hbar2 * step)
+    first = scale * (1.0 - y1[-1]) + 0.5 * step * potential_second_derivative(spec, x_f)
+    third = -scale * y3[-1] + 0.5 * step * potential_higher_derivative(spec, x_f, 4)
+    h = 1e-3 * max(1.0, abs(x_f))
+    return first + h * h / 6.0 * third
+
+
+def _stage_paths(state, grid, cache=None):
+    pairs = [(state.initial_point, x_f) for x_f in state.final_points]
+    return solve_cached(state.params, pairs, grid, cache if cache is not None else {})
 
 
 def _reference_assemble(state, classical, grid, cache=None):
     """assemble_system as a loop over final points, one row at a time."""
     exponents = state.exponents()
-    cache = cache if cache is not None else {}
     a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     rhs = np.empty(len(state.final_points))
     hbar = classical.hbar
-    paths, neighbours = flow._solve_stage(state, grid, cache)
+    paths = _stage_paths(state, grid, cache)
     for j, x_f in enumerate(state.final_points):
-        d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(
-            state.params, paths[j], neighbours[2 * j], neighbours[2 * j + 1]
-        )
+        d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(state.params, paths[j])
         a_mat[j, 0] = -1.0
         a_mat[j, 1] = d_mass
         for col, k in enumerate(exponents):
@@ -351,14 +386,12 @@ def test_assemble_system_matches_per_point_loop(case):
 def test_sensitivities_is_the_batch_of_one():
     state = _fitted_state()
     grid = TimeGrid(0.35, intervals=500)
-    paths, neighbours = flow._solve_stage(state, grid, {})
-    rows = path_sensitivities(state.params, paths, neighbours[0::2], neighbours[1::2])
+    paths = _stage_paths(state, grid)
+    rows = path_sensitivities(state.params, paths)
     for j, traj in enumerate(paths):
-        one = sensitivities(state.params, traj, (neighbours[2 * j], neighbours[2 * j + 1]))
+        one = sensitivities(state.params, traj)
         assert one == rows.row(j)
-        d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(
-            state.params, traj, neighbours[2 * j], neighbours[2 * j + 1]
-        )
+        d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(state.params, traj)
         assert (one.d_mass, one.d_coeff, one.d_time, one.d_x, one.d_xx) == (
             d_mass, d_coeff, d_time, d_x, d_xx
         )
@@ -367,17 +400,79 @@ def test_sensitivities_is_the_batch_of_one():
 def test_path_sensitivities_validation():
     state = _fitted_state()
     grid = TimeGrid(0.35, intervals=100)
-    paths, neighbours = flow._solve_stage(state, grid, {})
-    lower, upper = neighbours[0::2], neighbours[1::2]
-    with pytest.raises(ValueError, match="neighbour"):
-        path_sensitivities(state.params, paths, lower[:-1], upper)
-    with pytest.raises(ValueError, match="neighbour"):
-        path_sensitivities(state.params, [], [], [])
-    with pytest.raises(ValueError, match="bracket"):
-        path_sensitivities(state.params, paths, upper, lower)
-    other = flow._solve_stage(state, TimeGrid(0.35, intervals=120), {})[0]
+    paths = _stage_paths(state, grid)
+    with pytest.raises(ValueError, match="at least one"):
+        path_sensitivities(state.params, [])
+    other = _stage_paths(state, TimeGrid(0.35, intervals=120))
     with pytest.raises(ValueError, match="one time grid"):
-        path_sensitivities(state.params, paths[:1] + other[1:2], lower[:2], upper[:2])
+        path_sensitivities(state.params, paths[:1] + other[1:2])
+
+
+@pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+def test_jacobi_d_xx_matches_neighbour_difference(case):
+    # d_xx is (p(x + h) - p(x - h)) / 2h in closed form, p' + (h^2 / 6) p'''.
+    # Re-solved neighbours give the same quotient up to the next Taylor term,
+    # (h^4 / 120) p^(5), and their Newton tolerance of 1e-12 over 2h >= 2e-3:
+    # 1e-8 relative covers both
+    make_state, _, beta = ASSEMBLY_CASES[case]
+    state = make_state()
+    for intervals in (500, 1):  # one interval: no interior point to move
+        paths = _stage_paths(state, TimeGrid(beta, intervals=intervals))
+        got = path_sensitivities(state.params, paths).d_xx
+        want = []
+        for traj in paths:
+            lower, upper = neighbour_pair(state.params, traj)
+            p_lower, p_upper = path_sensitivities(state.params, [lower, upper]).d_x
+            want.append((p_upper - p_lower) / (upper.end - lower.end))
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+# V'' = -8 + 12 x^2: at x = 0 the Newton-matrix diagonal -2m/dt^2 - hbar^2 V''
+# vanishes for dt = 0.5
+SINGULAR = ActionParams(
+    mass=1.0, hbar=1.0, potential=PotentialSpec({2: -4.0, 4: 1.0}), domain=Domain.FULL_LINE
+)
+
+
+def _path(duration, positions):
+    grid = TimeGrid(duration, intervals=len(positions) - 1)
+    return Trajectory(grid, positions[0], positions[-1], np.array(positions), 1, 0.0, 0.0)
+
+
+def test_singular_tangent_solve_raises_solver_error():
+    one = _path(1.0, [0.3, 0.0, 0.5])
+    with pytest.raises(SolverError, match="non-finite"):  # a 1x1 system divides by 0
+        path_sensitivities(SINGULAR, [one])
+    with pytest.raises(SolverError, match="singular"):  # zero pivot of the stacked gtsv
+        path_sensitivities(SINGULAR, [_path(1.0, [0.3, 0.0, 0.7]), one])
+    with pytest.raises(SolverError, match="singular"):  # tridiag(4, 0, 4) of one path
+        path_sensitivities(SINGULAR, [_path(2.0, [0.3, 0.0, 0.0, 0.0, 0.5])])
+    with pytest.raises(SolverError, match="non-finite"):
+        path_sensitivities(SINGULAR, [_path(1.0, [0.3, math.nan, 0.5])])
+
+
+def test_run_counts_rejected_steps(monkeypatch):
+    # a step longer than 0.2 is rejected as an ill-conditioned one would be, so
+    # run halves every nominal 0.25 step but the last, which is 0.125 long;
+    # the step sizes are binary fractions, so the betas equal those of a run
+    # at 0.125
+    state = harmonic_state()
+    policy = default_grid_policy(300)
+    want = run(state, HARMONIC, 2.0, dbeta=0.125, grid_policy=policy)
+    assert want.rejected_steps == 0
+    real_step = flow.step
+    rejections = []
+
+    def limited(state, classical, dbeta, *args, **kwargs):
+        if dbeta > 0.2:
+            rejections.append(state.beta)
+            raise StepRejected(f"condition beyond {flow.CONDITION_LIMIT:.0e}")
+        return real_step(state, classical, dbeta, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", limited)
+    trace = run(state, HARMONIC, 2.0, dbeta=0.25, grid_policy=policy)
+    assert trace.rejected_steps == len(rejections) == 7
+    assert trace.states == want.states and trace.diagnostics == want.diagnostics
 
 
 def test_flow_run_matches_per_point_loop(monkeypatch):

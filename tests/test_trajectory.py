@@ -131,7 +131,7 @@ def test_sensitivities_match_finite_differences():
             t_len = rng.uniform(0.4, 2.0)
             grid = TimeGrid(t_len, intervals=800)
             traj = solve_bvp(params, a, b, grid)
-            sens = sensitivities(params, traj, neighbour_pair(params, traj))
+            sens = sensitivities(params, traj)
 
             h = 1e-5
             sp = solve_bvp(params, a, b, grid, guess=traj)  # warm-start template
@@ -166,7 +166,7 @@ def test_sensitivities_match_finite_differences():
 def test_second_endpoint_derivative_matches_fd():
     grid = TimeGrid(1.3, intervals=800)
     traj = solve_bvp(STANDARD, 0.8, 2.5, grid)
-    sens = sensitivities(STANDARD, traj, neighbour_pair(STANDARD, traj))
+    sens = sensitivities(STANDARD, traj)
     h = 1e-3
     s0 = action_value(STANDARD, traj)
     sp = action_value(STANDARD, solve_bvp(STANDARD, 0.8, 2.5 + h, grid, guess=traj))
@@ -178,7 +178,7 @@ def test_second_endpoint_derivative_matches_fd():
 def test_d_coeff_constant_term_equals_duration():
     params = _rebuilt(HARMONIC, coeff=(0, 0.2))
     traj = solve_bvp(params, 0.4, 1.1, TimeGrid(0.9, intervals=200))
-    sens = sensitivities(params, traj, neighbour_pair(params, traj))
+    sens = sensitivities(params, traj)
     assert sens.d_coeff[0] == pytest.approx(0.9, rel=1e-14)
 
 
@@ -222,17 +222,6 @@ def test_warm_start_reuses_solution():
     # resampling a coarse solution onto a finer grid must also converge fast
     fine = solve_bvp(STANDARD, 0.8, 2.5, TimeGrid(1.3, intervals=800), guess=cold)
     assert fine.iterations <= cold.iterations
-
-
-def test_neighbour_validation():
-    grid = TimeGrid(1.0, intervals=100)
-    traj = solve_bvp(STANDARD, 1.0, 2.0, grid)
-    lo, hi = neighbour_pair(STANDARD, traj)
-    other = solve_bvp(STANDARD, 1.0, 2.0, TimeGrid(1.0, intervals=120))
-    with pytest.raises(ValueError):
-        sensitivities(STANDARD, traj, (other, hi))
-    with pytest.raises(ValueError):
-        sensitivities(STANDARD, traj, (hi, lo))  # endpoints must bracket
 
 
 def test_solver_validation_and_failure():
@@ -521,7 +510,7 @@ def test_failed_fit_evaluation_leaves_cache_as_per_path_loop():
     assert objective(np.full(len(objective.center), 0.01)) == math.inf
 
 
-@pytest.mark.parametrize("poisoned", [(4, 0), (4, -1), (4, 1)], ids=["path", "lower", "upper"])
+@pytest.mark.parametrize("poisoned", [4], ids=["path"])
 def test_failed_flow_stage_leaves_cache_as_per_point_loop(poisoned):
     params = ActionParams(1.0, 1.0, PotentialSpec({0: 0.1, 2: 0.5, -2: 1.0}))
     state = FlowState(beta=1.0, params=params, log_norm=0.0, initial_point=1.5,
@@ -534,16 +523,7 @@ def test_failed_flow_stage_leaves_cache_as_per_point_loop(poisoned):
     state = dataclasses.replace(state, params=_nudged(params, 1.01))
     for j, x_f in enumerate(state.final_points):  # the per-point loop
         try:
-            traj, _ = _reference_solve(state.params, 1.5, x_f, grid, want.get((j, 0)))
-            want[(j, 0)] = traj
-            offset = 1e-3 * max(1.0, abs(x_f))
-            lower, _ = _reference_solve(
-                state.params, 1.5, x_f - offset, grid, want.get((j, -1), traj)
-            )
-            upper, _ = _reference_solve(
-                state.params, 1.5, x_f + offset, grid, want.get((j, 1), traj)
-            )
-            want[(j, -1)], want[(j, 1)] = lower, upper
+            want[j], _ = _reference_solve(state.params, 1.5, x_f, grid, want.get(j))
         except SolverError as exc:
             message = str(exc)
             break

@@ -386,8 +386,9 @@ def parameter_uncertainty(result: FitResult, table: AmplitudeTable) -> dict[str,
     d_mass and d_coeff of each pair's action from path_sensitivities, which
     stationarity makes total derivatives, centred over the pairs as the
     profiled ln Z~ centres the residuals. The covariance estimate is
-    s^2 (J^T J)^-1 with s^2 the residual variance. Directions with negligible
-    curvature are reported as infinite.
+    s^2 (J^T J)^-1 with s^2 the residual variance. A parameter with a non-zero
+    component along a direction of negligible curvature is reported as
+    infinite; the others keep the finite sum over the curved directions.
     """
     exponents = sorted(result.params.potential.coefficients)
     objective = _Objective(table, exponents, result.params, result.grid)
@@ -404,10 +405,13 @@ def parameter_uncertainty(result: FitResult, table: AmplitudeTable) -> dict[str,
     sigmas = {}
     evals, evecs = np.linalg.eigh(hess)
     cutoff = max(evals[-1], 0.0) * 1e-13
-    inv_diag = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), math.inf)
+    flat = evals <= cutoff
+    inv_diag = 1.0 / np.where(flat, 1.0, evals)
     for i, name in enumerate(names):
-        contributions = evecs[i, :] ** 2 * inv_diag
-        total = float(np.sum(contributions))
+        if np.any(evecs[i, flat] != 0.0):  # the parameter moves along a flat direction
+            sigmas[name] = math.inf
+            continue
+        total = float(np.sum(np.where(flat, 0.0, evecs[i, :] ** 2 * inv_diag)))
         sigmas[name] = math.sqrt(variance * total) if math.isfinite(total) else math.inf
     return sigmas
 

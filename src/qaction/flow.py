@@ -18,6 +18,7 @@ Runge-Kutta step advances the parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -235,15 +236,7 @@ def step(
         initial_point=state.initial_point,
         final_points=state.final_points,
     )
-    diag = StepDiagnostics(
-        beta=b0,
-        dbeta=dbeta,
-        residual_norm=diag.residual_norm,
-        condition=diag.condition,
-        rank=diag.rank,
-        deficiency=diag.deficiency,
-    )
-    return new_state, diag
+    return new_state, dataclasses.replace(diag, beta=b0, dbeta=dbeta)
 
 
 def default_grid_policy(intervals: int = 500):

@@ -3,8 +3,9 @@
 Parameters
 ----------
 The Hamiltonian H = -(hbar^2 / 2m) d^2/dx^2 + V(x) is discretised with the
-standard 3-point Laplacian and Dirichlet ends, diagonalised with a LAPACK
-tridiagonal eigensolver, and amplitudes are assembled from the truncated
+standard 3-point Laplacian and Dirichlet ends, diagonalised by LAPACK's
+tridiagonal bisection and inverse iteration (stebz and stein, one route for
+every selection of levels), and amplitudes are assembled from the truncated
 spectral sum
 
     G(b, T; a) = sum_n psi_n(b) psi_n(a) exp(-E_n T / hbar).
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .model import ActionParams, Domain, potential_value
 
@@ -122,41 +123,15 @@ def spectrum(
     truncation tail at t_min by 2^-53 whenever n_states does not bind; when
     it binds, the lowest n_states are solved as without t_min.
 
-    With vectors=False only the energies are computed (the same bisection at
-    the same selection, so the same bits) and wavefunctions is None.
+    Every selection takes LAPACK's bisection (stebz) for the energies and
+    inverse iteration (stein) for the vectors. For a selection by index that
+    is scipy's own route, and the tests hold the two equal bit for bit. With
+    vectors=False only the energies are computed (the same bisection at the
+    same selection, so the same bits) and wavefunctions is None.
     """
     if n_states < 1 or n_states > operator.grid.n_points - 2:
         raise ValueError(f"n_states must be in [1, {operator.grid.n_points - 2}]")
-    solved = None if t_min is None else _visible_levels(operator, n_states, t_min, vectors)
-    if solved is None:
-        solved = eigh_tridiagonal(
-            operator.diagonal,
-            operator.off_diagonal,
-            eigvals_only=not vectors,
-            select="i",
-            select_range=(0, n_states - 1),
-        )
-    if vectors:
-        energies, states = solved
-        states = states / math.sqrt(operator.grid.spacing)
-    else:
-        energies, states = solved, None
-    return SpectralDecomposition(
-        grid=operator.grid,
-        energies=energies,
-        wavefunctions=states,
-        hbar=operator.hbar,
-    )
-
-
-def _visible_levels(operator: TridiagonalOperator, cap: int, t_min: float, vectors: bool):
-    """The levels spectrum keeps at t_min, as eigh_tridiagonal returns them.
-
-    Returns None when the cap binds. Otherwise one bisection over the levels
-    within VISIBLE_EFOLDS of the ground level, plus one for the first level
-    past them, and inverse iteration for the vectors of all of them.
-    """
-    if not t_min > 0.0:
+    if t_min is not None and not t_min > 0.0:
         raise ValueError("t_min must be positive")
     d, e = operator.diagonal, operator.off_diagonal
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
@@ -168,24 +143,14 @@ def _visible_levels(operator: TridiagonalOperator, cap: int, t_min: float, vecto
             raise np.linalg.LinAlgError(f"stebz failed with info {info}")
         return w[:m], iblock[:m], isplit
 
-    def level(index):
-        w, iblock, _ = bisect(2, 0.0, 0.0, index + 1, index + 1)
-        return w[0], iblock[0]
-
-    ground, _ = level(0)
-    top = ground + VISIBLE_EFOLDS * operator.hbar / t_min
-    if level(cap - 1)[0] <= top:
-        return None
-    # every level in (-inf, top]; stebz clips -inf to its Gershgorin bound
-    w, iblock, isplit = bisect(1, -np.inf, top, 0, 0)
-    # the cap's own bisection and the count at top can disagree within the
-    # bisection tolerance of top
-    w, iblock = w[:cap], iblock[:cap]
-    if len(w) < cap:
-        first_past, block = level(len(w))
-        w, iblock = np.append(w, first_past), np.append(iblock, block)
+    if t_min is None:
+        w, iblock, isplit = bisect(2, 0.0, 0.0, 1, n_states)
+    else:
+        w, iblock, isplit = _visible_levels(
+            bisect, n_states, VISIBLE_EFOLDS * operator.hbar / t_min
+        )
     if not vectors:
-        return np.sort(w)
+        return SpectralDecomposition(operator.grid, np.sort(w), None, operator.hbar)
     order = np.lexsort((w, iblock))  # stein takes the levels in block order
     w = w[order]
     blocks = np.zeros(len(d), dtype=iblock.dtype)
@@ -194,7 +159,36 @@ def _visible_levels(operator: TridiagonalOperator, cap: int, t_min: float, vecto
     if info != 0:
         raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
     order = np.argsort(w)
-    return w[order], v[:, order]
+    states = v[:, order]
+    states /= math.sqrt(operator.grid.spacing)  # in place: at most two copies of the vectors
+    return SpectralDecomposition(operator.grid, w[order], states, operator.hbar)
+
+
+def _visible_levels(bisect, cap: int, width: float):
+    """The levels spectrum keeps at t_min, as (energies, blocks, splits) of bisect.
+
+    width is VISIBLE_EFOLDS hbar / t_min. When the cap binds, the lowest cap
+    levels; otherwise one bisection over the levels within width of the
+    ground level, plus one for the first level past them.
+    """
+
+    def level(index):
+        w, iblock, _ = bisect(2, 0.0, 0.0, index + 1, index + 1)
+        return w[0], iblock[0]
+
+    ground, _ = level(0)
+    top = ground + width
+    if level(cap - 1)[0] <= top:
+        return bisect(2, 0.0, 0.0, 1, cap)
+    # every level in (-inf, top]; stebz clips -inf to its Gershgorin bound
+    w, iblock, isplit = bisect(1, -np.inf, top, 0, 0)
+    # the cap's own bisection and the count at top can disagree within the
+    # bisection tolerance of top
+    w, iblock = w[:cap], iblock[:cap]
+    if len(w) < cap:
+        first_past, block = level(len(w))
+        w, iblock = np.append(w, first_past), np.append(iblock, block)
+    return w, iblock, isplit
 
 
 def solve_spectrum(

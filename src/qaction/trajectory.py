@@ -12,6 +12,12 @@ is the central difference of the endpoint momentum over the two neighbours
 at end +/- neighbour_offset(end), computed from the solved path alone. Times
 are measured in inverse-temperature units (duration = T / hbar); with
 hbar = 1 they coincide with Euclidean time.
+
+The Newton steps of the relaxation and the Jacobi equations behind d_xx solve
+with the same Newton matrix J = tridiag(m/dt^2, -2m/dt^2 - hbar^2 V''(x_i),
+m/dt^2), through one kernel (_solve_tridiagonal): one LAPACK gtsv call on the
+paths stacked with zero couplings between them. A singular J raises
+SolverError wherever it is met.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .model import (
@@ -37,7 +42,7 @@ from .model import (
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
 # Paths relaxed together by solve_paths. A block of 32 paths on 500 intervals
-# keeps 0.6 MB of work arrays. On a 2-vCPU Xeon, blocks of 16 to 60 paths gave
+# keeps 0.6 MB of work arrays, and 0.4 MB more during a Newton solve. On a 2-vCPU Xeon, blocks of 16 to 60 paths gave
 # the same flow stage time (about 20 ms for 30 final points), so larger
 # blocks would only add memory.
 BLOCK_PATHS = 32
@@ -168,17 +173,25 @@ def _nonzero(terms) -> list[tuple[int, float]]:
     return [(k, c) for k, c in terms if c != 0.0]
 
 
-def _newton_step(params: ActionParams, x: np.ndarray, step: float, resid: np.ndarray) -> np.ndarray:
-    """Newton update of one path alone; see _Relaxation.newton_steps for when it is used."""
-    m, hbar = params.mass, params.hbar
-    n_int = len(x) - 2
-    band = np.zeros((3, n_int))
-    band[0, 1:] = m / step**2
-    band[2, :-1] = m / step**2
-    band[1, :] = -2.0 * m / step**2 - hbar**2 * potential_second_derivative(
-        params.potential, x[1:-1]
-    )
-    return solve_banded((1, 1), band, -resid, check_finite=False, overwrite_b=True)
+def _solve_tridiagonal(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve tridiag(coupling, diag[i], coupling) y[i] = rhs[i] for every row i, in place in rhs.
+
+    rhs is C-contiguous; diag keeps its values. One gtsv call solves the
+    stacked system with zero couplings between rows. Each row then meets
+    exactly the eliminations of its own solve, unless a zero pivot stops the
+    sweep or an inf or NaN crosses a row boundary (0 * inf is not 0), so a
+    finite result equals the rows' solves alone bit for bit. A 1x1 system is
+    a division. A zero pivot raises SolverError.
+    """
+    if rhs.size <= 1:  # gtsv rejects empty bands
+        return np.divide(rhs, diag, out=rhs)
+    n_int = rhs.shape[-1]
+    bands = np.full((2, rhs.size - 1), coupling)
+    bands[:, n_int - 1 :: n_int] = 0.0
+    info = dgtsv(bands[0], diag.reshape(-1), bands[1], rhs.reshape(-1), 1, 0, 1, 1)[-1]
+    if info != 0:
+        raise SolverError(f"singular Newton matrix (gtsv info {info})")
+    return rhs
 
 
 def _initial_positions(grid: TimeGrid, start: float, end: float, guess) -> np.ndarray:
@@ -209,8 +222,8 @@ class _Relaxation:
     accepted and trial positions, trial residuals, the Newton step and a
     scratch array. Between iterations `delta` holds the right-hand side
     -r(x) of the accepted iterate, which the tridiagonal solve turns into the
-    step; the solve borrows the three buffers that the line search fills only
-    afterwards for its matrix.
+    step in place; the diagonal of the Newton matrix goes into the trial
+    residuals, which the line search fills only afterwards.
     """
 
     def __init__(
@@ -219,7 +232,7 @@ class _Relaxation:
         n_paths, n_points = x.shape
         n_int = n_points - 2
         m, step = params.mass, grid.step
-        self.params, self.grid, self.pairs, self.tol = params, grid, pairs, tol
+        self.grid, self.pairs, self.tol = grid, pairs, tol
         self.half_line = params.domain is Domain.HALF_LINE
         self.derivatives = _Derivatives(params.potential)
         self.mass, self.hbar2, self.step2 = m, params.hbar**2, step**2
@@ -258,38 +271,28 @@ class _Relaxation:
         return min(self.errors, default=len(self.pairs))
 
     def newton_steps(self) -> np.ndarray:
-        """Newton updates of the iterating paths from one stacked gtsv call.
+        """Newton updates of the iterating paths from one stacked tridiagonal solve.
 
-        With zero couplings every path meets exactly the eliminations of its
-        own solve, unless a zero pivot stops the sweep or an inf or NaN
-        crosses a path boundary (0 * inf is not 0). Then each path is solved
-        alone, as before batching, and a singular one fails with LinAlgError.
+        The solve runs in place on `delta`. If it meets a zero pivot or gives
+        an inf or NaN, which may have crossed a path boundary, each path is
+        solved alone, as before batching, and a singular one fails with
+        SolverError.
         """
         rows = len(self.ids)
         x, delta = self.x[:rows], self.delta[:rows]
-        n_int = delta.shape[1]
-        size = delta.size
         diag = self.derivatives.second_into(x[:, 1:-1], self.resid_try[:rows], self.tmp[:rows])
         np.multiply(diag, self.hbar2, out=diag)
         np.subtract(self.diag_shift, diag, out=diag)
-        if size == 1:  # solve_banded divides 1x1 systems; gtsv rejects empty bands
-            np.divide(delta, diag, out=delta)
-            info = 0
-        else:
-            # m / dt^2 inside a path, zero between the last point of one path
-            # and the first of the next
-            lower = self.tmp.reshape(-1)[: size - 1]
-            upper = self.x_try.reshape(-1)[: size - 1]
-            for band in (lower, upper):
-                band.fill(self.off_diag)
-                band[n_int - 1 :: n_int] = 0.0
-            info = dgtsv(lower, diag.reshape(-1), upper, delta.reshape(-1), 1, 1, 1, 1)[-1]
-        if info != 0 or not np.isfinite(delta).all():
-            resid = self.residual(x, self.resid_try[:rows])  # the solve consumed -r(x)
+        try:
+            stacked = np.isfinite(_solve_tridiagonal(self.off_diag, diag, delta)).all()
+        except SolverError:
+            stacked = False
+        if not stacked:
+            np.negative(self.residual(x, delta), out=delta)  # the solve consumed -r(x)
             for row in range(rows):
                 try:
-                    delta[row] = _newton_step(self.params, x[row], self.grid.step, resid[row])
-                except LinAlgError as exc:
+                    _solve_tridiagonal(self.off_diag, diag[row : row + 1], delta[row : row + 1])
+                except SolverError as exc:
                     self.fail(row, exc)
         return delta
 
@@ -407,8 +410,9 @@ def solve_paths(
     of solving the pairs one at a time, bit for bit.
 
     Paths are relaxed in consecutive blocks of at most BLOCK_PATHS, which
-    bounds the work arrays of a call (five of BLOCK_PATHS x n_points floats)
-    whatever the number of pairs.
+    bounds the work arrays of a call whatever the number of pairs: five of
+    BLOCK_PATHS x n_points floats, and three more while the tridiagonal
+    solve runs (its two bands and a copy of the diagonal).
 
     Non-convergence raises the SolverError of the first failed path in input
     order, carrying the trajectories of the paths before it in `solved`;
@@ -508,12 +512,18 @@ def action_values(params: ActionParams, trajs) -> np.ndarray:
     trajs = list(trajs)
     if not trajs:
         return np.empty(0)
+    grid, x = _stack(trajs)
+    return _trapezoid_actions(params, x, grid.step)
+
+
+def _stack(trajs: list[Trajectory]) -> tuple[TimeGrid, np.ndarray]:
+    """The one time grid of trajectories and their positions as the rows of one array."""
     grid = trajs[0].grid
     for traj in trajs:
         if traj.grid != grid:
             raise ValueError("trajectories must share one time grid")
         _check_traj(grid.n_points, traj)
-    return _trapezoid_actions(params, np.stack([t.positions for t in trajs]), grid.step)
+    return grid, np.stack([t.positions for t in trajs])
 
 
 def _trapezoid_actions(params: ActionParams, x: np.ndarray, step: float):
@@ -547,15 +557,9 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
     trajs = list(trajs)
     if not trajs:
         raise ValueError("need at least one trajectory")
-    grid = trajs[0].grid
-    for traj in trajs:
-        if traj.grid != grid:
-            raise ValueError("trajectories must share one time grid")
-        _check_traj(grid.n_points, traj)
-
+    grid, x = _stack(trajs)
     n, step, n_int = len(trajs), grid.step, grid.intervals
     m, hbar = params.mass, params.hbar
-    x = np.stack([t.positions for t in trajs])
     dx = np.diff(x, axis=1)
     kinetic_sum = np.sum(dx * dx, axis=1)
     v = potential_value(params.potential, x)
@@ -576,18 +580,16 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
         d_mass=d_mass,
         d_coeff=d_coeff,
         d_time=d_time,
-        d_x=_endpoint_momenta(params, trajs),
+        d_x=_endpoint_momenta(params, x, step),
         d_xx=_endpoint_curvature(params, x, step),
     )
 
 
-def _endpoint_momenta(params: ActionParams, trajs) -> np.ndarray:
-    """Exact partial of the discrete action with respect to the endpoint, per trajectory."""
-    step = np.array([t.grid.step for t in trajs])
-    tails = np.array([t.positions[-2:] for t in trajs])
-    slope = (tails[:, 1] - tails[:, 0]) / step
+def _endpoint_momenta(params: ActionParams, x: np.ndarray, step: float) -> np.ndarray:
+    """Exact partial of the discrete action with respect to the endpoint, per row of x."""
+    slope = (x[:, -1] - x[:, -2]) / step
     return params.mass * slope / params.hbar**2 + 0.5 * step * potential_derivative(
-        params.potential, tails[:, 1]
+        params.potential, x[:, -1]
     )
 
 
@@ -614,11 +616,11 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     diag = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
     v3 = hbar2 * potential_higher_derivative(spec, inner, 3)
     v4 = hbar2 * potential_higher_derivative(spec, inner, 4)
-    rhs = np.zeros_like(inner)
-    rhs[:, -1:] = -coupling
-    y1 = _stacked_tridiagonal_solve(coupling, diag, rhs)
-    y2 = _stacked_tridiagonal_solve(coupling, diag, v3 * y1**2)
-    y3 = _stacked_tridiagonal_solve(coupling, diag, 3.0 * v3 * y1 * y2 + v4 * y1**3)
+    y1 = np.zeros(inner.shape)
+    y1[:, -1:] = -coupling
+    _solve_tridiagonal(coupling, diag, y1)
+    y2 = _solve_tridiagonal(coupling, diag, v3 * y1**2)
+    y3 = _solve_tridiagonal(coupling, diag, 3.0 * v3 * y1 * y2 + v4 * y1**3)
     # a path of one interval has no interior points to move
     y1_last, y3_last = (y1[:, -1], y3[:, -1]) if inner.shape[1] else (0.0, 0.0)
     scale = m / (hbar2 * step)
@@ -629,24 +631,6 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     if not np.isfinite(d_xx).all():
         raise SolverError("tangent solve gave a non-finite d_xx")
     return d_xx
-
-
-def _stacked_tridiagonal_solve(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve tridiag(coupling, diag[i], coupling) y[i] = rhs[i] for every row i at once.
-
-    One gtsv call on the stacked system with zero couplings between rows, so
-    each row equals its own solve_banded((1, 1), ...) bit for bit (see
-    _Relaxation.newton_steps). A zero pivot raises SolverError.
-    """
-    n_int = diag.shape[1]
-    if diag.size <= 1:  # solve_banded divides 1x1 systems; gtsv rejects empty bands
-        return rhs / diag
-    band = np.full(diag.size - 1, coupling)
-    band[n_int - 1 :: n_int] = 0.0
-    y, info = dgtsv(band, diag.reshape(-1), band, rhs.reshape(-1))[-2:]
-    if info != 0:
-        raise SolverError(f"singular tangent system (gtsv info {info})")
-    return y.reshape(rhs.shape)
 
 
 def conserved_energy_drift(params: ActionParams, traj: Trajectory) -> float:

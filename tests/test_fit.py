@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -263,6 +264,11 @@ def test_parameter_uncertainty_cases(standard_table):
     degen = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), grid)
     du = parameter_uncertainty(degen, standard_table)
     assert math.isinf(du["v_0"])
+    # the flat direction is v_0 alone: the other spreads stay finite, with no 0 * inf
+    assert all(0.0 < du[name] < math.inf for name in ("mass", "v_-2", "v_2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parameter_uncertainty(degen, standard_table) == du
 
     # without the flat direction the spreads are finite and positive
     r = fit_at_time(standard_table, [2, -2], standard_init(2, -2), grid)

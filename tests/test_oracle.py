@@ -4,6 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from qaction.analytic import euclidean_log_amplitude
 from qaction.model import ActionParams, Domain, PotentialSpec
@@ -250,6 +251,23 @@ def test_energies_only_spectrum_matches_with_vectors(params, levels, spacing):
     bare = solve_spectrum(params, grid, levels, vectors=False)
     assert bare.wavefunctions is None
     assert np.array_equal(bare.energies, solve_spectrum(params, grid, levels).energies)
+
+
+@pytest.mark.parametrize("spacing", [2e-3, 5e-3])
+@pytest.mark.parametrize("params", [STANDARD, IMAGE, QUARTIC], ids=["family", "image", "quartic"])
+def test_spectrum_equals_scipy_index_selection(params, spacing):
+    extent = 12.0 if params.domain is Domain.HALF_LINE else 6.0
+    operator = discretize(params, default_grid(params.domain, spacing=spacing, extent=extent))
+    d, e = operator.diagonal, operator.off_diagonal
+    # the lowest 160 and 40 levels, and a cap of 20 that binds at t_min = 0.4
+    for levels, t_min in ((160, None), (40, None), (20, 0.4)):
+        select = {"select": "i", "select_range": (0, levels - 1)}
+        energies, states = eigh_tridiagonal(d, e, **select)
+        dec = spectrum(operator, levels, t_min=t_min)
+        assert np.array_equal(dec.energies, energies)
+        assert np.array_equal(dec.wavefunctions, states / math.sqrt(operator.grid.spacing))
+        bare = spectrum(operator, levels, vectors=False, t_min=t_min)
+        assert np.array_equal(bare.energies, eigh_tridiagonal(d, e, True, **select))
 
 
 def test_energies_only_richardson_partner():

@@ -472,6 +472,30 @@ def test_failure_in_a_later_block():
         _assert_same_path(traj, _reference_solve(STANDARD, a, b, grid)[0])
 
 
+def test_singular_newton_matrix_raises_solver_error():
+    # V'' = -2 / dt^2 zeroes the diagonal of J: tridiag(c, 0, c) is singular
+    # for an odd number of interior points and regular for an even one
+    for intervals in (4, 5, 6, 7):
+        dt = 1.0 / intervals
+        params = ActionParams(1.0, 1.0, PotentialSpec({2: -1.0 / dt**2}), domain=Domain.FULL_LINE)
+        grid = TimeGrid(1.0, intervals=intervals)
+        for pairs in ([(0.0, 1.0)], [(0.0, 1.0), (0.5, -0.3)]):
+            if intervals % 2:
+                assert len(solve_paths(params, pairs, grid)) == len(pairs)
+                continue
+            with pytest.raises(SolverError, match="singular") as error:
+                solve_paths(params, pairs, grid)
+            assert error.value.solved == []
+    # V'' = -8 + 12 x^2 with dt = 0.5: J = tridiag(4, -12 x_i^2, 4) is singular
+    # on the path at rest at 0, and the path before it is solved
+    params = ActionParams(1.0, 1.0, PotentialSpec({2: -4.0, 4: 1.0}), domain=Domain.FULL_LINE)
+    grid = TimeGrid(2.0, intervals=4)
+    with pytest.raises(SolverError, match="singular") as error:
+        solve_paths(params, [(0.3, 0.5), (0.0, 0.0), (0.2, 0.1)], grid)
+    (solved,) = error.value.solved
+    _assert_same_path(solved, _reference_solve(params, 0.3, 0.5, grid)[0])
+
+
 def test_solve_paths_validation():
     grid = TimeGrid(1.0, intervals=50)
     with pytest.raises(ValueError, match="positive"):

@@ -45,7 +45,7 @@ from .model import (
     params_from_dict,
     write_csv,
 )
-from .oracle import amplitude, default_grid, refine_energies, solve_spectrum
+from .oracle import amplitude, default_grid, kinetic_coupling, refine_energies, solve_spectrum
 from .specfun import bessel_i, libm
 from .trajectory import SolverError, TimeGrid, neighbour_offset
 
@@ -195,10 +195,11 @@ def _oracle_grid(keys, model, all_levels):
     """The fine grid of the oracle keys, checked against the eigensolves on it.
 
     The fine grid, and with refine its Richardson partner at twice the
-    spacing, each need 100 nodes, and the fine one room for `levels`. With
-    all_levels the command solves every level on the partner too (spectrum,
-    oracle-source fits); the propagator solves there only the levels its
-    smallest time keeps, so that count is checked when it solves.
+    spacing, each need 100 nodes and a finite kinetic coupling, and the fine
+    one room for `levels`. With all_levels the command solves every level on
+    the partner too (spectrum, oracle-source fits); the propagator solves
+    there only the levels its smallest time keeps, so that count is checked
+    when it solves.
     """
     spacings = (keys["spacing"], 2.0 * keys["spacing"])[: 2 if keys["refine"] else 1]
     grids = [
@@ -206,6 +207,9 @@ def _oracle_grid(keys, model, all_levels):
                f"oracle grid at spacing {h:g}")
         for h in spacings
     ]
+    for grid in grids:
+        _built(functools.partial(kinetic_coupling, model, grid.spacing),
+               f"oracle grid at spacing {grid.spacing:g}")
     for grid in grids if all_levels else grids[:1]:
         if keys["levels"] > grid.n_points - 2:
             raise ConfigError(

@@ -5,8 +5,8 @@ Parameters
 The Hamiltonian H = -(hbar^2 / 2m) d^2/dx^2 + V(x) is discretised with the
 standard 3-point Laplacian and Dirichlet ends, diagonalised by LAPACK's
 tridiagonal bisection and inverse iteration (stebz and stein, one route for
-every selection of levels), and amplitudes are assembled from the truncated
-spectral sum
+every selection of levels; scipy's own dstebz and dstein, bound by
+qaction.lapack), and amplitudes are assembled from the truncated spectral sum
 
     G(b, T; a) = sum_n psi_n(b) psi_n(a) exp(-E_n T / hbar).
 
@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from .lapack import dstebz, dstein
 from .model import ActionParams, Domain, potential_value
 
 TRUNCATION_TAIL = 1e-12
@@ -94,6 +94,24 @@ class SpectralDecomposition:
     hbar: float
 
 
+def kinetic_coupling(params: ActionParams, spacing: float) -> float:
+    """hbar^2 / (2 m h^2), the kinetic term's coupling of neighbouring nodes.
+
+    Raises ValueError where it is not a finite float: a denormal mass or a
+    huge hbar overflows it, and the eigensolve would fail on the inf.
+    """
+    try:
+        kin = params.hbar**2 / (2.0 * params.mass * spacing**2)
+    except (OverflowError, ZeroDivisionError):
+        kin = math.inf
+    if not math.isfinite(kin):
+        raise ValueError(
+            f"kinetic coupling hbar^2 / (2 m h^2) overflows at mass {params.mass:g}, "
+            f"hbar {params.hbar:g} and spacing {spacing:g}"
+        )
+    return kin
+
+
 def discretize(params: ActionParams, grid: SpatialGrid) -> TridiagonalOperator:
     """Dirichlet 3-point discretisation of the Hamiltonian on the grid."""
     if params.domain is Domain.HALF_LINE and grid.x_min <= 0.0:
@@ -102,7 +120,7 @@ def discretize(params: ActionParams, grid: SpatialGrid) -> TridiagonalOperator:
     v = potential_value(params.potential, x)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential is singular on the grid")
-    kin = params.hbar**2 / (2.0 * params.mass * grid.spacing**2)
+    kin = kinetic_coupling(params, grid.spacing)
     diag = 2.0 * kin + v
     off = np.full(grid.n_points - 1, -kin)
     return TridiagonalOperator(diagonal=diag, off_diagonal=off, grid=grid, hbar=params.hbar)
@@ -125,7 +143,8 @@ def spectrum(
 
     Every selection takes LAPACK's bisection (stebz) for the energies and
     inverse iteration (stein) for the vectors. For a selection by index that
-    is scipy's own route, and the tests hold the two equal bit for bit. With
+    is scipy's own route (eigh_tridiagonal calls the same function objects),
+    and the tests hold the two equal bit for bit. With
     vectors=False only the energies are computed (the same bisection at the
     same selection, so the same bits) and wavefunctions is None.
     """
@@ -134,11 +153,10 @@ def spectrum(
     if t_min is not None and not t_min > 0.0:
         raise ValueError("t_min must be positive")
     d, e = operator.diagonal, operator.off_diagonal
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
 
     def bisect(*selection):
         # LAPACK range 1: levels in (vl, vu]; range 2: 1-based indices il..iu
-        m, w, iblock, isplit, info = stebz(d, e, *selection, 0.0, "B")
+        m, w, iblock, isplit, info = dstebz(d, e, *selection, 0.0, "B")
         if info != 0:
             raise np.linalg.LinAlgError(f"stebz failed with info {info}")
         return w[:m], iblock[:m], isplit
@@ -155,7 +173,7 @@ def spectrum(
     w = w[order]
     blocks = np.zeros(len(d), dtype=iblock.dtype)
     blocks[: len(w)] = iblock[order]
-    v, info = stein(d, e, w, blocks, isplit)
+    v, info = dstein(d, e, w, blocks, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
     order = np.argsort(w)

@@ -16,8 +16,8 @@ hbar = 1 they coincide with Euclidean time.
 The Newton steps of the relaxation and the Jacobi equations behind d_xx solve
 with the same Newton matrix J = tridiag(m/dt^2, -2m/dt^2 - hbar^2 V''(x_i),
 m/dt^2), through one kernel (_solve_tridiagonal): one LAPACK gtsv call on the
-paths stacked with zero couplings between them. A singular J raises
-SolverError wherever it is met.
+paths stacked with zero couplings between them (scipy's own dgtsv, bound by
+qaction.lapack). A singular J raises SolverError wherever it is met.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from .lapack import dgtsv
 from .model import (
     ActionParams,
     Domain,
@@ -184,6 +184,8 @@ def _solve_tridiagonal(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np
     a division. A zero pivot raises SolverError.
     """
     if rhs.size <= 1:  # gtsv rejects empty bands
+        if np.any(diag == 0.0):
+            raise SolverError("singular Newton matrix (zero pivot)")
         return np.divide(rhs, diag, out=rhs)
     n_int = rhs.shape[-1]
     bands = np.full((2, rhs.size - 1), coupling)

@@ -278,6 +278,15 @@ def _oracle_fit_doc(**changes):
     return _fit_doc(source="oracle", spacing=0.05, extent=12.0, **changes)
 
 
+def _spectrum_doc(coefficients):
+    model = dict(STANDARD_MODEL, coefficients=coefficients)
+    return {"model": model, "spectrum": {"spacing": 1e-2, "levels": 5}}
+
+
+def _tiny_mass(doc):
+    return dict(doc, model=dict(doc["model"], mass=1e-310))
+
+
 # Oracle grids the eigensolves cannot use, on extent 12: rejected at load.
 # Each case exited 2 after it. Half-line grids at spacing 0.05, 0.1 and 0.2
 # have 240, 120 and 60 nodes; the second of each pair is the Richardson partner.
@@ -304,11 +313,23 @@ def _oracle_fit_doc(**changes):
         ("flow", _flow_doc(compare_fit={"initial": [1.0], "final": [1.5, 2.0], "source": "oracle",
                                         "spacing": 0.2, "extent": 12.0}),
          "oracle grid at spacing 0.2: grid needs at least 100 points"),
+        # hbar^2 / (2 m h^2) overflows to inf: stebz failed on it (exit 2)
+        ("spectrum", _tiny_mass(_spectrum_doc({"2": 0.5, "-2": 1.0})),
+         "oracle grid at spacing 0.01: kinetic coupling hbar^2 / (2 m h^2) overflows "
+         "at mass 1e-310, hbar 1 and spacing 0.01"),
+        ("propagator", _tiny_mass(_propagator_doc()),
+         "oracle grid at spacing 0.01: kinetic coupling"),
+        ("fit", _tiny_mass(_oracle_fit_doc()), "oracle grid at spacing 0.05: kinetic coupling"),
+        ("flow", _tiny_mass(_flow_doc(compare_fit={"initial": [1.0], "final": [1.5, 2.0],
+                                                   "source": "oracle"})),
+         "oracle grid at spacing 0.002: kinetic coupling"),
     ],
     ids=["propagator_fine_too_coarse", "propagator_partner_too_coarse",
          "propagator_levels_past_fine", "spectrum_levels_past_partner",
          "spectrum_partner_too_coarse", "spectrum_levels_past_fine_without_refine",
-         "oracle_fit_levels_past_partner", "compare_fit_fine_too_coarse"],
+         "oracle_fit_levels_past_partner", "compare_fit_fine_too_coarse",
+         "spectrum_coupling_overflows", "propagator_coupling_overflows",
+         "oracle_fit_coupling_overflows", "compare_fit_coupling_overflows"],
 )
 def test_unusable_oracle_grids_exit_one(runner, tmp_path, cmd, doc, message):
     cfg = write_config(tmp_path, doc)
@@ -348,11 +369,6 @@ def test_scales_with_overflowing_results_is_numerical_failure(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert "numerical failure: scales.json not written" in res.output
     assert not (tmp_path / "scales.json").exists()
-
-
-def _spectrum_doc(coefficients):
-    model = dict(STANDARD_MODEL, coefficients=coefficients)
-    return {"model": model, "spectrum": {"spacing": 1e-2, "levels": 5}}
 
 
 # JSON's NaN and Infinity parse as floats; every case here exited 2 after the

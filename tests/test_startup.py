@@ -1,4 +1,5 @@
-"""Start-up cost: the package loads scipy.optimize, .integrate and .special only on use.
+"""Start-up cost: the package loads scipy.optimize, .integrate and .special only on use,
+and of scipy.linalg only its LAPACK extension.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, because the test
 session itself has long since imported all of scipy.
@@ -13,6 +14,11 @@ from pathlib import Path
 import pytest
 
 DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special")
+# the scipy.linalg package import loads scipy._lib, which clones numpy with
+# all of its lazy submodules
+PACKAGE_IMPORT = ("scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.testing")
+PACKAGE_PROBE = ("scipy.", "numpy.f2py", "numpy.testing")
+FLAPACK = "scipy.linalg._flapack"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
 
@@ -63,11 +69,13 @@ from pathlib import Path
 import qaction.cli
 out = {{"import": loaded({DEFERRED!r}),
         "module_level": loaded(("numpy", "scipy.linalg", "qaction."))}}
+out["import:linalg"] = loaded({PACKAGE_PROBE!r})
 work = Path(sys.argv[1])
 for cmd in {tuple(sections)!r}:
     argv = [cmd, "--config", str(work / f"{{cmd}}.json"), "--out", str(work / cmd)]
     qaction.cli.main.main(args=argv, prog_name="qaction", standalone_mode=False)
     out[cmd] = loaded({DEFERRED!r})
+    out[f"{{cmd}}:linalg"] = loaded({PACKAGE_PROBE!r})
 print(json.dumps(out))
 """
     got = fresh_python(code, str(tmp_path))  # a failed command exits non-zero
@@ -77,11 +85,15 @@ print(json.dumps(out))
     assert (tmp_path / "propagator" / "propagator.csv").exists()
     assert (tmp_path / "spectrum" / "spectrum.csv").exists()
     assert (tmp_path / "scales" / "scales.json").exists()
-    # numpy, scipy.linalg and every layer stay imported at module level
-    for name in ("numpy", "scipy.linalg", "scipy.linalg.lapack", "qaction.model",
+    # numpy, scipy's LAPACK extension and every layer stay imported at module
+    # level; the scipy.linalg package is never imported, on load or by a command
+    for name in ("numpy", FLAPACK, "qaction.model", "qaction.lapack",
                  "qaction.specfun", "qaction.analytic", "qaction.oracle",
                  "qaction.trajectory", "qaction.fit", "qaction.flow"):
         assert name in got["module_level"]
+    for key in ("import", *sections):
+        assert FLAPACK in got[f"{key}:linalg"], key
+        assert not set(PACKAGE_IMPORT) & set(got[f"{key}:linalg"]), key
 
 
 FIT_CALL = """
@@ -145,14 +157,55 @@ print(json.dumps(out))
 
 
 def test_cli_import_loads_no_thread_pool():
-    # scipy.linalg imports the concurrent.futures package itself; its executor
-    # modules load only when an executor is first used
+    # nothing qaction imports starts an executor; the concurrent.futures
+    # executor modules would load with the first one
     code = LOADED + """
 import json
 import qaction.cli
 print(json.dumps(loaded(("concurrent.futures.thread", "concurrent.futures.process"))))
 """
     assert fresh_python(code) == []
+
+
+LAPACK_IDENTITY = """
+import numpy as np
+d, e = np.ones(3), np.ones(2)
+stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (d, e))
+same = [qaction.lapack.dgtsv is scipy.linalg.lapack.dgtsv,
+        qaction.lapack.dgtsv is scipy.linalg.get_lapack_funcs(("gtsv",), (d,))[0],
+        qaction.lapack.dstebz is stebz,
+        qaction.lapack.dstein is stein,
+        sys.modules[{flapack!r}] is scipy.linalg.lapack._flapack]
+"""
+
+
+@pytest.mark.parametrize("first", ["qaction", "scipy.linalg"])
+def test_bound_lapack_routines_are_scipys_own(first):
+    # one extension module per process, whichever of the two loads it
+    imports = ["import qaction.cli", "import scipy.linalg, scipy.linalg.lapack"]
+    if first == "scipy.linalg":
+        imports.reverse()
+    code = LOADED + "\n".join(imports) + LAPACK_IDENTITY.format(flapack=FLAPACK) + """
+import json
+print(json.dumps(same))
+"""
+    assert fresh_python(code) == [True] * 5
+
+
+def test_missing_lapack_extension_fails_import_with_the_searched_path(tmp_path):
+    # a scipy package without linalg/_flapack, first on the path
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import qaction.cli"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC])),
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("ImportError: no scipy.linalg._flapack extension in ")
+    assert str(tmp_path / "scipy" / "linalg") in last
 
 
 # Each deferred import site, called once; `value` is a list of floats.

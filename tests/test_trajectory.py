@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +24,7 @@ from qaction.trajectory import (
     TimeGrid,
     Trajectory,
     _Derivatives,
+    _solve_tridiagonal,
     action_value,
     action_values,
     conserved_energy_drift,
@@ -494,6 +496,17 @@ def test_singular_newton_matrix_raises_solver_error():
         solve_paths(params, [(0.3, 0.5), (0.0, 0.0), (0.2, 0.1)], grid)
     (solved,) = error.value.solved
     _assert_same_path(solved, _reference_solve(params, 0.3, 0.5, grid)[0])
+
+
+def test_one_point_zero_pivot_raises_solver_error():
+    # a 1x1 system is a division; its zero pivot is as singular as gtsv's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="singular"):
+            _solve_tridiagonal(1.0, np.zeros((1, 1)), np.ones((1, 1)))
+        np.testing.assert_array_equal(
+            _solve_tridiagonal(1.0, np.full((1, 1), 4.0), np.ones((1, 1))), [[0.25]]
+        )
 
 
 def test_solve_paths_validation():

@@ -84,8 +84,11 @@ def _require_family(params: ActionParams) -> tuple[float, float]:
 
 def gamma_index(params: ActionParams) -> float:
     """Bessel order gamma = (1/2) sqrt(1 + 8 m g / hbar^2) of the kernel."""
-    _require_family(params)
-    g = params.potential.coefficients.get(-2, 0.0)
+    _, g = _require_family(params)
+    return _gamma(params, g)
+
+
+def _gamma(params: ActionParams, g: float) -> float:
     return 0.5 * math.sqrt(1.0 + 8.0 * params.mass * g / params.hbar**2)
 
 
@@ -107,14 +110,14 @@ def euclidean_log_amplitude(params: ActionParams, a, b, time: float):
     element has the bits of a call with its own scalar endpoints, and scalar
     endpoints give a float.
     """
-    w, _ = _require_family(params)
+    w, g = _require_family(params)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not ((a > 0.0).all() and (b > 0.0).all()):
         raise ValueError("endpoints must be positive on the half-line")
     if not (time > 0.0):
         raise ValueError("time must be positive")
-    gamma = gamma_index(params)
+    gamma = _gamma(params, g)
     m, hbar = params.mass, params.hbar
     u = w * time
     coth = 1.0 / math.tanh(u)
@@ -187,8 +190,8 @@ def ground_state(params: ActionParams) -> GroundState:
     E_gr = hbar omega (1 + gamma),
     Z0 = [2 m omega / (hbar Gamma(gamma+1))] (m omega / hbar)^gamma.
     """
-    w, _ = _require_family(params)
-    gamma = gamma_index(params)
+    w, g = _require_family(params)
+    gamma = _gamma(params, g)
     m, hbar = params.mass, params.hbar
     scale = m * w / hbar
     norm = 2.0 * scale * math.exp(gamma * math.log(scale) - ln_gamma(gamma + 1.0))
@@ -268,8 +271,8 @@ def asymptotic_quantum_params(
     gamma-dependent number to the x^2 slot has the two labels swapped.
     A nonzero gamma_shift evaluates all three at gamma + gamma_shift.
     """
-    w, _ = _require_family(params)
-    gamma = gamma_index(params) + gamma_shift
+    w, g = _require_family(params)
+    gamma = _gamma(params, g) + gamma_shift
     m, hbar = params.mass, params.hbar
     return (
         0.5 * m * m * w * w,

@@ -1,9 +1,16 @@
-"""Sparse polynomial potentials and the parameter sets built on them."""
+"""Sparse polynomial potentials and the parameter sets built on them.
+
+V and each of its derivatives come from one term list (potential_terms) and
+one evaluator (evaluate_potential); the relaxation passes its own buffers to
+the same evaluator. Order 2 adds its constant 2 v_2 after the other terms,
+which keeps the bits of V'' that the Newton matrix has always used.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,57 +65,72 @@ class ActionParams:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not (self.hbar > 0.0) or not math.isfinite(self.hbar):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not sys.float_info.min <= self.hbar * self.hbar < math.inf:
+            # hbar^2 enters every action and kernel; 0 or inf there is no model
+            raise ValueError(f"hbar^2 must be a normal float, got hbar {self.hbar}")
         if self.potential.has_negative_exponents() and self.domain is not Domain.HALF_LINE:
             raise ValueError("negative-exponent coefficients require the half-line domain")
 
 
 def potential_value(spec: PotentialSpec, x):
     """Evaluate V at x (scalar or array). x must avoid 0 when negative powers exist."""
-    _check_domain(spec, x)
-    return _poly(spec.coefficients, x)
+    return evaluate_potential(spec, x, 0)
 
 
 def potential_derivative(spec: PotentialSpec, x):
     """Evaluate V'(x)."""
-    _check_domain(spec, x)
-    d = {k - 1: k * v for k, v in spec.coefficients.items() if k != 0}
-    return _poly(d, x)
+    return evaluate_potential(spec, x, 1)
 
 
 def potential_second_derivative(spec: PotentialSpec, x):
     """Evaluate V''(x); the relaxation solver needs it for its Jacobian."""
-    _check_domain(spec, x)
-    d = {k - 2: k * (k - 1) * v for k, v in spec.coefficients.items() if k not in (0, 2)}
-    out = _poly(d, x)
-    if 2 in spec.coefficients:
-        out = out + 2.0 * spec.coefficients[2]
-    return out
+    return evaluate_potential(spec, x, 2)
 
 
 def potential_higher_derivative(spec: PotentialSpec, x, order: int):
     """Evaluate the order-th derivative of V; d_xx needs the third and fourth."""
+    return evaluate_potential(spec, x, order)
+
+
+def potential_terms(spec: PotentialSpec, order: int) -> list[tuple[int, float]]:
+    """Non-zero (exponent, coefficient) terms of the order-th derivative of V.
+
+    Entry k of the coefficient dict gives k (k - 1) ... (k - order + 1) v_k
+    x^(k - order), in dict order; the product is 0 for 0 <= k < order. Order 2
+    puts its constant 2 v_2 last, where the relaxation has always added it.
+    """
+    coeffs = spec.coefficients
+    terms = [
+        (k - order, math.prod(range(k - order + 1, k + 1)) * v)
+        for k, v in coeffs.items()
+        if order != 2 or k != 2
+    ]
+    if order == 2 and 2 in coeffs:
+        terms.append((0, 2.0 * coeffs[2]))
+    return [(k, c) for k, c in terms if c != 0.0]
+
+
+def evaluate_potential(spec: PotentialSpec, x, order: int, out=None, tmp=None):
+    """The order-th derivative of V at x: the sum of potential_terms(spec, order).
+
+    Zeros, then out + c x^k per term (out + c for the constant), written
+    into out with tmp as scratch (both of x's shape), so a caller that passes
+    its own buffers allocates nothing. Without them both are allocated, and
+    scalar x gives a float.
+    """
     _check_domain(spec, x)
-    # k (k - 1) ... (k - order + 1) v x^(k - order); the product is 0 for 0 <= k < order
-    d = {
-        k - order: math.prod(range(k - order + 1, k + 1)) * v
-        for k, v in spec.coefficients.items()
-    }
-    return _poly(d, x)
-
-
-def _poly(coeffs: dict[int, float], x):
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for k, v in coeffs.items():
-        if v == 0.0:
-            continue
-        if k == 0:
-            out = out + v
+    if out is None:
+        out, tmp = np.empty_like(x), np.empty_like(x)
+    out.fill(0.0)
+    for k, c in potential_terms(spec, order):
+        if k == 0:  # c x^0 is c for every x, nan and inf too: one pass, not three
+            np.add(out, c, out=out)
         else:
-            out = out + v * x**k
-    if out.ndim == 0:
-        return float(out)
-    return out
+            np.power(x, k, out=tmp)
+            np.multiply(tmp, c, out=tmp)
+            np.add(out, tmp, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_domain(spec: PotentialSpec, x):

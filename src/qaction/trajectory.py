@@ -31,8 +31,7 @@ from .lapack import dgtsv
 from .model import (
     ActionParams,
     Domain,
-    PotentialSpec,
-    _check_domain,
+    evaluate_potential,
     potential_derivative,
     potential_higher_derivative,
     potential_second_derivative,
@@ -133,46 +132,6 @@ class ActionSensitivities:
         )
 
 
-class _Derivatives:
-    """V' and V'' of one potential, compiled once into (exponent, coefficient) terms.
-
-    Evaluation keeps the term order and arithmetic of model._poly (zeros, then
-    out + c * x**k per non-zero term), so its values equal those of
-    potential_derivative and potential_second_derivative bit for bit.
-    """
-
-    def __init__(self, spec: PotentialSpec):
-        coeffs = spec.coefficients
-        self.spec = spec
-        self.first = _nonzero((k - 1, k * v) for k, v in coeffs.items() if k != 0)
-        self.second = _nonzero(
-            (k - 2, k * (k - 1) * v) for k, v in coeffs.items() if k not in (0, 2)
-        )
-        self.second_shift = 2.0 * coeffs[2] if 2 in coeffs else None
-
-    def _sum(self, terms, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        _check_domain(self.spec, x)
-        out.fill(0.0)
-        for k, c in terms:
-            np.power(x, k, out=tmp)
-            np.multiply(tmp, c, out=tmp)
-            np.add(out, tmp, out=out)
-        return out
-
-    def first_into(self, x, out, tmp) -> np.ndarray:
-        return self._sum(self.first, x, out, tmp)
-
-    def second_into(self, x, out, tmp) -> np.ndarray:
-        self._sum(self.second, x, out, tmp)
-        if self.second_shift is not None:
-            np.add(out, self.second_shift, out=out)
-        return out
-
-
-def _nonzero(terms) -> list[tuple[int, float]]:
-    return [(k, c) for k, c in terms if c != 0.0]
-
-
 def _solve_tridiagonal(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve tridiag(coupling, diag[i], coupling) y[i] = rhs[i] for every row i, in place in rhs.
 
@@ -236,7 +195,7 @@ class _Relaxation:
         m, step = params.mass, grid.step
         self.grid, self.pairs, self.tol = grid, pairs, tol
         self.half_line = params.domain is Domain.HALF_LINE
-        self.derivatives = _Derivatives(params.potential)
+        self.spec = params.potential
         self.mass, self.hbar2, self.step2 = m, params.hbar**2, step**2
         self.diag_shift, self.off_diag = -2.0 * m / step**2, m / step**2
         self.x, self.x_try = x, np.empty_like(x)
@@ -252,7 +211,7 @@ class _Relaxation:
         """m (x_{i+1} - 2 x_i + x_{i-1}) / dt^2 - hbar^2 V'(x_i) for the rows of x."""
         tmp = self.tmp[: len(x)]
         inner = x[:, 1:-1]
-        self.derivatives.first_into(inner, out, tmp)
+        evaluate_potential(self.spec, inner, 1, out, tmp)
         np.multiply(out, self.hbar2, out=out)
         np.multiply(inner, 2.0, out=tmp)
         np.subtract(x[:, 2:], tmp, out=tmp)
@@ -282,7 +241,7 @@ class _Relaxation:
         """
         rows = len(self.ids)
         x, delta = self.x[:rows], self.delta[:rows]
-        diag = self.derivatives.second_into(x[:, 1:-1], self.resid_try[:rows], self.tmp[:rows])
+        diag = evaluate_potential(self.spec, x[:, 1:-1], 2, self.resid_try[:rows], self.tmp[:rows])
         np.multiply(diag, self.hbar2, out=diag)
         np.subtract(self.diag_shift, diag, out=diag)
         try:
@@ -528,12 +487,17 @@ def _stack(trajs: list[Trajectory]) -> tuple[TimeGrid, np.ndarray]:
     return grid, np.stack([t.positions for t in trajs])
 
 
-def _trapezoid_actions(params: ActionParams, x: np.ndarray, step: float):
+def _trapezoid_sums(params: ActionParams, x: np.ndarray):
+    """Row sums of (x_{i+1} - x_i)^2 and of V(x_i) + V(x_{i+1}), the two sums of the action."""
     dx = np.diff(x, axis=-1)
-    kinetic = params.mass * np.sum(dx * dx, axis=-1) / (2.0 * params.hbar**2 * step)
     v = potential_value(params.potential, x)
-    potential = step * np.sum(v[..., :-1] + v[..., 1:], axis=-1) * 0.5
-    return kinetic + potential
+    return np.sum(dx * dx, axis=-1), np.sum(v[..., :-1] + v[..., 1:], axis=-1)
+
+
+def _trapezoid_actions(params: ActionParams, x: np.ndarray, step: float):
+    kinetic_sum, potential_sum = _trapezoid_sums(params, x)
+    kinetic = params.mass * kinetic_sum / (2.0 * params.hbar**2 * step)
+    return kinetic + step * potential_sum * 0.5
 
 
 def sensitivities(params: ActionParams, traj: Trajectory) -> ActionSensitivities:
@@ -562,10 +526,8 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
     grid, x = _stack(trajs)
     n, step, n_int = len(trajs), grid.step, grid.intervals
     m, hbar = params.mass, params.hbar
-    dx = np.diff(x, axis=1)
-    kinetic_sum = np.sum(dx * dx, axis=1)
-    v = potential_value(params.potential, x)
-    pot_sum = np.sum(v[:, :-1] + v[:, 1:], axis=1) * 0.5
+    kinetic_sum, potential_sum = _trapezoid_sums(params, x)
+    pot_sum = potential_sum * 0.5
 
     d_mass = kinetic_sum / (2.0 * hbar**2 * step)
     d_coeff = {}

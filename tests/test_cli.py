@@ -233,6 +233,22 @@ def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, messag
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("hbar", [1e200, 1e-200])
+@pytest.mark.parametrize("cmd, section", [
+    ("scales", {}),
+    ("verify", {}),
+    ("fit", {"ansatz": [0, 2, -2], "initial": [1.0], "final": [1.5, 2.0], "times": [1.0]}),
+])
+def test_hbar_without_a_normal_square_exits_one(runner, tmp_path, cmd, section, hbar):
+    # hbar^2 overflowed (OverflowError) or underflowed to 0 (ZeroDivisionError): exit 2
+    doc = {"model": dict(STANDARD_MODEL, hbar=hbar), cmd: section}
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert f"config error: model: hbar^2 must be a normal float, got hbar {hbar}" in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_valid_flow_and_fit_parameters_load(tmp_path):
     # the documents the bad cases above start from are themselves valid
     flow_cfg = load_config(write_config(tmp_path, _flow_doc(), "flow.json"), "flow")

@@ -10,7 +10,6 @@ from scipy.linalg import solve_banded
 from qaction.fit import BoundarySet, _Objective, build_table
 from qaction.flow import FlowState, assemble_system
 from qaction.model import (
-    ALLOWED_EXPONENTS,
     ActionParams,
     Domain,
     PotentialSpec,
@@ -23,7 +22,6 @@ from qaction.trajectory import (
     SolverError,
     TimeGrid,
     Trajectory,
-    _Derivatives,
     _solve_tridiagonal,
     action_value,
     action_values,
@@ -361,26 +359,6 @@ def _nudged(params, factor):
 def _poisoned(grid):
     """A guess that makes the line search stall at once (NaN residual)."""
     return Trajectory(grid, 1.0, 1.0, np.full(grid.n_points, np.nan), 0, 0.0, 0.0)
-
-
-def test_compiled_derivatives_match_model_functions():
-    rng = np.random.default_rng(3)
-    coeffs = {k: float(rng.uniform(-2.0, 2.0)) for k in ALLOWED_EXPONENTS}
-    coeffs[4] = 0.0  # zero entries are skipped, as in the model functions
-    cases = [
-        (PotentialSpec(coeffs), rng.uniform(0.05, 6.0, size=(4, 301))),
-        (PotentialSpec({0: 1.0, 2: 0.5, 6: 0.01}), rng.uniform(-3.0, 3.0, size=(3, 101))),
-        (PotentialSpec({-2: 1.0}), rng.uniform(0.1, 3.0, size=(2, 11))),
-    ]
-    for spec, x in cases:
-        compiled = _Derivatives(spec)
-        out, tmp = np.empty_like(x), np.empty_like(x)
-        assert np.array_equal(compiled.first_into(x, out, tmp), potential_derivative(spec, x))
-        assert np.array_equal(
-            compiled.second_into(x, out, tmp), potential_second_derivative(spec, x)
-        )
-    with pytest.raises(ValueError, match="singular"):
-        _Derivatives(STANDARD.potential).first_into(np.zeros((1, 3)), out[:1, :3], tmp[:1, :3])
 
 
 @pytest.mark.parametrize("params", [HARMONIC, STANDARD], ids=["harmonic", "inverse_square"])

@@ -15,7 +15,7 @@ from .analytic import (
     ground_state,
 )
 from .fit import BoundarySet, FitResult, build_table, constant_term, fit_at_time, sweep
-from .flow import FlowState, FlowTrace, bootstrap_state
+from .flow import FlowState, FlowTrace
 from .flow import run as flow_run
 from .model import ActionParams, Domain, PotentialSpec
 from .oracle import SpatialGrid, SpectralDecomposition, amplitude, solve_spectrum
@@ -37,7 +37,6 @@ __all__ = [
     "Trajectory",
     "action_value",
     "amplitude",
-    "bootstrap_state",
     "build_table",
     "constant_term",
     "dynamical_scales",

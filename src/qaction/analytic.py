@@ -28,7 +28,6 @@ from .model import (
 )
 from .specfun import libm, ln_gamma, log_bessel_i, regularised_gamma
 
-QUAD_ABS_TOL = 1e-10
 _MAX_INVERSE_STEPS = 200
 
 
@@ -312,7 +311,7 @@ def transformation_residual(
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("transformation defined on x > 0")
-    xmin, vmin = potential_minimum(quantum.potential, quantum.domain)
+    xmin, vmin = potential_minimum(quantum.potential)
     two_mu = 2.0 * quantum.mass * (potential_value(quantum.potential, x) - vmin)
     two_mu = np.maximum(two_mu, 0.0)
     d_two_mu = 2.0 * quantum.mass * potential_derivative(quantum.potential, x)
@@ -332,58 +331,36 @@ def reconstruct_ground_state(params: ActionParams, x, normalised: bool = True):
 
     For the two-term family the integral is elementary and yields
     x^beta exp(-alpha x^2 / 2) with alpha = sqrt(2 m v_2)/hbar and
-    beta = sqrt(2 m v_-2)/hbar; other members fall back to quadrature.
+    beta = sqrt(2 m v_-2)/hbar; any other potential raises ValueError.
     When `normalised`, the result is scaled to unit L2 norm on the domain.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x)
     coeffs = {k: v for k, v in params.potential.coefficients.items() if v != 0.0 and k != 0}
-    xmin, vmin = potential_minimum(params.potential, params.domain)
-    m, hbar = params.mass, params.hbar
-    if set(coeffs) <= {2, -2} and 2 in coeffs:
-        alpha = math.sqrt(2.0 * m * coeffs[2]) / hbar
-        beta = math.sqrt(2.0 * m * coeffs.get(-2, 0.0)) / hbar
-        if np.any(xs <= 0.0) and beta != 0.0:
-            raise ValueError("reconstruction defined on x > 0")
-        log_shape = beta * np.log(xs) - 0.5 * alpha * xs**2 if beta != 0.0 else -0.5 * alpha * xs**2
-        # anchor at x_min so the un-normalised shape peaks at 1
-        if xmin > 0.0:
-            log_shape = log_shape - (beta * math.log(xmin) - 0.5 * alpha * xmin**2)
-        if normalised:
-            if beta != 0.0:
-                # L2 norm of x^beta e^{-alpha x^2/2} on (0, inf)
-                log_sq_norm = (
-                    ln_gamma(beta + 0.5) - (beta + 0.5) * math.log(alpha) - math.log(2.0)
-                )
-            else:
-                lo = 0.0 if params.domain is Domain.HALF_LINE else None
-                log_sq_norm = math.log(math.sqrt(math.pi / alpha) * (0.5 if lo == 0.0 else 1.0))
-            anchor = (
-                beta * math.log(xmin) - 0.5 * alpha * xmin**2 if xmin > 0.0 else 0.0
-            )
-            log_shape = log_shape + anchor - 0.5 * log_sq_norm
-        out = np.exp(log_shape)
-        return float(out[0]) if scalar else out
-
-    from scipy.integrate import quad
-
-    def grand(t):
-        dv = potential_value(params.potential, t) - vmin
-        return math.sqrt(max(2.0 * m * dv, 0.0)) / hbar
-
-    vals = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        acc, _ = quad(grand, xmin, xi, epsabs=QUAD_ABS_TOL, limit=200)
-        vals[i] = math.exp(-abs(acc))
-    if normalised:
-        lo = 0.0 if params.domain is Domain.HALF_LINE else -np.inf
-        sq, _ = quad(
-            lambda t: math.exp(-2.0 * abs(quad(grand, xmin, t, epsabs=QUAD_ABS_TOL, limit=200)[0])),
-            lo,
-            np.inf,
-            epsabs=QUAD_ABS_TOL,
-            limit=200,
+    if not (set(coeffs) <= {2, -2} and 2 in coeffs):
+        raise ValueError(
+            f"no closed-form ground state for exponents {sorted(coeffs)}: "
+            "only the x^2 + x^-2 family has one"
         )
-        vals = vals / math.sqrt(sq)
-    return float(vals[0]) if scalar else vals
+    xmin, _ = potential_minimum(params.potential)
+    m, hbar = params.mass, params.hbar
+    alpha = math.sqrt(2.0 * m * coeffs[2]) / hbar
+    beta = math.sqrt(2.0 * m * coeffs.get(-2, 0.0)) / hbar
+    if np.any(xs <= 0.0) and beta != 0.0:
+        raise ValueError("reconstruction defined on x > 0")
+    log_shape = beta * np.log(xs) - 0.5 * alpha * xs**2 if beta != 0.0 else -0.5 * alpha * xs**2
+    # anchor at x_min so the un-normalised shape peaks at 1
+    if xmin > 0.0:
+        log_shape = log_shape - (beta * math.log(xmin) - 0.5 * alpha * xmin**2)
+    if normalised:
+        if beta != 0.0:
+            # L2 norm of x^beta e^{-alpha x^2/2} on (0, inf)
+            log_sq_norm = ln_gamma(beta + 0.5) - (beta + 0.5) * math.log(alpha) - math.log(2.0)
+        else:
+            half = 0.5 if params.domain is Domain.HALF_LINE else 1.0
+            log_sq_norm = math.log(math.sqrt(math.pi / alpha) * half)
+        anchor = beta * math.log(xmin) - 0.5 * alpha * xmin**2 if xmin > 0.0 else 0.0
+        log_shape = log_shape + anchor - 0.5 * log_sq_norm
+    out = np.exp(log_shape)
+    return float(out[0]) if scalar else out

@@ -35,7 +35,7 @@ from .analytic import (
     transformation_residual,
 )
 from .fit import BoundarySet, constant_term, equidistant, sweep, write_results_csv
-from .flow import FlowState, default_grid_policy, write_trace_csv
+from .flow import FlowState, write_trace_csv
 from .flow import run as flow_run
 from .model import (
     ActionParams,
@@ -634,13 +634,12 @@ def _run_flow(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     initial = sec["state"]
-    grid_policy = default_grid_policy(sec["intervals"])
     trace = flow_run(
         initial,
         model,
         sec["beta_end"],
         dbeta=sec["dbeta"],
-        grid_policy=grid_policy,
+        intervals=sec["intervals"],
         mode=sec["mode"],
         record_stride=sec["record_stride"],
     )
@@ -824,12 +823,18 @@ def _invoke(command, worker, config_path, out_dir, threads, seed):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
+    except MemoryError as exc:
+        click.echo(f"config error: MemoryError: {exc}", err=True)
+        sys.exit(1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         worker(cfg, out, seed)
     except (SolverError, VerificationFailure, ValueError, ArithmeticError, RuntimeError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(2)
+    except MemoryError as exc:
+        click.echo(f"numerical failure: MemoryError: {exc}", err=True)
         sys.exit(2)
 
 

@@ -167,7 +167,7 @@ def _rates_for(
     classical: ActionParams,
     beta: float,
     vector: np.ndarray,
-    grid_policy,
+    intervals: int,
     mode: str,
     cache: dict,
 ) -> tuple[np.ndarray, StepDiagnostics]:
@@ -178,7 +178,8 @@ def _rates_for(
         initial_point=state.initial_point,
         final_points=state.final_points,
     )
-    a_mat, rhs = assemble_system(trial, classical, grid_policy(beta), cache=cache)
+    grid = TimeGrid(beta, intervals=intervals)
+    a_mat, rhs = assemble_system(trial, classical, grid, cache=cache)
     rates, diag = solve_rates(a_mat, rhs, mode=mode)
     if diag.condition > CONDITION_LIMIT:
         raise StepRejected(
@@ -210,24 +211,27 @@ def step(
     state: FlowState,
     classical: ActionParams,
     dbeta: float,
-    grid_policy,
+    intervals: int = 500,
     mode: str = "min_norm",
     cache: dict | None = None,
 ) -> tuple[FlowState, StepDiagnostics]:
-    """One classical Runge-Kutta step of the parameter flow."""
+    """One classical Runge-Kutta step of the parameter flow.
+
+    Every trajectory is solved on `intervals` intervals at every beta: a
+    beta-independent count keeps the discretisation error a smooth function
+    of beta, which the fourth-order step error needs.
+    """
     cache = cache if cache is not None else {}
     u0 = _vector_of(state)
     b0 = state.beta
-    k1, diag = _rates_for(state, classical, b0, u0, grid_policy, mode, cache)
+    k1, diag = _rates_for(state, classical, b0, u0, intervals, mode, cache)
     k2, _ = _rates_for(
-        state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k1, grid_policy, mode, cache
+        state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k1, intervals, mode, cache
     )
     k3, _ = _rates_for(
-        state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k2, grid_policy, mode, cache
+        state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k2, intervals, mode, cache
     )
-    k4, _ = _rates_for(
-        state, classical, b0 + dbeta, u0 + dbeta * k3, grid_policy, mode, cache
-    )
+    k4, _ = _rates_for(state, classical, b0 + dbeta, u0 + dbeta * k3, intervals, mode, cache)
     u1 = u0 + dbeta / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     new_state = FlowState(
         beta=b0 + dbeta,
@@ -239,28 +243,12 @@ def step(
     return new_state, dataclasses.replace(diag, beta=b0, dbeta=dbeta)
 
 
-def default_grid_policy(intervals: int = 500):
-    """Fixed interval count for every trajectory in the run.
-
-    A beta-independent count keeps the discretisation error a smooth
-    function of beta; per-beta rounding would introduce staircase jumps
-    that spoil the fourth-order step error.
-    """
-    if intervals < 2:
-        raise ValueError("need at least 2 intervals")
-
-    def policy(beta: float) -> TimeGrid:
-        return TimeGrid(beta, intervals=intervals)
-
-    return policy
-
-
 def run(
     initial: FlowState,
     classical: ActionParams,
     beta_end: float,
     dbeta: float = DEFAULT_DBETA,
-    grid_policy=None,
+    intervals: int = 500,
     mode: str = "min_norm",
     record_stride: int = 1,
 ) -> FlowTrace:
@@ -276,8 +264,6 @@ def run(
         raise ValueError("beta_end must not precede the initial beta")
     if beta_end <= initial.beta + 1e-12:
         return FlowTrace(states=[initial], diagnostics=[])
-    if grid_policy is None:
-        grid_policy = default_grid_policy()
     cache: dict = {}
     states = [initial]
     diags: list[StepDiagnostics] = []
@@ -289,7 +275,7 @@ def run(
         while True:
             try:
                 new_state, diag = step(
-                    state, classical, step_size, grid_policy, mode=mode, cache=cache
+                    state, classical, step_size, intervals, mode=mode, cache=cache
                 )
                 break
             except (StepRejected, SolverError):
@@ -310,28 +296,6 @@ def run(
         states.append(state)
         diags.append(diag)
     return FlowTrace(states=states, diagnostics=diags, rejected_steps=rejected)
-
-
-def bootstrap_state(
-    fit_result, initial_point: float, final_points, log_norm: float | None = None
-) -> FlowState:
-    """Flow initial data from a fit result at beta = T / hbar."""
-    params = fit_result.params
-    return FlowState(
-        beta=fit_result.time / params.hbar,
-        params=params,
-        log_norm=fit_result.log_norm if log_norm is None else log_norm,
-        initial_point=initial_point,
-        final_points=tuple(final_points),
-    )
-
-
-def invariant_combination(beta: float, rates: np.ndarray, exponents: list[int]) -> float:
-    """Gauge-invariant mix -d ln Z~/d beta + beta d v~_0/d beta."""
-    if 0 not in exponents:
-        raise ValueError("combination defined only when the ansatz has a constant term")
-    idx = 2 + exponents.index(0)
-    return -float(rates[0]) + beta * float(rates[idx])
 
 
 def write_trace_csv(trace: FlowTrace, path, header_comment: str | None = None):

@@ -8,7 +8,6 @@ which keeps the bits of V'' that the Newton matrix has always used.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -87,11 +86,6 @@ def potential_second_derivative(spec: PotentialSpec, x):
     return evaluate_potential(spec, x, 2)
 
 
-def potential_higher_derivative(spec: PotentialSpec, x, order: int):
-    """Evaluate the order-th derivative of V; d_xx needs the third and fourth."""
-    return evaluate_potential(spec, x, order)
-
-
 def potential_terms(spec: PotentialSpec, order: int) -> list[tuple[int, float]]:
     """Non-zero (exponent, coefficient) terms of the order-th derivative of V.
 
@@ -139,12 +133,13 @@ def _check_domain(spec: PotentialSpec, x):
             raise ValueError("x = 0 is singular for negative-exponent potentials")
 
 
-def potential_minimum(spec: PotentialSpec, domain: Domain = Domain.HALF_LINE):
-    """Return (x_min, V_min) of the potential on its domain.
+def potential_minimum(spec: PotentialSpec):
+    """Return (x_min, V_min) of the potential.
 
     The two-term inverse-square family has the closed form
-    x_min = (v_-2 / v_2)^(1/4), V_min = v_0 + 2 sqrt(v_2 v_-2); anything else
-    falls back to a bracketed root-find on V'.
+    x_min = (v_-2 / v_2)^(1/4), V_min = v_0 + 2 sqrt(v_2 v_-2), and a potential
+    of positive powers only has its minimum at the origin. Any other
+    potential raises ValueError.
     """
     nz = {k: v for k, v in spec.coefficients.items() if v != 0.0 and k != 0}
     v0 = spec.coefficients.get(0, 0.0)
@@ -157,18 +152,10 @@ def potential_minimum(spec: PotentialSpec, domain: Domain = Domain.HALF_LINE):
         return xm, v0 + 2.0 * math.sqrt(nz[2] * nz[-2])
     if all(k > 0 for k in nz):
         return 0.0, v0
-    # mixed positive/negative exponents: V diverges at both ends of (0, inf),
-    # so V' changes sign exactly once for single-well members
-    xs = np.logspace(-6, 6, 481)
-    dv = potential_derivative(spec, xs)
-    idx = np.nonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)[0]
-    if len(idx) == 0:
-        raise ValueError("no interior minimum found for potential")
-    lo, hi = xs[idx[0]], xs[idx[0] + 1]
-    from scipy.optimize import brentq
-
-    xm = brentq(lambda t: potential_derivative(spec, t), lo, hi, xtol=1e-14, rtol=1e-15)
-    return float(xm), float(potential_value(spec, xm))
+    raise ValueError(
+        f"no closed-form minimum for exponents {sorted(nz)}: only the x^2 + x^-2 "
+        "family and positive powers have one"
+    )
 
 
 def omega(params: ActionParams) -> float:
@@ -196,23 +183,6 @@ def write_csv(path, columns, rows, comment: str | None = None) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(cell(v) for v in row) + "\n")
-
-
-def params_to_json(params: ActionParams) -> str:
-    """Serialise to the JSON shape used by config files and CSV metadata."""
-    payload = {
-        "mass": params.mass,
-        "hbar": params.hbar,
-        "domain": params.domain.value,
-        "coefficients": {str(k): v for k, v in sorted(params.potential.coefficients.items())},
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def params_from_json(text: str) -> ActionParams:
-    """Inverse of params_to_json; rejects unknown keys and malformed entries."""
-    payload = json.loads(text)
-    return params_from_dict(payload)
 
 
 def params_from_dict(payload: dict) -> ActionParams:

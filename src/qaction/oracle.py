@@ -1,7 +1,5 @@
 """Grid-diagonalisation oracle for amplitudes, independent of the closed forms.
 
-Parameters
-----------
 The Hamiltonian H = -(hbar^2 / 2m) d^2/dx^2 + V(x) is discretised with the
 standard 3-point Laplacian and Dirichlet ends, diagonalised by LAPACK's
 tridiagonal bisection and inverse iteration (stebz and stein, one route for
@@ -62,7 +60,10 @@ class SpatialGrid:
 
     @classmethod
     def from_spacing(cls, x_min: float, x_max: float, spacing: float) -> "SpatialGrid":
-        n = int(round((x_max - x_min) / spacing)) + 1
+        intervals = (x_max - x_min) / spacing
+        if not math.isfinite(intervals):
+            raise ValueError(f"node count of [{x_min:g}, {x_max:g}] overflows")
+        n = int(round(intervals)) + 1
         return cls(x_min, x_min + (n - 1) * spacing, n)
 
 

@@ -33,7 +33,6 @@ from .model import (
     Domain,
     evaluate_potential,
     potential_derivative,
-    potential_higher_derivative,
     potential_second_derivative,
     potential_value,
 )
@@ -578,8 +577,8 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     inner, ends = x[:, 1:-1], x[:, -1]
     coupling = m / step**2
     diag = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
-    v3 = hbar2 * potential_higher_derivative(spec, inner, 3)
-    v4 = hbar2 * potential_higher_derivative(spec, inner, 4)
+    v3 = hbar2 * evaluate_potential(spec, inner, 3)
+    v4 = hbar2 * evaluate_potential(spec, inner, 4)
     y1 = np.zeros(inner.shape)
     y1[:, -1:] = -coupling
     _solve_tridiagonal(coupling, diag, y1)
@@ -589,7 +588,7 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     y1_last, y3_last = (y1[:, -1], y3[:, -1]) if inner.shape[1] else (0.0, 0.0)
     scale = m / (hbar2 * step)
     first = scale * (1.0 - y1_last) + 0.5 * step * potential_second_derivative(spec, ends)
-    third = -scale * y3_last + 0.5 * step * potential_higher_derivative(spec, ends, 4)
+    third = -scale * y3_last + 0.5 * step * evaluate_potential(spec, ends, 4)
     h = np.array([neighbour_offset(float(end)) for end in ends])
     d_xx = first + h**2 / 6.0 * third
     if not np.isfinite(d_xx).all():
@@ -597,63 +596,6 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     return d_xx
 
 
-def conserved_energy_drift(params: ActionParams, traj: Trajectory) -> float:
-    """Spread (max - min) of the Euclidean energy along the trajectory.
-
-    E_i = (m / 2 hbar^2) v_i^2 - V(x_i) with centred velocities; the drift of
-    a converged trajectory vanishes with the square of the grid step.
-    """
-    _check_traj(traj.grid.n_points, traj)
-    if traj.grid.n_points < 3:
-        return 0.0
-    step = traj.grid.step
-    x = traj.positions
-    vel = (x[2:] - x[:-2]) / (2.0 * step)
-    energy = params.mass * vel**2 / (2.0 * params.hbar**2) - potential_value(
-        params.potential, x[1:-1]
-    )
-    return float(np.max(energy) - np.min(energy))
-
-
-def time_derivative_fd(
-    params: ActionParams,
-    start: float,
-    end: float,
-    grid: TimeGrid,
-    delta: float = 1e-4,
-    guess=None,
-) -> float:
-    """Central finite difference of the action over duration +/- delta.
-
-    Re-solves both perturbed problems on grids with the same interval count,
-    providing an independent check of the d_time sensitivity.
-    """
-    plus = solve_bvp(params, start, end, grid.with_duration(grid.duration + delta), guess=guess)
-    minus = solve_bvp(params, start, end, grid.with_duration(grid.duration - delta), guess=guess)
-    return (action_value(params, plus) - action_value(params, minus)) / (2.0 * delta)
-
-
 def neighbour_offset(x: float) -> float:
     """Half-width h of the central difference behind d_xx at endpoint x."""
     return 1e-3 * max(1.0, abs(x))
-
-
-def neighbour_pair(
-    params: ActionParams,
-    traj: Trajectory,
-    offset: float | None = None,
-) -> tuple[Trajectory, Trajectory]:
-    """Solve the two bracketing problems at end +/- h, warm-started from traj.
-
-    The difference quotient of their endpoint momenta is the d_xx that
-    path_sensitivities computes from traj alone; these re-solves check it.
-    """
-    if offset is None:
-        offset = neighbour_offset(traj.end)
-    lo, hi = solve_paths(
-        params,
-        [(traj.start, traj.end - offset), (traj.start, traj.end + offset)],
-        traj.grid,
-        [traj, traj],
-    )
-    return lo, hi

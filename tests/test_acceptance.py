@@ -27,24 +27,13 @@ from qaction.fit import (
     fit_at_time,
     sweep,
 )
-from qaction.flow import (
-    FlowState,
-    assemble_system,
-    default_grid_policy,
-    invariant_combination,
-    solve_rates,
-)
+from qaction.flow import FlowState, assemble_system, solve_rates
 from qaction.flow import run as flow_run
 from qaction.model import ActionParams, Domain, PotentialSpec, omega
 from qaction.oracle import amplitude, default_grid, refine_energies, solve_spectrum
 from qaction.specfun import bessel_i
-from qaction.trajectory import (
-    TimeGrid,
-    action_value,
-    conserved_energy_drift,
-    sensitivities,
-    solve_bvp,
-)
+from qaction.trajectory import TimeGrid, action_value, sensitivities, solve_bvp
+from references import conserved_energy_drift, invariant_combination
 
 STANDARD = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -2: 1.0}))
 POINTS = (0.5, 1.0, 2.0, 3.0)
@@ -256,7 +245,7 @@ def test_criterion_09_quartic_flow_vs_fit():
         initial_point=-1.0,
         final_points=equidistant(0.2, 2.2, 10),
     )
-    trace = flow_run(state, quartic, 4.0, dbeta=0.01, grid_policy=default_grid_policy(500))
+    trace = flow_run(state, quartic, 4.0, dbeta=0.01, intervals=500)
     by_beta = {round(s.beta, 9): s for s in trace.states}
     worst = 0.0
     init = base.params
@@ -295,7 +284,7 @@ def test_criterion_10_flow_stability():
     for v2 in (0.47, 0.4998810, 0.52):
         trace = flow_run(
             initial(v2), STANDARD, 3.0, dbeta=7.5e-3,
-            grid_policy=default_grid_policy(500), record_stride=1000,
+            intervals=500, record_stride=1000,
         )
         params = trace.states[-1].params
         finals.append(
@@ -359,8 +348,8 @@ def test_criterion_11_property_suite():
     # Chapman-Kolmogorov with analytic kernels
     spacing = 5e-4
     xs = np.arange(spacing, 10.0, spacing)
-    left = np.array([euclidean_log_amplitude(STANDARD, 1.0, x, 0.5) for x in xs])
-    right = np.array([euclidean_log_amplitude(STANDARD, x, 1.0, 0.5) for x in xs])
+    left = euclidean_log_amplitude(STANDARD, 1.0, xs, 0.5)
+    right = euclidean_log_amplitude(STANDARD, xs, 1.0, 0.5)
     composed = np.trapezoid(np.exp(left + right), dx=spacing)
     direct = math.exp(euclidean_log_amplitude(STANDARD, 1.0, 1.0, 1.0))
     checks["chapman_kolmogorov"] = (abs(composed - direct) / direct, 1e-6)

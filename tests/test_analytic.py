@@ -239,20 +239,16 @@ def test_reconstruction_matches_ground_state():
     npt.assert_allclose(rebuilt, gs.wavefunction(xs), atol=1e-10)
 
 
-def test_reconstruction_quadrature_branch_matches_dense_integral():
-    # quartic bowl exercises the non-elementary path
-    params = ActionParams(
+def test_reconstruction_outside_the_family_raises():
+    # quadrature of a general potential is not offered: only closed forms
+    quartic = ActionParams(
         mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, 4: 0.1}),
         domain=Domain.FULL_LINE,
     )
-    xs = np.array([0.5, 1.0, 1.8])
-    got = reconstruct_ground_state(params, xs, normalised=False)
-    for xi, gi in zip(xs, got):
-        grid = np.linspace(0.0, xi, 20001)
-        v = 0.5 * grid**2 + 0.1 * grid**4
-        integrand = np.sqrt(2.0 * v)
-        want = math.exp(-np.trapezoid(integrand, grid))
-        assert gi == pytest.approx(want, rel=1e-6)
+    mixed = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -4: 0.3}))
+    for params in (quartic, mixed):
+        with pytest.raises(ValueError, match="no closed-form ground state"):
+            reconstruct_ground_state(params, np.array([0.5, 1.0, 1.8]), normalised=False)
 
 
 @pytest.mark.parametrize(

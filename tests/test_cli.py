@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qaction.cli import _decomposition, config_hash, load_config, main
+from qaction import cli
+from qaction.cli import ConfigError, _decomposition, config_hash, load_config, main
 from qaction.oracle import amplitude
 
 STANDARD_MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
@@ -38,13 +41,18 @@ def test_console_script_installed():
         assert cmd in proc.stdout
 
 
-def test_module_entry_point_runs_without_install():
+def run_module(*args):
+    """`python -m qaction *args` in a fresh interpreter that imports qaction from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qaction", "--help"], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, "-m", "qaction", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point_runs_without_install():
+    proc = run_module("--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("Usage: qaction")
     for cmd in ("propagator", "spectrum", "fit", "flow", "verify", "scales"):
@@ -355,6 +363,39 @@ def test_unusable_oracle_grids_exit_one(runner, tmp_path, cmd, doc, message):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+# 1e308 overflows the node count at load; 1e14 gives 5e16 nodes at the
+# default spacing 2e-3, whose 355 PiB exceed even a 57-bit address space, so
+# the first array of the eigensolve fails to allocate without touching memory
+@pytest.mark.parametrize(
+    "extent, code, message",
+    [
+        (1e308, 1, "config error: oracle grid at spacing 0.002: node count of "
+                   "[0.002, 1e+308] overflows"),
+        (1e14, 2, "numerical failure: MemoryError: Unable to allocate"),
+    ],
+    ids=["overflow_at_load", "out_of_memory_at_run"],
+)
+def test_oversized_oracle_grids_exit_without_traceback(tmp_path, extent, code, message):
+    doc = {"model": STANDARD_MODEL,
+           "propagator": {"initial": [1.0], "final": [2.0], "times": [1.0], "extent": extent}}
+    cfg = write_config(tmp_path, doc)
+    proc = run_module("propagator", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_memory_error_while_loading_exits_one(runner, tmp_path, monkeypatch):
+    def exhausted(path, command):
+        raise MemoryError("Unable to allocate 3.55 PiB")
+
+    monkeypatch.setattr(cli, "load_config", exhausted)
+    cfg = write_config(tmp_path, {"model": STANDARD_MODEL, "scales": {}})
+    res = runner.invoke(main, ["scales", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "config error: MemoryError: Unable to allocate 3.55 PiB" in res.output
+
+
 def test_propagator_partner_needs_room_only_for_the_levels_kept(runner, tmp_path):
     # 160 levels fit on the fine grid but not on its 120-node partner; the
     # smallest time keeps 20 of them, and the partner solves only those
@@ -482,6 +523,48 @@ def test_checked_in_config_loads(path):
     doc = json.loads(path.read_text())
     (command,) = set(doc) - {"model"}
     assert load_config(path, command)["hash"] == config_hash(doc)
+
+
+# Replacements for one node of a checked-in config. None of them allocates
+# much at load: there is no integer between 1e7 and 1e18 among them.
+FUZZ_VALUES = ("x", None, True, [], {}, math.nan, math.inf, -math.inf, 1e308, -1e308,
+               5e-324, -5e-324, 2.2e-308, 0, -1, 0.5)
+DROP = object()
+
+
+def _node_paths(node, path=()):
+    """Paths to every node below the root, leaves and containers alike."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def test_mutated_checked_in_configs_load_or_raise_config_error(tmp_path):
+    rng = random.Random(16)
+    for path in sorted(CONFIGS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        (command,) = set(doc) - {"model"}
+        cases = [(p, v) for p in _node_paths(doc) for v in FUZZ_VALUES + (DROP,)]
+        for node, value in rng.sample(cases, 20):
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in node[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[node[-1]]
+            else:
+                parent[node[-1]] = value
+            cfg = write_config(tmp_path, mutated)
+            try:
+                load_config(cfg, command)
+            except ConfigError:
+                pass
+            except Exception as exc:  # name the mutation that escaped validation
+                pytest.fail(f"{path.name}: {node} -> {value!r} raised {exc!r}")
 
 
 def test_readme_fit_example_loads(tmp_path):

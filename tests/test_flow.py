@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from qaction import flow
-from qaction.fit import FitResult, equidistant
+from qaction.fit import equidistant
 from qaction.flow import (
     FlowState,
     FlowTrace,
     StepDiagnostics,
     StepRejected,
     assemble_system,
-    bootstrap_state,
-    default_grid_policy,
-    invariant_combination,
     run,
     solve_rates,
     step,
@@ -25,8 +22,8 @@ from qaction.model import (
     ActionParams,
     Domain,
     PotentialSpec,
+    evaluate_potential,
     potential_derivative,
-    potential_higher_derivative,
     potential_second_derivative,
     potential_value,
 )
@@ -34,11 +31,11 @@ from qaction.trajectory import (
     SolverError,
     TimeGrid,
     Trajectory,
-    neighbour_pair,
     path_sensitivities,
     sensitivities,
     solve_cached,
 )
+from references import invariant_combination, neighbour_pair
 
 HARMONIC = ActionParams(
     mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE
@@ -68,13 +65,19 @@ def test_flow_state_validation():
     assert harmonic_state().exponents() == [2]
 
 
-def test_grid_policy():
-    policy = default_grid_policy(300)
-    grid = policy(2.0)
-    assert grid.duration == 2.0
-    assert grid.intervals == 300
-    with pytest.raises(ValueError):
-        default_grid_policy(1)
+def test_grid_policy(monkeypatch):
+    # every stage of a step solves on the same interval count, at its own beta
+    grids = []
+    real_assemble = flow.assemble_system
+
+    def recording(state, classical, grid, cache=None):
+        grids.append(grid)
+        return real_assemble(state, classical, grid, cache)
+
+    monkeypatch.setattr(flow, "assemble_system", recording)
+    step(harmonic_state(), HARMONIC, 0.5, intervals=300)
+    assert [g.duration for g in grids] == [1.0, 1.25, 1.25, 1.5]
+    assert [g.intervals for g in grids] == [300] * 4
 
 
 def test_assemble_requires_matching_hbar():
@@ -99,7 +102,7 @@ def test_harmonic_action_is_stationary():
 
 def test_harmonic_log_norm_evolution():
     state = harmonic_state()
-    trace = run(state, HARMONIC, 1.2, dbeta=0.02, grid_policy=default_grid_policy(500))
+    trace = run(state, HARMONIC, 1.2, dbeta=0.02, intervals=500)
     last = trace.states[-1]
     assert last.beta == pytest.approx(1.2, abs=1e-12)
     exact_shift = -0.5 * (math.log(math.sinh(1.2)) - math.log(math.sinh(1.0)))
@@ -183,10 +186,10 @@ def test_ill_conditioned_system_is_rejected():
     state = FlowState(beta=0.8, params=narrow, log_norm=0.0, initial_point=2.0,
                       final_points=equidistant(2.0, 2.0005, 8))
     with pytest.raises(StepRejected, match="condition"):
-        step(state, narrow, 0.01, default_grid_policy(300))
+        step(state, narrow, 0.01, intervals=300)
     # halving cannot fix conditioning; run gives up after the retry budget
     with pytest.raises(SolverError, match="rejected"):
-        run(state, narrow, 0.9, dbeta=0.01, grid_policy=default_grid_policy(300))
+        run(state, narrow, 0.9, dbeta=0.01, intervals=300)
 
 
 def test_run_endpoint_handling():
@@ -196,24 +199,11 @@ def test_run_endpoint_handling():
     with pytest.raises(ValueError):
         run(state, HARMONIC, 0.5)
     # a fractional last step lands exactly on beta_end
-    trace = run(state, HARMONIC, 1.03, dbeta=0.02, grid_policy=default_grid_policy(300))
+    trace = run(state, HARMONIC, 1.03, dbeta=0.02, intervals=300)
     assert trace.states[-1].beta == pytest.approx(1.03, abs=1e-12)
     assert len(trace.diagnostics) == len(trace.states) - 1
     d = trace.diagnostics[0]
     assert d.beta == pytest.approx(1.0) and d.dbeta == pytest.approx(0.02)
-
-
-def test_bootstrap_state():
-    params = ActionParams(mass=1.2, hbar=0.5, potential=PotentialSpec({2: 0.4, -2: 1.1}))
-    fit = FitResult(time=1.5, params=params, log_norm=-0.3, relative_error=1e-4,
-                    objective=1e-8, converged=True, evaluations=100,
-                    grid=TimeGrid(3.0, intervals=300))
-    state = bootstrap_state(fit, 0.5, equidistant(1.0, 4.0, 8))
-    assert state.beta == pytest.approx(3.0)  # T / hbar
-    assert state.params is params
-    assert state.log_norm == -0.3
-    override = bootstrap_state(fit, 0.5, equidistant(1.0, 4.0, 8), log_norm=0.0)
-    assert override.log_norm == 0.0
 
 
 def test_write_trace_csv(tmp_path):
@@ -276,8 +266,8 @@ def _reference_d_xx(params, traj):
     band = np.empty((3, len(inner)))
     band[0] = band[2] = coupling
     band[1] = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
-    v3 = hbar2 * potential_higher_derivative(spec, inner, 3)
-    v4 = hbar2 * potential_higher_derivative(spec, inner, 4)
+    v3 = hbar2 * evaluate_potential(spec, inner, 3)
+    v4 = hbar2 * evaluate_potential(spec, inner, 4)
     e_last = np.zeros(len(inner))
     e_last[-1] = -coupling
     y1 = solve_banded((1, 1), band, e_last)
@@ -285,7 +275,7 @@ def _reference_d_xx(params, traj):
     y3 = solve_banded((1, 1), band, 3.0 * v3 * y1 * y2 + v4 * y1**3)
     scale = m / (hbar2 * step)
     first = scale * (1.0 - y1[-1]) + 0.5 * step * potential_second_derivative(spec, x_f)
-    third = -scale * y3[-1] + 0.5 * step * potential_higher_derivative(spec, x_f, 4)
+    third = -scale * y3[-1] + 0.5 * step * evaluate_potential(spec, x_f, 4)
     h = 1e-3 * max(1.0, abs(x_f))
     return first + h * h / 6.0 * third
 
@@ -457,8 +447,7 @@ def test_run_counts_rejected_steps(monkeypatch):
     # the step sizes are binary fractions, so the betas equal those of a run
     # at 0.125
     state = harmonic_state()
-    policy = default_grid_policy(300)
-    want = run(state, HARMONIC, 2.0, dbeta=0.125, grid_policy=policy)
+    want = run(state, HARMONIC, 2.0, dbeta=0.125, intervals=300)
     assert want.rejected_steps == 0
     real_step = flow.step
     rejections = []
@@ -470,18 +459,17 @@ def test_run_counts_rejected_steps(monkeypatch):
         return real_step(state, classical, dbeta, *args, **kwargs)
 
     monkeypatch.setattr(flow, "step", limited)
-    trace = run(state, HARMONIC, 2.0, dbeta=0.25, grid_policy=policy)
+    trace = run(state, HARMONIC, 2.0, dbeta=0.25, intervals=300)
     assert trace.rejected_steps == len(rejections) == 7
     assert trace.states == want.states and trace.diagnostics == want.diagnostics
 
 
 def test_flow_run_matches_per_point_loop(monkeypatch):
     state = _fitted_state()
-    policy = default_grid_policy(300)
     beta_end = state.beta + 3 * 3.75e-3
-    trace = run(state, STANDARD, beta_end, dbeta=3.75e-3, grid_policy=policy)
+    trace = run(state, STANDARD, beta_end, dbeta=3.75e-3, intervals=300)
     monkeypatch.setattr(flow, "assemble_system", _reference_assemble)
-    want = run(state, STANDARD, beta_end, dbeta=3.75e-3, grid_policy=policy)
+    want = run(state, STANDARD, beta_end, dbeta=3.75e-3, intervals=300)
     assert len(trace.states) == len(want.states) == 4
     assert trace.diagnostics == want.diagnostics
     for got, ref in zip(trace.states, want.states):

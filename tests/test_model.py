@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,10 +11,8 @@ from qaction.model import (
     PotentialSpec,
     evaluate_potential,
     omega,
-    params_from_json,
-    params_to_json,
+    params_from_dict,
     potential_derivative,
-    potential_higher_derivative,
     potential_minimum,
     potential_second_derivative,
     potential_value,
@@ -135,10 +132,6 @@ def test_evaluator_matches_reference_formulas_bit_for_bit():
         for public, order in ((potential_value, 0), (potential_derivative, 1),
                               (potential_second_derivative, 2)):
             assert _same_bits(public(spec, x), _reference_derivative(spec, x, order))
-        for order in (3, 4):
-            assert _same_bits(
-                potential_higher_derivative(spec, x, order), _reference_derivative(spec, x, order)
-            )
 
 
 def test_evaluator_rejects_origin_on_both_paths():
@@ -195,19 +188,15 @@ def test_minimum_pure_positive_powers_sits_at_origin():
     assert vm == -1.0
 
 
-def test_minimum_general_mixed_case_is_stationary():
-    spec = PotentialSpec({2: 0.7, -4: 0.3})
-    xm, vm = potential_minimum(spec)
-    assert potential_derivative(spec, xm) == pytest.approx(0.0, abs=1e-10)
-    assert potential_second_derivative(spec, xm) > 0
-    assert vm == pytest.approx(potential_value(spec, xm))
-
-
 def test_minimum_error_cases():
     with pytest.raises(ValueError):
         potential_minimum(PotentialSpec({0: 1.0}))
     with pytest.raises(ValueError):
         potential_minimum(PotentialSpec({2: -1.0, 4: 1.0}))
+    # both signs of exponent outside the x^2 + x^-2 family: no closed form
+    for coeffs in ({2: 0.7, -4: 0.3}, {2: 0.5, 4: 0.1, -2: 1.0}, {-2: 1.0}):
+        with pytest.raises(ValueError, match="no closed-form minimum"):
+            potential_minimum(PotentialSpec(coeffs))
 
 
 def test_omega_definition():
@@ -217,23 +206,13 @@ def test_omega_definition():
         omega(ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({0: 1.0})))
 
 
-def test_json_round_trip():
-    p = ActionParams(
-        mass=1.5,
-        hbar=0.8,
-        potential=PotentialSpec({2: 0.5, -2: 1.0, 0: 0.1}),
-        domain=Domain.HALF_LINE,
-    )
-    q = params_from_json(params_to_json(p))
-    assert q == p
-
-
 def test_json_rejects_unknown_and_missing_keys():
-    good = json.loads(params_to_json(ActionParams(1.0, 1.0, PotentialSpec({2: 0.5}))))
+    good = {"mass": 1.0, "hbar": 1.0, "domain": "half_line", "coefficients": {"2": 0.5}}
+    assert params_from_dict(good) == ActionParams(1.0, 1.0, PotentialSpec({2: 0.5}))
     bad = dict(good)
     bad["massive"] = 2.0
     with pytest.raises(ValueError):
-        params_from_json(json.dumps(bad))
+        params_from_dict(bad)
     del good["mass"]
     with pytest.raises(ValueError):
-        params_from_json(json.dumps(good))
+        params_from_dict(good)

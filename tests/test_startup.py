@@ -1,10 +1,11 @@
-"""Start-up cost: the package loads scipy.optimize, .integrate and .special only on use,
-and of scipy.linalg only its LAPACK extension.
+"""Start-up cost: the package never loads scipy.optimize, .integrate or .special, and
+of scipy.linalg only its LAPACK extension.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, because the test
 session itself has long since imported all of scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -208,40 +209,17 @@ def test_missing_lapack_extension_fails_import_with_the_searched_path(tmp_path):
     assert str(tmp_path / "scipy" / "linalg") in last
 
 
-# Each deferred import site, called once; `value` is a list of floats.
-FIRST_CALLS = {
-    "potential_minimum": (
-        "scipy.optimize",
-        """
-from qaction.model import PotentialSpec, potential_minimum
-value = list(potential_minimum(PotentialSpec({2: 0.5, 4: 0.1, -2: 1.0})))
-""",
-    ),
-    "reconstruct_ground_state_fallback": (
-        "scipy.integrate",
-        """
-from qaction.analytic import reconstruct_ground_state
-from qaction.model import ActionParams, Domain, PotentialSpec
-quartic = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, 4: 0.1}), domain=Domain.FULL_LINE)
-value = reconstruct_ground_state(quartic, [0.5, 1.0, 1.8], normalised=False).tolist()
-""",
-    ),
-}
-
-
-@pytest.mark.parametrize("site", sorted(FIRST_CALLS))
-def test_deferred_import_sites_run_in_a_fresh_process(site):
-    module, call = FIRST_CALLS[site]
-    code = LOADED + f"""
-import json
-import qaction.cli
-before = loaded({module!r})
-{call}
-print(json.dumps({{"before": before, "after": loaded({module!r}), "value": value}}))
-"""
-    got = fresh_python(code)
-    assert got["before"] == []
-    assert module in got["after"]
-    here = {}
-    exec(call, here)
-    assert got["value"] == here["value"]
+def test_only_the_lapack_module_imports_scipy():
+    # every other module reaches scipy's LAPACK through qaction.lapack
+    importers = {}
+    for path in sorted((Path(SRC) / "qaction").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.setdefault(path.name, []).append(node.lineno)
+    assert set(importers) <= {"lapack.py"}, importers

@@ -25,13 +25,11 @@ from qaction.trajectory import (
     _solve_tridiagonal,
     action_value,
     action_values,
-    conserved_energy_drift,
-    neighbour_pair,
     sensitivities,
     solve_bvp,
     solve_paths,
-    time_derivative_fd,
 )
+from references import conserved_energy_drift, neighbour_pair, time_derivative_fd
 
 HARMONIC = ActionParams(
     mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE

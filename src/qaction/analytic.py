@@ -71,10 +71,10 @@ def _require_family(params: ActionParams) -> tuple[float, float]:
             f"closed forms exist only for the x^2 + x^-2 family, got extra terms {sorted(extra)}"
         )
     v2 = params.potential.coefficients.get(2, 0.0)
-    if v2 <= 0.0:
+    if not v2 > 0.0:
         raise ValueError("family requires v_2 > 0")
     g = params.potential.coefficients.get(-2, 0.0)
-    if g < 0.0:
+    if not g >= 0.0:
         raise ValueError("family requires v_-2 >= 0")
     if params.domain is not Domain.HALF_LINE:
         raise ValueError("the solvable family is defined on the half-line")
@@ -172,15 +172,18 @@ def closed_form_kernel(params: ActionParams):
     endpoints at one time. Any other model, and any member with v_2 <= 0 or a
     half-line v_-2 < 0, has no closed form: ValueError.
     """
+    no_closed_form = "no closed-form amplitude for this model; use the oracle source"
+    if params.domain is Domain.HALF_LINE:
+        try:
+            _require_family(params)
+        except ValueError as exc:
+            raise ValueError(no_closed_form) from exc
+        return lambda a, b, time: euclidean_log_amplitude(params, a, b, time)
     coeffs = params.potential.coefficients
-    nonzero = {k for k, v in coeffs.items() if v != 0.0}
-    if coeffs.get(2, 0.0) > 0.0:
-        if params.domain is Domain.HALF_LINE and nonzero <= {2, -2} and coeffs.get(-2, 0.0) >= 0.0:
-            return lambda a, b, time: euclidean_log_amplitude(params, a, b, time)
-        if params.domain is Domain.FULL_LINE and nonzero <= {2}:
-            w = omega(params)
-            return lambda a, b, time: harmonic_log_kernel(params.mass, w, params.hbar, a, b, time)
-    raise ValueError("no closed-form amplitude for this model; use the oracle source")
+    if coeffs.get(2, 0.0) > 0.0 and {k for k, v in coeffs.items() if v != 0.0} <= {2}:
+        w = omega(params)
+        return lambda a, b, time: harmonic_log_kernel(params.mass, w, params.hbar, a, b, time)
+    raise ValueError(no_closed_form)
 
 
 def ground_state(params: ActionParams) -> GroundState:

@@ -147,6 +147,23 @@ def _require_positive(model: ActionParams, points, where):
         raise ConfigError(f"{where} must be positive on the half-line")
 
 
+def _require_finite_powers(model: ActionParams, exponents, points, where):
+    """Positive half-line points at which x**k is finite for every negative
+    exponent k of the model and of the action (`exponents`) evaluated there."""
+    _require_positive(model, points, where)
+    if model.domain is not Domain.HALF_LINE:
+        return
+    negative = sorted(k for k in {*model.potential.coefficients, *exponents} if k < 0)
+    for x in points:
+        for k in negative:
+            try:
+                finite = math.isfinite(float(x) ** k)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{where}: x^{k} overflows at {x}, too close to 0")
+
+
 def _model_from(payload) -> ActionParams:
     if not isinstance(payload, dict):
         raise ConfigError("model must be a JSON object")
@@ -219,13 +236,14 @@ def _oracle_grid(keys, model, all_levels):
     return grids[0]
 
 
-def _endpoints(section, model, where, grid=None):
-    """The initial and final point sets, positive on the half-line and, given
-    the oracle grid, on its span."""
+def _endpoints(section, model, where, grid=None, exponents=()):
+    """The initial and final point sets, positive on the half-line with finite
+    negative powers of the model and of `exponents`, and, given the oracle
+    grid, on its span."""
     out = {}
     for key in ("initial", "final"):
         out[key] = _point_set(section[key], f"{where}.{key}")
-        _require_positive(model, out[key], f"{where}.{key}")
+        _require_finite_powers(model, exponents, out[key], f"{where}.{key}")
         outside = [x for x in out[key] if grid and not grid.x_min <= x <= grid.x_max]
         if outside:
             raise ConfigError(
@@ -235,7 +253,7 @@ def _endpoints(section, model, where, grid=None):
     return out
 
 
-def _amplitude_table(section, model, where):
+def _amplitude_table(section, model, where, ansatz):
     """Keys of a fitted amplitude table, shared by fit and flow.compare_fit."""
     source = section.get("source", "analytic")
     if source not in ("analytic", "oracle"):
@@ -245,7 +263,7 @@ def _amplitude_table(section, model, where):
     out = _oracle_keys(section)
     out["source"] = source
     grid = _oracle_grid(out, model, all_levels=True) if source == "oracle" else None
-    out.update(_endpoints(section, model, where, grid))
+    out.update(_endpoints(section, model, where, grid, ansatz))
     out["max_evaluations"] = _int(
         section.get("max_evaluations", 50000), f"{where}.max_evaluations", 1
     )
@@ -301,7 +319,7 @@ def _validate_fit(section, model):
         raise ConfigError("fit.ansatz must be a non-empty list of exponents")
     ansatz = sorted({_int(k, "fit.ansatz entry") for k in section["ansatz"]})
     _built(lambda: PotentialSpec(dict.fromkeys(ansatz, 0.0)), "fit.ansatz")
-    out = _amplitude_table(section, model, "fit")
+    out = _amplitude_table(section, model, "fit", ansatz)
     out["ansatz"] = ansatz
     out["times"] = _time_list(section["times"], "fit.times")
     if any(t <= 0 for t in out["times"]):
@@ -375,7 +393,9 @@ def _validate_flow(section, model):
         raise ConfigError("flow.mode must be 'min_norm' or 'pin_v0'")
     if out["beta"] <= 0 or out["beta_end"] < out["beta"]:
         raise ConfigError("flow needs 0 < initial.beta <= beta_end")
-    _require_positive(model, [out["initial_point"]], "flow.initial_point")
+    _require_finite_powers(
+        model, out["coefficients"], [out["initial_point"]], "flow.initial_point"
+    )
     # d_xx is the difference quotient over [x - h, x + h], h = neighbour_offset(x),
     # so x - h must stay in the domain
     _require_positive(
@@ -406,7 +426,7 @@ def _validate_flow(section, model):
             ("initial", "final"),
             "flow.compare_fit",
         )
-        compare = _amplitude_table(sub, model, "flow.compare_fit")
+        compare = _amplitude_table(sub, model, "flow.compare_fit", out["coefficients"])
         compare["stride"] = _int(sub.get("stride", 1), "flow.compare_fit.stride", minimum=1)
     out["compare_fit"] = compare
     return out
@@ -429,6 +449,14 @@ def _validate_verify(section, model):
     }
     if not 0.0 < out["spacing"] < out["extent"]:
         raise ConfigError("verify grid needs 0 < spacing < extent")
+    # the composition grid np.arange(spacing, extent + spacing / 2, spacing)
+    # must fit one float array of at most sys.maxsize bytes
+    nodes = (out["extent"] - 0.5 * out["spacing"]) / out["spacing"]
+    if not 8.0 * nodes < sys.maxsize:
+        raise ConfigError(
+            f"verify grid at spacing {out['spacing']:g}: node count {nodes:.3g} of "
+            f"[{out['spacing']:g}, {out['extent']:g}] exceeds the largest array"
+        )
     if not out["composition_time"] > 0.0:
         raise ConfigError("verify.composition_time must be positive")
     if not 0.0 < out["boundary"] < out["extent"]:

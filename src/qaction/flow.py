@@ -83,7 +83,8 @@ def assemble_system(
     """Rows of the flow system at every final point.
 
     The trajectory problems are warm-started from `cache` (keyed by final
-    point index), which assemble_system updates in place (solve_cached).
+    point index), which assemble_system updates in place (solve_cached) only
+    when every path is solved: a SolverError leaves it as it was.
     """
     if classical.hbar != state.params.hbar:
         raise ValueError("classical and quantum actions must share hbar")

@@ -49,13 +49,9 @@ BLOCK_PATHS = 32
 class SolverError(RuntimeError):
     """Raised when the relaxation solver cannot reach its tolerance.
 
-    solve_paths attaches, as `solved`, the trajectories of the paths before
-    the failed one: what a loop of solve_bvp calls would have finished.
+    solve_paths raises it for the first path that fails and returns nothing
+    of its batch.
     """
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.solved: list[Trajectory] = []
 
 
 @dataclass(frozen=True)
@@ -88,10 +84,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.duration, self.n_points)
-
-    def with_duration(self, duration: float) -> "TimeGrid":
-        """Same interval count, new duration; keeps refinement studies smooth."""
-        return TimeGrid(duration, self.points_per_unit, self.intervals)
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,8 @@ class _Relaxation:
 
     Rows are paths. The first len(ids) rows of every buffer belong to the
     paths still iterating, in input order (ids maps them back); a converged
-    or failed path leaves by compaction. Kernels write into five buffers
-    with out=, so a batch holds a fixed set of arrays of its own size:
+    path leaves by compaction. Kernels write into five buffers with out=, so
+    a batch holds a fixed set of arrays of its own size:
     accepted and trial positions, trial residuals, the Newton step and a
     scratch array. Between iterations `delta` holds the right-hand side
     -r(x) of the accepted iterate, which the tridiagonal solve turns into the
@@ -204,7 +196,6 @@ class _Relaxation:
         np.negative(self.resid_try, out=self.delta)
         self.delta_norm = np.full(n_paths, np.nan)
         self.done: dict[int, Trajectory] = {}
-        self.errors: dict[int, Exception] = {}
 
     def residual(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """m (x_{i+1} - 2 x_i + x_{i-1}) / dt^2 - hbar^2 V'(x_i) for the rows of x."""
@@ -223,19 +214,12 @@ class _Relaxation:
         """Row-wise max norm."""
         return np.abs(a, out=self.tmp[: len(a)]).max(axis=1)
 
-    def fail(self, row: int, exc: Exception):
-        self.errors[int(self.ids[row])] = exc
-
-    def limit(self) -> int:
-        """Index of the first failed path; no later path needs solving."""
-        return min(self.errors, default=len(self.pairs))
-
     def newton_steps(self) -> np.ndarray:
         """Newton updates of the iterating paths from one stacked tridiagonal solve.
 
         The solve runs in place on `delta`. If it meets a zero pivot or gives
         an inf or NaN, which may have crossed a path boundary, each path is
-        solved alone, as before batching, and a singular one fails with
+        solved alone, as before batching, and the first singular one raises
         SolverError.
         """
         rows = len(self.ids)
@@ -250,10 +234,7 @@ class _Relaxation:
         if not stacked:
             np.negative(self.residual(x, delta), out=delta)  # the solve consumed -r(x)
             for row in range(rows):
-                try:
-                    _solve_tridiagonal(self.off_diag, diag[row : row + 1], delta[row : row + 1])
-                except SolverError as exc:
-                    self.fail(row, exc)
+                _solve_tridiagonal(self.off_diag, diag[row : row + 1], delta[row : row + 1])
         return delta
 
     def iterate(self, iteration: int) -> bool:
@@ -264,7 +245,7 @@ class _Relaxation:
         res_norm = self.res_norm
         scale = np.ones(rows)
         step_norm = np.full(rows, np.nan)
-        pending = self._unfailed(np.arange(rows))
+        pending = np.arange(rows)
         while pending.size:
             # with out=, mode="clip" writes in place; the default mode buffers a copy
             trial = np.take(self.x, pending, axis=0, out=self.x_try[: pending.size], mode="clip")
@@ -279,10 +260,10 @@ class _Relaxation:
                     for row in retry:
                         scale[row] *= 0.5
                         if scale[row] < 1e-14:
-                            self.fail(row, SolverError(
+                            raise SolverError(
                                 "step underflow keeping iterate positive "
                                 f"(residual {res_norm[row]:.3e})"
-                            ))
+                            )
                     pending, trial = pending[~negative], trial[~negative]
             resid_try = self.residual(trial, self.resid_try[: pending.size])
             res_try = self.max_abs(resid_try)
@@ -302,11 +283,11 @@ class _Relaxation:
             for row in pending[~accept]:
                 scale[row] *= 0.5
                 if scale[row] < 1e-14:
-                    self.fail(row, SolverError(
+                    raise SolverError(
                         f"line search stalled at residual {res_norm[row]:.3e} "
                         f"after {iteration} iterations"
-                    ))
-            pending = self._unfailed(np.sort(np.concatenate([retry, pending[~accept]])))
+                    )
+            pending = np.sort(np.concatenate([retry, pending[~accept]]))
 
         converged = step_norm <= self.tol
         for row in np.flatnonzero(converged):
@@ -316,7 +297,7 @@ class _Relaxation:
                 self.grid, start, end, self.x[row].copy(), iteration,
                 float(step_norm[row]), float(res_norm[row]),
             )
-        keep = ~converged & (self.ids < self.limit())
+        keep = ~converged
         if not keep.all():
             kept = np.flatnonzero(keep)
             np.take(self.x, kept, axis=0, out=self.x_try[: kept.size], mode="clip")
@@ -328,22 +309,13 @@ class _Relaxation:
             )
         return len(self.ids) > 0
 
-    def _unfailed(self, rows: np.ndarray) -> np.ndarray:
-        return rows[self.ids[rows] < self.limit()]
-
     def result(self, max_iter: int) -> list[Trajectory]:
-        """Trajectories in input order, or the first failure in input order."""
-        for row in range(len(self.ids)):
-            self.fail(row, SolverError(
+        """Trajectories in input order; a path still iterating did not converge."""
+        if len(self.ids):
+            raise SolverError(
                 f"no convergence in {max_iter} iterations; "
-                f"last residual {self.res_norm[row]:.3e}, last step {self.delta_norm[row]:.3e}"
-            ))
-        if self.errors:
-            first = self.limit()
-            exc = self.errors[first]
-            if isinstance(exc, SolverError):
-                exc.solved = [self.done[i] for i in range(first)]
-            raise exc
+                f"last residual {self.res_norm[0]:.3e}, last step {self.delta_norm[0]:.3e}"
+            )
         return [self.done[i] for i in range(len(self.pairs))]
 
 
@@ -374,10 +346,10 @@ def solve_paths(
     BLOCK_PATHS x n_points floats, and three more while the tridiagonal
     solve runs (its two bands and a copy of the diagonal).
 
-    Non-convergence raises the SolverError of the first failed path in input
-    order, carrying the trajectories of the paths before it in `solved`;
-    paths after it are dropped as soon as it fails. Bad boundary points or
-    guesses raise ValueError.
+    The first path that fails raises SolverError at once, and nothing of the
+    batch is returned: a singular Newton matrix, a line search that stalls or
+    cannot keep the iterate positive, or, after max_iter iterations, the first
+    path still iterating. Bad boundary points or guesses raise ValueError.
     """
     pairs = list(pairs)
     guesses = [None] * len(pairs) if guesses is None else list(guesses)
@@ -396,26 +368,17 @@ def solve_paths(
         for iteration in range(1, max_iter + 1):
             if not work.iterate(iteration):
                 break
-        try:
-            solved += work.result(max_iter)
-        except SolverError as exc:
-            exc.solved = solved + exc.solved
-            raise
+        solved += work.result(max_iter)
     return solved
 
 
 def solve_cached(params: ActionParams, pairs, grid: TimeGrid, cache: dict) -> list[Trajectory]:
     """solve_paths warm-started from cache[j] for pair j; what it solves goes back into cache.
 
-    On a SolverError the paths solved before the failed one are stored, as a
-    loop of solve_bvp calls would have stored them, and the error is raised.
+    The cache is updated only on success: a SolverError leaves it as it was.
     """
     pairs = list(pairs)
-    try:
-        trajs = solve_paths(params, pairs, grid, [cache.get(j) for j in range(len(pairs))])
-    except SolverError as exc:
-        cache.update(enumerate(exc.solved))
-        raise
+    trajs = solve_paths(params, pairs, grid, [cache.get(j) for j in range(len(pairs))])
     cache.update(enumerate(trajs))
     return trajs
 

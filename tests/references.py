@@ -39,6 +39,11 @@ def conserved_energy_drift(params: ActionParams, traj: Trajectory) -> float:
     return float(np.max(energy) - np.min(energy))
 
 
+def with_duration(grid: TimeGrid, duration: float) -> TimeGrid:
+    """Same interval count, new duration; keeps refinement studies smooth."""
+    return TimeGrid(duration, grid.points_per_unit, grid.intervals)
+
+
 def time_derivative_fd(
     params: ActionParams,
     start: float,
@@ -52,8 +57,8 @@ def time_derivative_fd(
     Re-solves both perturbed problems on grids with the same interval count,
     providing an independent check of the d_time sensitivity.
     """
-    plus = solve_bvp(params, start, end, grid.with_duration(grid.duration + delta), guess=guess)
-    minus = solve_bvp(params, start, end, grid.with_duration(grid.duration - delta), guess=guess)
+    plus = solve_bvp(params, start, end, with_duration(grid, grid.duration + delta), guess=guess)
+    minus = solve_bvp(params, start, end, with_duration(grid, grid.duration - delta), guess=guess)
     return (action_value(params, plus) - action_value(params, minus)) / (2.0 * delta)
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from qaction.analytic import (
+    _require_family,
     asymptotic_quantum_action,
     asymptotic_quantum_params,
     closed_form_kernel,
@@ -69,6 +70,17 @@ def test_family_validation():
         euclidean_log_amplitude(STANDARD, -1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         euclidean_log_amplitude(STANDARD, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("v2, g", [(math.nan, 1.0), (0.5, math.nan)], ids=["v_2", "v_-2"])
+def test_nan_coefficient_is_outside_the_family(v2, g):
+    params = family(v2=v2, g=g)
+    with pytest.raises(ValueError, match="family requires"):
+        _require_family(params)
+    with pytest.raises(ValueError, match="family requires"):
+        ground_state(params)
+    with pytest.raises(ValueError, match="no closed-form"):
+        closed_form_kernel(params)
 
 
 def test_log_amplitude_matches_reference_over_parameter_sweep():

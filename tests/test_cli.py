@@ -257,6 +257,32 @@ def test_hbar_without_a_normal_square_exits_one(runner, tmp_path, cmd, section, 
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+# Half-line points where x^-2 of the model or of the fitted action overflows.
+# The fit ran its whole evaluation budget, wrote a row of inf and nan and
+# exited 2; the flow printed LAPACK's DLASCL complaint and exited 2.
+@pytest.mark.parametrize(
+    "cmd, doc, message",
+    [
+        ("fit", _fit_doc(initial=[1e-160], max_evaluations=300),
+         "fit.initial: x^-2 overflows at 1e-160"),
+        ("flow", _flow_doc(initial_point=1e-160), "flow.initial_point: x^-2 overflows at 1e-160"),
+        # only the ansatz has the negative power
+        ("fit", dict(_fit_doc(final=[1.0, 1e-160]), model=dict(STANDARD_MODEL, coefficients={"2": 0.5})),
+         "fit.final: x^-2 overflows at 1e-160"),
+        ("flow", _flow_doc(compare_fit={"initial": [1e-170], "final": [1.0, 2.0]}),
+         "flow.compare_fit.initial: x^-2 overflows at 1e-170"),
+    ],
+    ids=["fit_initial", "flow_initial_point", "fit_final_ansatz_only", "compare_fit_initial"],
+)
+def test_points_where_a_negative_power_overflows_exit_one(tmp_path, cmd, doc, message):
+    out = tmp_path / "out"
+    proc = run_module(cmd, "--config", write_config(tmp_path, doc), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert f"config error: {message}, too close to 0" in proc.stderr
+    assert "DLASCL" not in proc.stdout + proc.stderr
+    assert not out.exists()
+
+
 def test_valid_flow_and_fit_parameters_load(tmp_path):
     # the documents the bad cases above start from are themselves valid
     flow_cfg = load_config(write_config(tmp_path, _flow_doc(), "flow.json"), "flow")
@@ -470,10 +496,13 @@ def test_non_finite_numbers_exit_one(runner, tmp_path, cmd, doc, message):
         ({"boundary": -1.0}, "boundary"),
         ({"boundary": 0.0}, "boundary"),
         ({"boundary": 20.0, "extent": 10.0}, "boundary"),
+        # np.arange raised "Maximum allowed size exceeded" at run time: exit 2
+        ({"spacing": 1e-300}, "verify grid at spacing 1e-300: node count 1e+301 of"),
     ],
     ids=[
         "zero_spacing", "negative_spacing", "spacing_equals_extent", "negative_time",
         "zero_time", "negative_boundary", "zero_boundary", "boundary_beyond_extent",
+        "grid_beyond_one_array",
     ],
 )
 def test_bad_verify_parameters_exit_one(runner, tmp_path, verify, message):
@@ -528,7 +557,7 @@ def test_checked_in_config_loads(path):
 # Replacements for one node of a checked-in config. None of them allocates
 # much at load: there is no integer between 1e7 and 1e18 among them.
 FUZZ_VALUES = ("x", None, True, [], {}, math.nan, math.inf, -math.inf, 1e308, -1e308,
-               5e-324, -5e-324, 2.2e-308, 0, -1, 0.5)
+               5e-324, -5e-324, 2.2e-308, 1e-160, 0, -1, 0.5)
 DROP = object()
 
 

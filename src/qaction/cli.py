@@ -628,9 +628,6 @@ def _run_fit(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
     results = _fit_rows(model, sec, sec["times"], sec["init"])
-    path = out_dir / "fit_results.csv"
-    write_results_csv(results, path, header_comment=_meta(cfg, seed))
-
     errors = [r.relative_error for r in results]
     peak = int(np.argmax(errors))
     last = results[-1]
@@ -651,7 +648,10 @@ def _run_fit(cfg, out_dir, seed):
         "peak_relative_error": {"time": results[peak].time, "value": errors[peak]},
         "divergence_onset": onset,
     }
+    # the summary refuses a non-finite result before any file is written
     _write_json(out_dir / "fit_summary.json", summary)
+    path = out_dir / "fit_results.csv"
+    write_results_csv(results, path, header_comment=_meta(cfg, seed))
     click.echo(
         f"wrote {path} and fit_summary.json "
         f"(peak rel err {errors[peak]:.3e} at T={results[peak].time:g})"
@@ -671,9 +671,6 @@ def _run_flow(cfg, out_dir, seed):
         mode=sec["mode"],
         record_stride=sec["record_stride"],
     )
-    path = out_dir / "flow_trace.csv"
-    write_trace_csv(trace, path, header_comment=_meta(cfg, seed))
-
     last = trace.states[-1]
     max_deficiency = max((d.deficiency for d in trace.diagnostics), default=0)
     summary = {
@@ -697,7 +694,10 @@ def _run_flow(cfg, out_dir, seed):
             states.append(trace.states[-1])
         times = [st.beta * model.hbar for st in states]
         fit_results = _fit_rows(model, comp, times, None)
-        names = ["mass"] + [f"v_{k}" for k in sorted(sec["coefficients"])]
+        exponents = sorted(sec["coefficients"])
+        # raw v_0 is a gauge choice shared with ln Z~; both sides compare the
+        # invariant v_0 - hbar ln Z~ / T, which for the flow is v_0 - ln Z~ / beta
+        names = ["mass"] + [f"v_{k}" if k else "constant_term" for k in exponents]
         columns = ["beta"]
         for name in names:
             columns += [f"flow_{name}", f"fit_{name}", f"diff_{name}"]
@@ -705,22 +705,28 @@ def _run_flow(cfg, out_dir, seed):
         spread = {name: 0.0 for name in names}
         for st, fr in zip(states, fit_results):
             row = [st.beta]
+            flow_coeffs = st.params.potential.coefficients
+            fit_coeffs = fr.params.potential.coefficients
             fvals = [st.params.mass] + [
-                st.params.potential.coefficients[k] for k in sorted(sec["coefficients"])
+                flow_coeffs[k] - st.log_norm / st.beta if k == 0 else flow_coeffs[k]
+                for k in exponents
             ]
             gvals = [fr.params.mass] + [
-                fr.params.potential.coefficients.get(k, 0.0)
-                for k in sorted(sec["coefficients"])
+                constant_term(fr) if k == 0 else fit_coeffs.get(k, 0.0) for k in exponents
             ]
             for name, fv, gv in zip(names, fvals, gvals):
                 row += [fv, gv, fv - gv]
                 denom = max(abs(fv), abs(gv), 1e-12)
                 spread[name] = max(spread[name], abs(fv - gv) / denom)
             rows.append(row)
-        write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(cfg, seed))
         summary["comparison"] = {"max_rel_diff": spread, "points": len(rows)}
 
+    # the summary refuses a non-finite result before any file is written
     _write_json(out_dir / "flow_summary.json", summary)
+    path = out_dir / "flow_trace.csv"
+    write_trace_csv(trace, path, header_comment=_meta(cfg, seed))
+    if sec["compare_fit"] is not None:
+        write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(cfg, seed))
     click.echo(
         f"wrote {path} and flow_summary.json "
         f"(beta {initial.beta:g} -> {last.beta:g}, deficiency {max_deficiency})"

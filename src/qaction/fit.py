@@ -3,14 +3,17 @@
 A table of amplitudes G(x_f, T; x_i) over a boundary grid is matched by
 Z~ exp(-Sigma~), where Sigma~ is the trajectory action of a trial parameter
 set. The match runs in the log domain with ln Z~ profiled out in closed form,
-leaving a derivative-free simplex search over (mass, coefficients); the
-reported relative error goes back to the linear domain,
+leaving a least-squares problem in (mass, coefficients); the reported
+relative error goes back to the linear domain,
 sum |G - Z~ e^-Sigma| / sum |G|.
 
-The simplex search is a transcription of scipy 1.17.1's Nelder-Mead
-(`scipy.optimize._optimize._minimize_neldermead`) for the options the fit
-uses, so its iterates do not depend on the installed scipy and a fit does not
-import scipy.optimize.
+The search is Levenberg-Marquardt (Gauss-Newton with adaptive damping) on
+the exact Jacobian: by stationarity the partials of each solved path's
+action in the mass and the coefficients are total derivatives, so they come
+from the paths of a residual evaluation at no extra BVP solve. It steps only
+along the directions of the truncated singular value decomposition of that
+Jacobian; a direction the table does not determine is left where the
+continuation put it.
 """
 
 from __future__ import annotations
@@ -29,14 +32,37 @@ from .trajectory import (
     TimeGrid,
     Trajectory,
     action_values,
-    path_sensitivities,
+    parameter_partials,
     solve_cached,
 )
 
 MAX_EVALUATIONS = 50000
-SIMPLEX_TOL = 1e-10
-VALUE_TOL = 1e-14
 _SCALE_FLOOR = 0.01
+# Singular directions of the scaled, centred Jacobian below TRUNCATION * s_max
+# are not determined by the table, and the fit does not move along them.
+# Measured at the optimum of every slice of the ten configs/fit_*.json: the
+# well-posed slices have s_min / s_max >= 3.6e-6 (fit_boundary_windows_far at
+# T = 0.5), the flat-valley ones (the boundary windows at T >= 2) 9.7e-8 down
+# to 9e-10, and the two T = 3 fits of test_boundary_set_dependence_fades_with_time
+# 1.6e-7 and 1.5e-7. Cutoffs of 3e-8, 1e-6 and 3e-6 passed the fit and
+# acceptance tests; at 1e-9 and 1e-12 the boundary-set test failed (mass gap
+# 0.186 at T = 3 against 0.071 at T = 0.5): the fit walked down a flat valley.
+# A cutoff from the mesh error, keeping s_i > (4/3) |r_N - r_2N|, dropped a
+# determined direction of fit_boundary_windows_near at T = 1 (s_min 1.44e-5
+# against 1.52e-5): the objective rose from 8.0e-17 to 1.3e-11 and the
+# relative error from 2.9e-9 to 1.2e-6.
+TRUNCATION = 1e-6
+# The search stops, converged, once a step moves no scaled coordinate by more
+# than STEP_TOL, or once a full Gauss-Newton step could lower the objective
+# by no more than GAIN_TOL of itself.
+STEP_TOL = 1e-10
+GAIN_TOL = 1e-12
+# Initial damping, relative to s_max^2. A continuation start is close to the
+# optimum: the benchmark's sweeps take 4 evaluations per slice from 1e-6 and
+# 7 to 9 from the textbook 1e-3, over the ten fit configs 1,226 against 1,465.
+DAMPING_START = 1e-6
+# parameter_uncertainty: a larger component along a dropped direction is not rounding
+_FLAT_COMPONENT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -160,6 +186,8 @@ class _Objective:
             [init.mass] + [coeffs.get(k, 0.0) for k in exponents], dtype=float
         )
         self.scales = np.maximum(np.abs(self.center), _SCALE_FLOOR)
+        # every column but v_0's, which centring makes exactly zero
+        self.free = np.array([k != 0 for k in [None] + exponents])
 
     def params_from(self, y: np.ndarray) -> ActionParams | None:
         p = self.center + np.asarray(y) * self.scales
@@ -175,10 +203,22 @@ class _Objective:
     def actions(self, q: ActionParams) -> np.ndarray:
         return action_values(q, solve_cached(q, self.pairs, self.grid, self.cache))
 
-    def residuals(self, q: ActionParams) -> tuple[np.ndarray, float]:
-        sig = self.actions(q)
+    def evaluate(self, q: ActionParams) -> tuple[np.ndarray, float, list[Trajectory]]:
+        """Residuals, ln Z~ and the solved paths at q: one batch of BVP solves."""
+        paths = solve_cached(q, self.pairs, self.grid, self.cache)
+        sig = action_values(q, paths)
         log_norm = float(np.mean(self.log_g + sig))
-        return self.log_g + sig - log_norm, log_norm
+        return self.log_g + sig - log_norm, log_norm, paths
+
+    def residuals(self, q: ActionParams) -> tuple[np.ndarray, float]:
+        return self.evaluate(q)[:2]
+
+    def jacobian(self, q: ActionParams, paths: list[Trajectory]) -> np.ndarray:
+        """Exact d residuals / d y at the solved paths of q, without the v_0 column."""
+        d_mass, d_coeff = parameter_partials(q, paths)
+        jac = np.column_stack([d_mass] + [d_coeff[k] for k in self.exponents])
+        jac = jac[:, self.free] * self.scales[self.free]
+        return jac - jac.mean(axis=0)
 
     def __call__(self, y: np.ndarray) -> float:
         q = self.params_from(y)
@@ -191,92 +231,10 @@ class _Objective:
         return float(res @ res)
 
 
-def _initial_simplex(n: int, center: np.ndarray, spread: float) -> np.ndarray:
-    simplex = np.tile(center, (n + 1, 1))
-    for i in range(n):
-        simplex[i + 1, i] += spread
-    return simplex
-
-
-class _BudgetSpent(Exception):
-    """An objective call was refused because the evaluation budget is spent."""
-
-
-def _nelder_mead(func, simplex, max_evaluations: int) -> tuple[np.ndarray, int, bool]:
-    """Minimise func from an (n + 1, n) simplex; return (x, evaluations, converged).
-
-    A line-for-line transcription of scipy 1.17.1's `_minimize_neldermead`
-    with an initial simplex, xatol = SIMPLEX_TOL, fatol = VALUE_TOL, maxfev =
-    max_evaluations and no other option, so its iterates and counts are
-    scipy's bit for bit. converged is scipy's status 0: the tolerances were
-    met before the budget ran out.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    evaluations = 0
-
-    def call(x):
-        # the budget is checked before the call, and func gets its own copy
-        nonlocal evaluations
-        if evaluations >= max_evaluations:
-            raise _BudgetSpent
-        evaluations += 1
-        return func(np.copy(x))
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _BudgetSpent:
-        pass
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
-
-    while evaluations < max_evaluations:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= SIMPLEX_TOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= VALUE_TOL):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = call(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = call(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:  # inside contraction
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = call(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-        except _BudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], evaluations, evaluations < max_evaluations
+def _directions(jac: np.ndarray):
+    """Thin SVD of jac and the mask of its directions kept by TRUNCATION."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    return u, s, vt, s > TRUNCATION * s[0]
 
 
 def fit_at_time(
@@ -287,38 +245,75 @@ def fit_at_time(
     max_evaluations: int = MAX_EVALUATIONS,
     cache: dict | None = None,
 ) -> FitResult:
-    """Simplex fit of (mass, v_k for k in ansatz) at one time slice.
+    """Levenberg-Marquardt fit of (mass, v_k for k in ansatz) at one time slice.
 
-    The search works in units of the initial parameter scales, restarts once
-    from its own optimum, and flags convergence when the scaled simplex
-    diameter falls below 1e-10 within the evaluation budget. Each pass is
-    `_nelder_mead`, scipy 1.17.1's Nelder-Mead transcribed, so a fit gives
-    the bits that `scipy.optimize.minimize(method="Nelder-Mead")` of that
-    version gave.
+    The search starts at init, works in units of the initial parameter scales
+    and steps along the kept directions of the exact Jacobian (see
+    TRUNCATION). v_0 keeps its value from init bit for bit: the profiled
+    ln Z~ absorbs it exactly. An evaluation is one batch of BVP solves of
+    every boundary pair; max_evaluations caps them per slice, and a spent
+    budget ends the search with converged = False. The fit converges when a
+    step falls below STEP_TOL or a full Gauss-Newton step could gain no more
+    than GAIN_TOL of the objective.
     """
     exponents = sorted(int(k) for k in ansatz)
     if len(set(exponents)) != len(exponents):
         raise ValueError("ansatz exponents must be distinct")
+    if max_evaluations < 1:
+        raise ValueError("max_evaluations must be >= 1: the start is one evaluation")
     beta = table.time / table.model.hbar
     if not math.isclose(grid.duration, beta, rel_tol=1e-9):
         raise ValueError(
             f"grid duration {grid.duration} does not match beta = T/hbar = {beta}"
         )
     objective = _Objective(table, exponents, init, grid, cache=cache)
-    n = len(objective.center)
-    y = np.zeros(n)
-    total_evals = 0
-    converged = False
-    for spread in (0.05, 0.01):
-        budget = max_evaluations - total_evals
-        if budget <= n + 2:
-            break
-        y, evals, converged = _nelder_mead(objective, _initial_simplex(n, y, spread), budget)
-        total_evals += evals
+    y = np.zeros(len(objective.center))
     best = objective.params_from(y)
     if best is None:
-        raise SolverError("fit wandered into an invalid parameter region")
-    residuals, log_norm = objective.residuals(best)
+        raise SolverError("fit start is outside the valid parameter region")
+    residuals, log_norm, paths = objective.evaluate(best)
+    cost = float(residuals @ residuals)
+    evaluations, converged, moved, damping = 1, False, True, None
+    while True:
+        if moved:  # the Jacobian and its directions at the new point
+            u, s, vt, kept = _directions(objective.jacobian(best, paths))
+            u, s, vt = u[:, kept], s[kept], vt[kept]
+            gain = u.T @ residuals
+            if gain @ gain <= GAIN_TOL * cost:
+                converged = True
+                break
+            if damping is None:
+                damping = DAMPING_START * s[0] ** 2
+            growth = 2.0
+        step = np.zeros_like(y)
+        step[objective.free] = -(vt.T @ (s / (s * s + damping) * gain))
+        if np.max(np.abs(step)) <= STEP_TOL:
+            converged = True
+            break
+        if evaluations >= max_evaluations:
+            break
+        trial = objective.params_from(y + step)
+        trial_cost = math.inf
+        if trial is not None:
+            evaluations += 1
+            try:
+                trial_res, trial_norm, trial_paths = objective.evaluate(trial)
+                trial_cost = float(trial_res @ trial_res)
+            except SolverError:
+                pass
+        moved = trial_cost < cost
+        if moved:
+            # Nielsen's update from the gain ratio: actual over predicted reduction
+            left = damping / (s * s + damping) * gain
+            rho = (cost - trial_cost) / float(gain @ gain - left @ left)
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            y, best, cost = y + step, trial, trial_cost
+            residuals, log_norm, paths = trial_res, trial_norm, trial_paths
+        else:
+            damping *= growth
+            growth *= 2.0
+    # the next slice warm-starts from the paths of the optimum
+    objective.cache.update(enumerate(paths))
     # residual = ln G - ln(Z~ e^-Sigma), so the model amplitude in the linear
     # domain is exp(ln G - residual)
     g = np.exp(objective.log_g)
@@ -329,9 +324,9 @@ def fit_at_time(
         params=best,
         log_norm=log_norm,
         relative_error=rel,
-        objective=float(residuals @ residuals),
+        objective=cost,
         converged=converged,
-        evaluations=total_evals,
+        evaluations=evaluations,
         grid=grid,
     )
 
@@ -382,38 +377,27 @@ def sweep(
 def parameter_uncertainty(result: FitResult, table: AmplitudeTable) -> dict[str, float]:
     """Heuristic 1-sigma spreads from the Gauss-Newton Hessian at the optimum.
 
-    J is the exact Jacobian of the profiled residual vector: the partials
-    d_mass and d_coeff of each pair's action from path_sensitivities, which
-    stationarity makes total derivatives, centred over the pairs as the
+    J is the fit's Jacobian at result.params (_Objective.jacobian): the exact
+    partials of each pair's action, scaled and centred over the pairs as the
     profiled ln Z~ centres the residuals. The covariance estimate is
-    s^2 (J^T J)^-1 with s^2 the residual variance. A parameter with a non-zero
-    component along a direction of negligible curvature is reported as
-    infinite; the others keep the finite sum over the curved directions.
+    s^2 (J^T J)^+ over the directions the fit keeps (TRUNCATION), with s^2 the
+    residual variance. v_0, whose centred column is exactly zero, and any
+    parameter with more than rounding along a dropped direction are reported
+    as infinite; the others keep the finite sum over the kept directions.
     """
     exponents = sorted(result.params.potential.coefficients)
     objective = _Objective(table, exponents, result.params, result.grid)
-    names = ["mass"] + [f"v_{k}" for k in exponents]
-    n = len(objective.center)
-    res0, _ = objective.residuals(result.params)
-    trajs = [objective.cache[idx] for idx in range(len(objective.pairs))]
-    sens = path_sensitivities(result.params, trajs)
-    jac = np.column_stack([sens.d_mass] + [sens.d_coeff[k] for k in exponents])
-    jac -= jac.mean(axis=0)
-    hess = jac.T @ jac
-    dof = max(len(res0) - n - 1, 1)
+    res0, _, paths = objective.evaluate(result.params)
+    _, s, vt, kept = _directions(objective.jacobian(result.params, paths))
+    dof = max(len(res0) - len(objective.center) - 1, 1)
     variance = float(res0 @ res0) / dof
-    sigmas = {}
-    evals, evecs = np.linalg.eigh(hess)
-    cutoff = max(evals[-1], 0.0) * 1e-13
-    flat = evals <= cutoff
-    inv_diag = 1.0 / np.where(flat, 1.0, evals)
-    for i, name in enumerate(names):
-        if np.any(evecs[i, flat] != 0.0):  # the parameter moves along a flat direction
-            sigmas[name] = math.inf
-            continue
-        total = float(np.sum(np.where(flat, 0.0, evecs[i, :] ** 2 * inv_diag)))
-        sigmas[name] = math.sqrt(variance * total) if math.isfinite(total) else math.inf
-    return sigmas
+    # components of an orthonormal basis at rounding level are noise
+    flat = np.any(np.abs(vt[~kept]) > _FLAT_COMPONENT, axis=0)
+    spread = np.sqrt(variance * np.sum((vt[kept] / s[kept, None]) ** 2, axis=0))
+    sigmas = np.full(len(objective.center), math.inf)
+    sigmas[objective.free] = np.where(flat, math.inf, spread * objective.scales[objective.free])
+    names = ["mass"] + [f"v_{k}" for k in exponents]
+    return {name: float(v) for name, v in zip(names, sigmas)}
 
 
 def constant_term(result: FitResult) -> float:

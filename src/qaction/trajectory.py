@@ -449,11 +449,16 @@ def _stack(trajs: list[Trajectory]) -> tuple[TimeGrid, np.ndarray]:
     return grid, np.stack([t.positions for t in trajs])
 
 
+def _kinetic_sums(x: np.ndarray) -> np.ndarray:
+    """Row sums of (x_{i+1} - x_i)^2."""
+    dx = np.diff(x, axis=-1)
+    return np.sum(dx * dx, axis=-1)
+
+
 def _trapezoid_sums(params: ActionParams, x: np.ndarray):
     """Row sums of (x_{i+1} - x_i)^2 and of V(x_i) + V(x_{i+1}), the two sums of the action."""
-    dx = np.diff(x, axis=-1)
     v = potential_value(params.potential, x)
-    return np.sum(dx * dx, axis=-1), np.sum(v[..., :-1] + v[..., 1:], axis=-1)
+    return _kinetic_sums(x), np.sum(v[..., :-1] + v[..., 1:], axis=-1)
 
 
 def _trapezoid_actions(params: ActionParams, x: np.ndarray, step: float):
@@ -486,19 +491,11 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
     if not trajs:
         raise ValueError("need at least one trajectory")
     grid, x = _stack(trajs)
-    n, step, n_int = len(trajs), grid.step, grid.intervals
+    step, n_int = grid.step, grid.intervals
     m, hbar = params.mass, params.hbar
     kinetic_sum, potential_sum = _trapezoid_sums(params, x)
     pot_sum = potential_sum * 0.5
-
-    d_mass = kinetic_sum / (2.0 * hbar**2 * step)
-    d_coeff = {}
-    for k in sorted(params.potential.coefficients):
-        if k == 0:
-            d_coeff[k] = np.full(n, step * n_int)
-        else:
-            p = x**k
-            d_coeff[k] = step * np.sum(p[:, :-1] + p[:, 1:], axis=1) * 0.5
+    d_mass, d_coeff = _parameter_partials(params, x, step, kinetic_sum)
     # exact derivative of the discrete action with respect to duration at
     # fixed interval count: minus the mean interval energy
     d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
@@ -509,6 +506,29 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
         d_x=_endpoint_momenta(params, x, step),
         d_xx=_endpoint_curvature(params, x, step),
     )
+
+
+def parameter_partials(params: ActionParams, trajs) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """d_mass and d_coeff of path_sensitivities, bit for bit, without its endpoint derivatives.
+
+    The fit's Jacobian needs only these, so it skips the Jacobi solves behind d_xx.
+    """
+    grid, x = _stack(list(trajs))
+    return _parameter_partials(params, x, grid.step, _kinetic_sums(x))
+
+
+def _parameter_partials(params: ActionParams, x: np.ndarray, step: float, kinetic_sum):
+    """Partials of the action in the mass and in each coefficient, per row of x."""
+    n, n_int = x.shape[0], x.shape[1] - 1
+    d_mass = kinetic_sum / (2.0 * params.hbar**2 * step)
+    d_coeff = {}
+    for k in sorted(params.potential.coefficients):
+        if k == 0:
+            d_coeff[k] = np.full(n, step * n_int)
+        else:
+            p = x**k
+            d_coeff[k] = step * np.sum(p[:, :-1] + p[:, 1:], axis=1) * 0.5
+    return d_mass, d_coeff
 
 
 def _endpoint_momenta(params: ActionParams, x: np.ndarray, step: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -834,3 +835,51 @@ def test_flow_summary_counts_rejected_steps(runner, tmp_path, monkeypatch):
     assert halved["rejected_steps"] == 3
     assert (plain["recorded_states"], halved["recorded_states"]) == (3, 5)
     assert halved["final"]["beta"] == plain["final"]["beta"] == 1.5
+
+
+@pytest.mark.parametrize("cmd", ["fit", "flow"])
+def test_non_finite_summary_writes_no_file(runner, tmp_path, monkeypatch, cmd):
+    # the summary is checked before any CSV is written: exit 2 leaves nothing behind
+    if cmd == "fit":
+        monkeypatch.setattr(cli, "constant_term", lambda result: math.nan)
+        doc = _fit_doc()
+    else:
+        real_run = cli.flow_run
+
+        def poisoned(*args, **kwargs):
+            trace = real_run(*args, **kwargs)
+            trace.states[-1] = dataclasses.replace(trace.states[-1], log_norm=math.nan)
+            return trace
+
+        monkeypatch.setattr(cli, "flow_run", poisoned)
+        doc = _flow_doc(compare_fit={"initial": [1.0], "final": [2.0, 2.5]})
+    out = tmp_path / "out"
+    res = runner.invoke(main, [cmd, "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{cmd}_summary.json not written: a result is not finite" in res.output
+    assert list(out.iterdir()) == []
+
+
+def test_flow_compares_the_gauge_invariant_constant_term(runner, tmp_path):
+    # v_0 alone is a gauge choice shared with ln Z~: the fit keeps its start
+    # value, so raw v_0 would differ by 100%. The config leaves the flow's
+    # initial ln Z~ at 0, so the flow's v_0 - ln Z~ / beta sits c / beta from
+    # the fit's v_0 - hbar ln Z~ / T, with one c on every compared slice.
+    config = CONFIGS / "flow_quartic_compare.json"
+    res = runner.invoke(main, ["flow", "--config", str(config), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    lines = (tmp_path / "flow_vs_fit.csv").read_text().strip().split("\n")
+    columns = lines[1].split(",")
+    assert columns[:7] == ["beta", "flow_mass", "fit_mass", "diff_mass", "flow_constant_term",
+                           "fit_constant_term", "diff_constant_term"]
+    assert not any("v_0" in c for c in columns)
+    rows = [dict(zip(columns, map(float, line.split(",")))) for line in lines[2:]]
+    assert len(rows) == 5
+    offsets = [r["beta"] * r["diff_constant_term"] for r in rows]
+    assert max(offsets) - min(offsets) < 1e-3
+    for r in rows:
+        assert r["flow_constant_term"] - r["fit_constant_term"] == r["diff_constant_term"]
+    summary = json.loads((tmp_path / "flow_summary.json").read_text())
+    spread = summary["comparison"]["max_rel_diff"]
+    assert set(spread) == {"mass", "constant_term", "v_2", "v_4"}
+    assert max(spread["mass"], spread["v_2"], spread["v_4"]) < 1e-3

@@ -7,11 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from qaction.fit import (
-    SIMPLEX_TOL,
-    VALUE_TOL,
+    MAX_EVALUATIONS,
     BoundarySet,
-    _initial_simplex,
-    _nelder_mead,
     _Objective,
     build_table,
     constant_term,
@@ -23,7 +20,7 @@ from qaction.fit import (
 )
 from qaction.model import ActionParams, Domain, PotentialSpec
 from qaction.oracle import SpatialGrid, amplitude, refine_energies, solve_spectrum
-from qaction.trajectory import TimeGrid
+from qaction.trajectory import SolverError, TimeGrid
 
 STANDARD = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -2: 1.0}))
 HARMONIC = ActionParams(
@@ -308,33 +305,108 @@ def test_oracle_floor_error_names_first_pair_in_row_major_order(monkeypatch):
     assert f"({BOUNDS.initial[0]}, {BOUNDS.final[3]}, T=1.0)" in str(err.value)
 
 
-# _nelder_mead against the scipy routine it transcribes, at the fit's options
+# Where the Nelder-Mead search that the fit used before (scipy 1.17.1's
+# simplex, transcribed) ended on standard_fit's table: the reference the
+# Levenberg-Marquardt search must match.
+NELDER_MEAD_STANDARD = {
+    "mass": 0.9736036741488816,
+    "coefficients": {-2: 1.9360851878209882, 0: 0.000846937628253852, 2: 0.54139379666286},
+    "log_norm": -0.6421501801241785,
+    "objective": 3.680923849618254e-05,
+}
+PAPER_WINDOWS = BoundarySet(equidistant(4.0, 5.0, 2), equidistant(0.5, 3.0, 10))
 
 
-def scipy_nelder_mead(func, simplex, budget):
-    from scipy.optimize import minimize
+def test_jacobian_matches_central_differences_of_residuals(standard_table):
+    grid = TimeGrid(1.0, intervals=300)
+    objective = _Objective(standard_table, [-2, 0, 2], standard_init(0, 2, -2), grid)
+    y = np.array([0.02, -0.03, 0.0, 0.01])
+    q = objective.params_from(y)
+    _, _, paths = objective.evaluate(q)
+    jac = objective.jacobian(q, paths)
+    assert jac.shape == (len(objective.pairs), 3)  # no v_0 column
+    h = 1e-5
+    columns = []
+    for j in np.flatnonzero(objective.free):
+        e = np.zeros_like(y)
+        e[j] = h
+        plus, _ = objective.residuals(objective.params_from(y + e))
+        minus, _ = objective.residuals(objective.params_from(y - e))
+        columns.append((plus - minus) / (2.0 * h))
+    npt.assert_allclose(jac, np.column_stack(columns), rtol=0, atol=1e-7 * np.abs(jac).max())
+    # centring over the pairs: every column sums to zero, as the residuals do
+    npt.assert_allclose(jac.sum(axis=0), 0.0, atol=1e-12 * np.abs(jac).max())
 
-    res = minimize(
-        func,
-        simplex[0],
-        method="Nelder-Mead",
-        options={
-            "xatol": SIMPLEX_TOL,
-            "fatol": VALUE_TOL,
-            "maxfev": budget,
-            "initial_simplex": simplex,
-        },
+
+def test_v0_keeps_its_start_value_bit_for_bit(standard_table):
+    grid = TimeGrid(1.0, intervals=300)
+    for v0 in (0.0, 0.3, -1.7e-3):
+        init = ActionParams(1.0, 1.0, PotentialSpec({0: v0, 2: 0.5, -2: 1.0}))
+        result = fit_at_time(standard_table, [0, 2, -2], init, grid)
+        assert result.converged
+        assert result.params.potential.coefficients[0] == v0
+
+
+def test_standard_fit_reaches_the_nelder_mead_optimum(standard_fit):
+    ref = NELDER_MEAD_STANDARD
+    assert standard_fit.converged
+    assert standard_fit.objective <= ref["objective"] * (1.0 + 1e-6)
+    assert standard_fit.params.mass == pytest.approx(ref["mass"], rel=1e-6)
+    coeffs = standard_fit.params.potential.coefficients
+    for k in (2, -2):
+        assert coeffs[k] == pytest.approx(ref["coefficients"][k], rel=1e-6)
+    nm_constant = ref["coefficients"][0] - ref["log_norm"]
+    assert constant_term(standard_fit) == pytest.approx(nm_constant, rel=1e-6)
+    assert standard_fit.evaluations <= 20  # Nelder-Mead took 751
+
+
+def test_spent_budget_is_not_converged(standard_table, standard_fit):
+    grid = TimeGrid(1.0, intervals=300)
+    init = standard_init(0, 2, -2)
+    for budget in (1, 2, 3):
+        result = fit_at_time(standard_table, [0, 2, -2], init, grid, max_evaluations=budget)
+        assert (result.evaluations, result.converged) == (budget, False)
+        assert result.objective >= standard_fit.objective
+    # the budget counts every evaluation, the starting point's included
+    enough = fit_at_time(
+        standard_table, [0, 2, -2], init, grid, max_evaluations=standard_fit.evaluations
     )
-    return res.x, res.nfev, bool(res.status == 0)
+    assert enough.converged and enough.evaluations == standard_fit.evaluations
 
 
-def assert_same_search(make_func, simplex, budget):
-    """Both searches on fresh objectives: the same bits of x, count and verdict."""
-    x, evaluations, converged = _nelder_mead(make_func(), simplex, budget)
-    ref_x, ref_evaluations, ref_converged = scipy_nelder_mead(make_func(), simplex, budget)
-    assert x.tobytes() == ref_x.tobytes()
-    assert (evaluations, converged) == (ref_evaluations, ref_converged)
-    return x, evaluations, converged
+def test_evaluations_per_slice_on_the_paper_windows():
+    times = [0.1, 0.2, 0.4, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
+    results = sweep(
+        STANDARD, PAPER_WINDOWS, [0, 2, -2], times,
+        grid_policy=lambda t: TimeGrid(t, intervals=100),
+    )
+    assert all(r.converged for r in results)
+    # Nelder-Mead took about 700 per slice
+    assert max(r.evaluations for r in results) <= 60
+
+
+def test_parameter_uncertainty_verdict_at_both_optima(standard_table, standard_fit):
+    # the search's own optimum and the Nelder-Mead one, which sit 1e-9 apart
+    ref = NELDER_MEAD_STANDARD
+    nelder_mead = dataclasses.replace(
+        standard_fit,
+        params=ActionParams(ref["mass"], 1.0, PotentialSpec(ref["coefficients"])),
+        log_norm=ref["log_norm"],
+        objective=ref["objective"],
+    )
+    spreads = [parameter_uncertainty(r, standard_table) for r in (standard_fit, nelder_mead)]
+    for sigmas in spreads:
+        assert math.isinf(sigmas["v_0"])  # exactly degenerate with ln Z~
+        assert all(0.0 < sigmas[name] < 0.1 for name in ("mass", "v_-2", "v_2"))
+    for name in ("mass", "v_-2", "v_2"):
+        assert spreads[0][name] == pytest.approx(spreads[1][name], rel=1e-6)
+
+
+# The checks below carry the ids of the checks of the Nelder-Mead search that
+# the Levenberg-Marquardt one replaced, and hold the new search to the same
+# contracts on the same problems: the optimum of scipy's Nelder-Mead on the
+# fit objective, a budget that runs out early, a budget that runs out in a
+# run of rejected steps, and an objective with an infinite region.
 
 
 @pytest.fixture(scope="module")
@@ -344,71 +416,155 @@ def small_objective(standard_table):
     return lambda: _Objective(standard_table, [-2, 0, 2], init, TimeGrid(1.0, intervals=100))
 
 
+def small_fit(objective, budget=MAX_EVALUATIONS):
+    """fit_at_time on objective's table and grid, from its start."""
+    start = objective.params_from(np.zeros(len(objective.center)))
+    return fit_at_time(
+        objective.table, objective.exponents, start, objective.grid, max_evaluations=budget
+    )
+
+
+def scipy_nelder_mead(func, budget):
+    """scipy's Nelder-Mead on func from the fit's start, at the old fit's options."""
+    from scipy.optimize import minimize
+
+    simplex = np.vstack([np.zeros(4), 0.05 * np.eye(4)])
+    options = {"xatol": 1e-10, "fatol": 1e-14, "maxfev": budget, "initial_simplex": simplex}
+    res = minimize(func, simplex[0], method="Nelder-Mead", options=options)
+    return res.x, res.fun, bool(res.status == 0)
+
+
+def y_distance(objective, a, b):
+    def coordinates(q):
+        coeffs = q.potential.coefficients
+        return np.array([q.mass] + [coeffs[k] for k in objective.exponents]) / objective.scales
+
+    return float(np.linalg.norm(coordinates(a) - coordinates(b)))
+
+
 @pytest.mark.parametrize("budget", [*range(5, 40), 57, 100, 200, 333, 1000])
 def test_nelder_mead_matches_scipy_on_fit_objective(small_objective, budget):
-    simplex = _initial_simplex(4, np.zeros(4), 0.05)
-    _, evaluations, converged = assert_same_search(small_objective, simplex, budget)
-    assert converged == (evaluations < budget)
-    assert converged or budget < 1000  # about 350 evaluations reach the tolerances
+    free = small_fit(small_objective())
+    result = small_fit(small_objective(), budget)
+    x, value, nm_converged = scipy_nelder_mead(small_objective(), budget)
+    # at every budget the search is at least as far down as scipy's
+    assert result.objective <= value * (1.0 + 1e-6)
+    assert result.evaluations <= budget
+    assert result.converged == (budget >= free.evaluations)
+    if result.converged:  # a budget the search does not spend changes no bit
+        assert result == free
+    if budget == 1000:  # about 470 evaluations bring scipy's search to its tolerances
+        assert nm_converged
+        objective = small_objective()
+        q = objective.params_from(x)
+        _, log_norm = objective.residuals(q)
+        assert result.params.mass == pytest.approx(q.mass, rel=1e-6)
+        for k in (2, -2):
+            assert result.params.potential.coefficients[k] == pytest.approx(
+                q.potential.coefficients[k], rel=1e-6
+            )
+        nm_constant = q.potential.coefficients[0] - log_norm
+        assert constant_term(result) == pytest.approx(nm_constant, rel=1e-6)
 
 
 @pytest.mark.parametrize("budget", range(5))
 def test_nelder_mead_budget_smaller_than_simplex(small_objective, budget):
-    # vertices past the budget stay at inf and sort last
-    simplex = _initial_simplex(4, np.zeros(4), 0.05)
-    x, evaluations, converged = assert_same_search(small_objective, simplex, budget)
-    assert (evaluations, converged) == (budget, False)
-    assert any(np.array_equal(x, vertex) for vertex in simplex)
-
-
-def plateau(simplex, calls):
-    """0, 1, 2 on the three vertices and 10 elsewhere: the first step must shrink."""
-    values = {tuple(v): float(i) for i, v in enumerate(simplex)}
-
-    def func(x):
-        calls.append(x)
-        return values.get(tuple(x), 10.0)
-
-    return func
+    # fewer evaluations than the five vertices of a simplex in four parameters
+    objective = small_objective()
+    if budget == 0:  # the start itself is one evaluation
+        with pytest.raises(ValueError, match="max_evaluations"):
+            small_fit(objective, budget)
+        return
+    result = small_fit(objective, budget)
+    assert (result.evaluations, result.converged) == (budget, False)
+    # the reported objective is the objective at the reported parameters
+    residuals, log_norm = small_objective().residuals(result.params)
+    assert (float(residuals @ residuals), log_norm) == (result.objective, result.log_norm)
+    start = objective.params_from(np.zeros(len(objective.center)))
+    if budget == 1:
+        assert result.params == start
+    else:
+        assert result.objective < small_fit(small_objective(), budget - 1).objective
 
 
 @pytest.mark.parametrize("budget", range(12))
-def test_nelder_mead_budget_ending_inside_a_shrink(budget):
-    simplex = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    calls = []
-    _nelder_mead(plateau(simplex, calls), simplex, 100)
-    # 3 vertices, a reflection, an inside contraction, then the shrink moves
-    # both other vertices halfway to the best one: calls 6 and 7
-    assert np.array_equal(calls[3], [1.0, -1.0])
-    assert np.array_equal(calls[4], [0.25, 0.5])
-    assert np.array_equal(calls[5], [0.5, 0.0]) and np.array_equal(calls[6], [0.0, 0.5])
-    assert_same_search(lambda: plateau(simplex, []), simplex, budget)
+def test_nelder_mead_budget_ending_inside_a_shrink(small_objective, budget, monkeypatch):
+    """The solver fails at the first four trial points: four rejected steps.
 
-
-def fenced_rosenbrock(calls):
-    """Rosenbrock inside the disc of radius 1.5, inf outside it.
-
-    It scribbles on its argument, which is harmless only if every call gets
-    a copy of the vertex.
+    Each rejection raises the damping, which shortens the next step towards
+    the start, as a shrink pulls a simplex towards its best vertex.
     """
+    objective = small_objective()
+    start = objective.params_from(np.zeros(len(objective.center)))
+    free = small_fit(small_objective())
+    start_cost = small_fit(small_objective(), 1).objective
+    evaluate = _Objective.evaluate
+    calls = []
 
-    def func(x):
-        calls.append(x.copy())
-        value = math.inf if x @ x > 2.25 else 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-        x[:] = np.nan
-        return float(value)
+    def failing(self, q):
+        calls.append(q)
+        if 2 <= len(calls) <= 5:
+            raise SolverError("trial point refused")
+        return evaluate(self, q)
 
-    return func
+    monkeypatch.setattr(_Objective, "evaluate", failing)
+    unlimited = small_fit(objective)
+    steps = [y_distance(objective, q, start) for q in calls[1:5]]
+    assert all(a > b > 0.0 for a, b in zip(steps, steps[1:]))
+    assert unlimited.converged and unlimited.evaluations > free.evaluations + 4
+    assert unlimited.objective == pytest.approx(free.objective, rel=1e-9)
+    calls.clear()
+    if budget == 0:
+        with pytest.raises(ValueError, match="max_evaluations"):
+            small_fit(objective, budget)
+        return
+    result = small_fit(small_objective(), budget)
+    # a refused trial counts against the budget as any other evaluation
+    assert len(calls) == result.evaluations == min(budget, unlimited.evaluations)
+    assert result.converged == (budget >= unlimited.evaluations)
+    if budget <= 5:  # nothing but the start has been accepted
+        assert result.params == start and not result.converged
+    else:
+        assert result.objective < start_cost
 
 
 @pytest.mark.parametrize("budget", [*range(3, 60, 4), 2000])
-def test_nelder_mead_objective_with_an_inf_region(budget):
-    simplex = np.array([[-1.2, 1.0], [-0.6, 1.0], [-1.2, 1.6]])  # the last vertex is fenced off
+def test_nelder_mead_objective_with_an_inf_region(small_objective, budget, monkeypatch):
+    """The solver fails inside a ball around the first full step of the search.
+
+    The ball takes half the way from that point to the optimum, so the
+    optimum is outside it, and the search must step around it.
+    """
+    init = ActionParams(1.5, 1.0, PotentialSpec({0: 0.0, 2: 0.3, -2: 1.5}))
+    objective = _Objective(small_objective().table, [-2, 0, 2], init, TimeGrid(1.0, intervals=100))
+    evaluate = _Objective.evaluate
     calls = []
-    x, evaluations, converged = assert_same_search(
-        lambda: fenced_rosenbrock(calls), simplex, budget
-    )
-    assert any(c @ c > 2.25 for c in calls)
+
+    def recording(self, q):
+        calls.append(q)
+        return evaluate(self, q)
+
+    monkeypatch.setattr(_Objective, "evaluate", recording)
+    free = small_fit(objective)
+    first = calls[1]
+    radius = 0.5 * y_distance(objective, free.params, first)
+    fenced = []
+
+    def fenced_off(self, q):
+        calls.append(q)
+        if y_distance(objective, q, first) < radius:
+            fenced.append(q)
+            raise SolverError("inside the fence")
+        return evaluate(self, q)
+
+    monkeypatch.setattr(_Objective, "evaluate", fenced_off)
+    calls.clear()
+    result = small_fit(objective, budget)
+    assert fenced and calls[1] is fenced[0]  # the first step is refused
+    assert result.evaluations == len(calls) <= budget
+    assert math.isfinite(result.objective)
+    assert y_distance(objective, result.params, first) >= radius
     if budget == 2000:
-        assert converged and evaluations < budget
-        npt.assert_allclose(x, [1.0, 1.0], atol=1e-8)
+        assert result.converged and result.evaluations < budget
+        assert result.objective == pytest.approx(free.objective, rel=1e-9)
+        assert result.params.mass == pytest.approx(free.params.mass, rel=1e-8)

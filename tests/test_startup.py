@@ -139,17 +139,22 @@ import json
 from pathlib import Path
 import qaction.cli
 {FIT_CALL}
-out = {{"value": value, "fit_at_time": loaded({DEFERRED!r})}}
+out = {{"value": value, "fit_at_time": loaded({DEFERRED!r}),
+        "fit_at_time:linalg": loaded({PACKAGE_PROBE!r})}}
 work = Path(sys.argv[1])
 for cmd in ("fit", "flow"):
     argv = [cmd, "--config", str(work / f"{{cmd}}.json"), "--out", str(work / cmd)]
     qaction.cli.main.main(args=argv, prog_name="qaction", standalone_mode=False)
     out[cmd] = loaded({DEFERRED!r})
+    out[f"{{cmd}}:linalg"] = loaded({PACKAGE_PROBE!r})
 print(json.dumps(out))
 """
     got = fresh_python(code, str(tmp_path))
     for key in ("fit_at_time", "fit", "flow"):
         assert got[key] == [], key
+        # the fit's SVD is numpy's: the scipy.linalg package import stays out
+        assert FLAPACK in got[f"{key}:linalg"], key
+        assert not set(PACKAGE_IMPORT) & set(got[f"{key}:linalg"]), key
     here = {}
     exec(FIT_CALL, here)
     assert got["value"] == here["value"]

@@ -329,13 +329,13 @@ def transformation_residual(
     return float(out) if out.ndim == 0 else out
 
 
-def reconstruct_ground_state(params: ActionParams, x, normalised: bool = True):
+def reconstruct_ground_state(params: ActionParams, x):
     """Ground-state shape exp(-|int_{x_min}^x sqrt(2 m (V - V_min))| / hbar).
 
     For the two-term family the integral is elementary and yields
     x^beta exp(-alpha x^2 / 2) with alpha = sqrt(2 m v_2)/hbar and
     beta = sqrt(2 m v_-2)/hbar; any other potential raises ValueError.
-    When `normalised`, the result is scaled to unit L2 norm on the domain.
+    The result is scaled to unit L2 norm on the domain.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -356,14 +356,13 @@ def reconstruct_ground_state(params: ActionParams, x, normalised: bool = True):
     # anchor at x_min so the un-normalised shape peaks at 1
     if xmin > 0.0:
         log_shape = log_shape - (beta * math.log(xmin) - 0.5 * alpha * xmin**2)
-    if normalised:
-        if beta != 0.0:
-            # L2 norm of x^beta e^{-alpha x^2/2} on (0, inf)
-            log_sq_norm = ln_gamma(beta + 0.5) - (beta + 0.5) * math.log(alpha) - math.log(2.0)
-        else:
-            half = 0.5 if params.domain is Domain.HALF_LINE else 1.0
-            log_sq_norm = math.log(math.sqrt(math.pi / alpha) * half)
-        anchor = beta * math.log(xmin) - 0.5 * alpha * xmin**2 if xmin > 0.0 else 0.0
-        log_shape = log_shape + anchor - 0.5 * log_sq_norm
+    if beta != 0.0:
+        # L2 norm of x^beta e^{-alpha x^2/2} on (0, inf)
+        log_sq_norm = ln_gamma(beta + 0.5) - (beta + 0.5) * math.log(alpha) - math.log(2.0)
+    else:
+        half = 0.5 if params.domain is Domain.HALF_LINE else 1.0
+        log_sq_norm = math.log(math.sqrt(math.pi / alpha) * half)
+    anchor = beta * math.log(xmin) - 0.5 * alpha * xmin**2 if xmin > 0.0 else 0.0
+    log_shape = log_shape + anchor - 0.5 * log_sq_norm
     out = np.exp(log_shape)
     return float(out[0]) if scalar else out

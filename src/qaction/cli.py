@@ -187,13 +187,6 @@ def _require_closed_form(model: ActionParams, where):
         ) from exc
 
 
-def _require_scale_family(model: ActionParams, where):
-    try:
-        _require_family(model)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def _oracle_keys(section):
     out = {
         "spacing": _float(section.get("spacing", 2e-3), "spacing"),
@@ -264,9 +257,6 @@ def _amplitude_table(section, model, where, ansatz):
     out["source"] = source
     grid = _oracle_grid(out, model, all_levels=True) if source == "oracle" else None
     out.update(_endpoints(section, model, where, grid, ansatz))
-    out["max_evaluations"] = _int(
-        section.get("max_evaluations", 50000), f"{where}.max_evaluations", 1
-    )
     return out
 
 
@@ -308,7 +298,6 @@ def _validate_fit(section, model):
             "extent",
             "levels",
             "refine",
-            "max_evaluations",
             "init",
             "divergence_threshold",
         ),
@@ -422,7 +411,7 @@ def _validate_flow(section, model):
         sub = section["compare_fit"]
         _check_keys(
             sub,
-            ("initial", "final", "source", "stride", "spacing", "extent", "levels", "refine", "max_evaluations"),
+            ("initial", "final", "source", "stride", "spacing", "extent", "levels", "refine"),
             ("initial", "final"),
             "flow.compare_fit",
         )
@@ -439,7 +428,7 @@ def _validate_verify(section, model):
         (),
         "verify",
     )
-    _require_scale_family(model, "verify")
+    _built(functools.partial(_require_family, model), "verify")
     out = {
         "gamma_shift": _float(section.get("gamma_shift", 0.0), "verify.gamma_shift"),
         "spacing": _float(section.get("spacing", 5e-4), "verify.spacing"),
@@ -466,7 +455,7 @@ def _validate_verify(section, model):
 
 def _validate_scales(section, model):
     _check_keys(section, ("probability",), (), "scales")
-    _require_scale_family(model, "scales")
+    _built(functools.partial(_require_family, model), "scales")
     prob = _float(section.get("probability", 0.95), "scales.probability")
     if not 0.0 < prob < 1.0:
         raise ConfigError("scales.probability must lie in (0, 1)")
@@ -576,9 +565,10 @@ def _run_propagator(cfg, out_dir, seed):
     path = out_dir / "propagator.csv"
     write_csv(path, columns, rows, _meta(cfg, seed))
     worst = max((r[6] for r in rows), default=0.0)
-    click.echo(
+    print(
         f"wrote {path} ({len(rows)} rows, max rel_diff {worst:.3e}, "
-        f"{kept} of {sec['levels']} levels)"
+        f"{kept} of {sec['levels']} levels)",
+        flush=True,
     )
 
 
@@ -591,7 +581,7 @@ def _run_spectrum(cfg, out_dir, seed):
     rows = [[i, float(e)] for i, e in enumerate(dec.energies)]
     path = out_dir / "spectrum.csv"
     write_csv(path, ["level", "energy"], rows, _meta(cfg, seed))
-    click.echo(f"wrote {path} ({len(rows)} levels, ground {dec.energies[0]:.10g})")
+    print(f"wrote {path} ({len(rows)} levels, ground {dec.energies[0]:.10g})", flush=True)
 
 
 def _fit_rows(model, sec, times, init_params):
@@ -606,10 +596,8 @@ def _fit_rows(model, sec, times, init_params):
         sec["ansatz"],
         times,
         grid_policy=lambda t: TimeGrid(t / model.hbar, **sec["grid"]),
-        source=sec["source"],
         decomposition=decomposition,
         init=init_params,
-        max_evaluations=sec["max_evaluations"],
     )
 
 
@@ -652,9 +640,10 @@ def _run_fit(cfg, out_dir, seed):
     _write_json(out_dir / "fit_summary.json", summary)
     path = out_dir / "fit_results.csv"
     write_results_csv(results, path, header_comment=_meta(cfg, seed))
-    click.echo(
+    print(
         f"wrote {path} and fit_summary.json "
-        f"(peak rel err {errors[peak]:.3e} at T={results[peak].time:g})"
+        f"(peak rel err {errors[peak]:.3e} at T={results[peak].time:g})",
+        flush=True,
     )
 
 
@@ -727,9 +716,10 @@ def _run_flow(cfg, out_dir, seed):
     write_trace_csv(trace, path, header_comment=_meta(cfg, seed))
     if sec["compare_fit"] is not None:
         write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(cfg, seed))
-    click.echo(
+    print(
         f"wrote {path} and flow_summary.json "
-        f"(beta {initial.beta:g} -> {last.beta:g}, deficiency {max_deficiency})"
+        f"(beta {initial.beta:g} -> {last.beta:g}, deficiency {max_deficiency})",
+        flush=True,
     )
 
 
@@ -797,14 +787,17 @@ def _run_verify(cfg, out_dir, seed):
     checks.append(
         ("asymptotic_product_round_trip", abs(gamma_rt - gs.gamma), 1e-12)
     )
-    click.echo(f"asymptotic inverse-square product m~ v~_-2 = {mvm2:.5f}")
+    print(f"asymptotic inverse-square product m~ v~_-2 = {mvm2:.5f}", flush=True)
 
     failures = 0
     for name, measured, tol in checks:
         ok = measured <= tol
         failures += 0 if ok else 1
-        click.echo(f"{name:32s} measured={measured:.3e} tol={tol:.1e} {'pass' if ok else 'FAIL'}")
-    click.echo(f"verify: {len(checks) - failures}/{len(checks)} checks passed")
+        print(
+            f"{name:32s} measured={measured:.3e} tol={tol:.1e} {'pass' if ok else 'FAIL'}",
+            flush=True,
+        )
+    print(f"verify: {len(checks) - failures}/{len(checks)} checks passed", flush=True)
     if failures:
         raise VerificationFailure(f"{failures} of {len(checks)} checks failed")
 
@@ -828,9 +821,10 @@ def _run_scales(cfg, out_dir, seed):
         "asymptotic_v_0": asymptotic_quantum_action(model).potential.coefficients[0],
     }
     _write_json(out_dir / "scales.json", payload)
-    click.echo(
+    print(
         f"wrote scales.json (E_gr={gs.energy:.6g}, T_sc={sc.time_scale:.6g}, "
-        f"L_sc={sc.length_scale:.6g})"
+        f"L_sc={sc.length_scale:.6g})",
+        flush=True,
     )
 
 
@@ -855,20 +849,20 @@ def _invoke(command, worker, config_path, out_dir, threads, seed):
         if threads < 1:
             raise ConfigError("--threads must be >= 1")
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr, flush=True)
         sys.exit(1)
     except MemoryError as exc:
-        click.echo(f"config error: MemoryError: {exc}", err=True)
+        print(f"config error: MemoryError: {exc}", file=sys.stderr, flush=True)
         sys.exit(1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         worker(cfg, out, seed)
     except (SolverError, VerificationFailure, ValueError, ArithmeticError, RuntimeError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr, flush=True)
         sys.exit(2)
     except MemoryError as exc:
-        click.echo(f"numerical failure: MemoryError: {exc}", err=True)
+        print(f"numerical failure: MemoryError: {exc}", file=sys.stderr, flush=True)
         sys.exit(2)
 
 

@@ -36,6 +36,8 @@ from .trajectory import (
     solve_cached,
 )
 
+# Residual evaluations a slice may spend. The ten configs/fit_*.json take 3 to
+# 306 per slice, so no checked-in fit comes near it.
 MAX_EVALUATIONS = 50000
 _SCALE_FLOOR = 0.01
 # Singular directions of the scaled, centred Jacobian below TRUNCATION * s_max
@@ -103,7 +105,6 @@ class AmplitudeTable:
     bounds: BoundarySet
     time: float
     log_entries: np.ndarray
-    source: str
 
     @property
     def entries(self) -> np.ndarray:
@@ -123,19 +124,20 @@ def build_table(
     model: ActionParams,
     bounds: BoundarySet,
     time: float,
-    source: str = "analytic",
     decomposition: SpectralDecomposition | None = None,
 ) -> AmplitudeTable:
-    """Tabulate ln G over the boundary grid from the chosen amplitude source."""
+    """Tabulate ln G over the boundary grid.
+
+    The amplitudes come from the grid oracle when a decomposition is given,
+    and from the closed-form kernel of the model when it is None.
+    """
     if not (time > 0.0):
         raise ValueError("time must be positive")
     bounds.require_domain(model.domain)
     initial, final = np.array(bounds.initial)[:, None], np.array(bounds.final)[None, :]
-    if source == "analytic":
+    if decomposition is None:
         logs = closed_form_kernel(model)(initial, final, time)
-    elif source == "oracle":
-        if decomposition is None:
-            raise ValueError("oracle source needs a spectral decomposition")
+    else:
         values = amplitude(decomposition, initial, final, time)
         below = np.argwhere(values <= 0.0)  # row-major: the first pair of a loop
         if len(below):
@@ -145,9 +147,7 @@ def build_table(
                 "fell below the roundoff floor; shrink the boundary span or the time"
             )
         logs = libm(math.log, values)
-    else:
-        raise ValueError(f"unknown amplitude source {source!r}")
-    return AmplitudeTable(model=model, bounds=bounds, time=time, log_entries=logs, source=source)
+    return AmplitudeTable(model=model, bounds=bounds, time=time, log_entries=logs)
 
 
 @dataclass(frozen=True)
@@ -337,12 +337,15 @@ def sweep(
     ansatz,
     times,
     grid_policy=None,
-    source: str = "analytic",
     decomposition: SpectralDecomposition | None = None,
     init: ActionParams | None = None,
-    max_evaluations: int = MAX_EVALUATIONS,
 ) -> list[FitResult]:
-    """Fit every time in sequence, warm-starting each from its predecessor."""
+    """Fit every time in sequence, warm-starting each from its predecessor.
+
+    The tables come from the grid oracle when a decomposition is given and
+    from the closed form when it is None (see build_table). Each slice may
+    spend MAX_EVALUATIONS residual evaluations.
+    """
     exponents = sorted(int(k) for k in ansatz)
     if grid_policy is None:
         def grid_policy(t: float) -> TimeGrid:
@@ -360,15 +363,8 @@ def sweep(
     cache: dict[int, Trajectory] = {}
     current = init
     for t in times:
-        table = build_table(model, bounds, float(t), source=source, decomposition=decomposition)
-        result = fit_at_time(
-            table,
-            exponents,
-            current,
-            grid_policy(float(t)),
-            max_evaluations=max_evaluations,
-            cache=cache,
-        )
+        table = build_table(model, bounds, float(t), decomposition)
+        result = fit_at_time(table, exponents, current, grid_policy(float(t)), cache=cache)
         results.append(result)
         current = result.params
     return results
@@ -413,7 +409,7 @@ def constant_term(result: FitResult) -> float:
     return raw - result.params.hbar * result.log_norm / result.time
 
 
-def write_results_csv(results: list[FitResult], path, header_comment: str | None = None):
+def write_results_csv(results: list[FitResult], path, header_comment: str):
     """One row per fitted time; columns cover every exponent seen in the sweep."""
     exponents = sorted({k for r in results for k in r.params.potential.coefficients})
     cols = ["T", "mass"] + [f"v_{k}" for k in exponents] + [

@@ -299,7 +299,7 @@ def run(
     return FlowTrace(states=states, diagnostics=diags, rejected_steps=rejected)
 
 
-def write_trace_csv(trace: FlowTrace, path, header_comment: str | None = None):
+def write_trace_csv(trace: FlowTrace, path, header_comment: str):
     """One row per recorded state with the step diagnostics alongside."""
     exponents = trace.states[0].exponents()
     cols = ["beta", "mass"] + [f"v_{k}" for k in exponents] + [

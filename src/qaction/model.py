@@ -166,10 +166,11 @@ def omega(params: ActionParams) -> float:
     return math.sqrt(2.0 * v2 / params.mass)
 
 
-def write_csv(path, columns, rows, comment: str | None = None) -> None:
-    """Header line and rows of bools/ints as integers, everything else as .17g.
+def write_csv(path, columns, rows, comment: str) -> None:
+    """A `# comment` line, the header line, then rows of bools/ints as integers
+    and everything else as .17g.
 
-    A given comment goes first, as a `# comment` line.
+    The comment is required: every CSV of the package starts with its meta line.
     """
 
     def cell(v):
@@ -178,8 +179,7 @@ def write_csv(path, columns, rows, comment: str | None = None) -> None:
         return f"{float(v):.17g}"
 
     with open(path, "w", encoding="utf-8") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(cell(v) for v in row) + "\n")

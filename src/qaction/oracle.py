@@ -212,14 +212,12 @@ def _visible_levels(bisect, cap: int, width: float):
 
 def solve_spectrum(
     params: ActionParams,
-    grid: SpatialGrid | None = None,
-    n_states: int = 64,
+    grid: SpatialGrid,
+    n_states: int,
     vectors: bool = True,
     t_min: float | None = None,
 ) -> SpectralDecomposition:
     """Convenience wrapper combining discretize and spectrum."""
-    if grid is None:
-        grid = default_grid(params.domain)
     return spectrum(discretize(params, grid), n_states, vectors, t_min)
 
 

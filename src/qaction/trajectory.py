@@ -178,13 +178,11 @@ class _Relaxation:
     residuals, which the line search fills only afterwards.
     """
 
-    def __init__(
-        self, params: ActionParams, grid: TimeGrid, pairs: list, x: np.ndarray, tol: float
-    ):
+    def __init__(self, params: ActionParams, grid: TimeGrid, pairs: list, x: np.ndarray):
         n_paths, n_points = x.shape
         n_int = n_points - 2
         m, step = params.mass, grid.step
-        self.grid, self.pairs, self.tol = grid, pairs, tol
+        self.grid, self.pairs = grid, pairs
         self.half_line = params.domain is Domain.HALF_LINE
         self.spec = params.potential
         self.mass, self.hbar2, self.step2 = m, params.hbar**2, step**2
@@ -269,7 +267,7 @@ class _Relaxation:
             res_try = self.max_abs(resid_try)
             sc = scale[pending]
             accept = (res_try < res_norm[pending] * (1.0 - 1e-4 * sc)) | (
-                sc * delta_norm[pending] <= self.tol
+                sc * delta_norm[pending] <= DEFAULT_TOL
             )
             taken = pending[accept]
             if taken.size == rows:  # every path took its full step: no copies
@@ -289,7 +287,7 @@ class _Relaxation:
                     )
             pending = np.sort(np.concatenate([retry, pending[~accept]]))
 
-        converged = step_norm <= self.tol
+        converged = step_norm <= DEFAULT_TOL
         for row in np.flatnonzero(converged):
             path = int(self.ids[row])
             start, end = self.pairs[path]
@@ -324,15 +322,14 @@ def solve_paths(
     pairs,
     grid: TimeGrid,
     guesses=None,
-    tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> list[Trajectory]:
     """Damped Newton relaxation for a batch of two-point problems on one grid.
 
     Each (start, end) pair of `pairs` is solved from its entry of `guesses`
     (None, a Trajectory or an array; all None when omitted). Convergence of a
-    path is declared when its Newton update falls below tol in the max norm;
-    on the half-line every iterate is kept strictly positive by step halving.
+    path is declared when its Newton update falls below DEFAULT_TOL in the max
+    norm; on the half-line every iterate is kept strictly positive by step halving.
 
     The paths share one tridiagonal solve per Newton iteration: the stacked
     system of all unconverged paths, with zero couplings between them. The
@@ -364,7 +361,7 @@ def solve_paths(
     for first in range(0, len(pairs), BLOCK_PATHS):
         block = slice(first, first + BLOCK_PATHS)
         x = _start_positions(params, grid, pairs[block], guesses[block])
-        work = _Relaxation(params, grid, pairs[block], x, tol)
+        work = _Relaxation(params, grid, pairs[block], x)
         for iteration in range(1, max_iter + 1):
             if not work.iterate(iteration):
                 break
@@ -399,17 +396,16 @@ def solve_bvp(
     end: float,
     grid: TimeGrid,
     guess=None,
-    tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> Trajectory:
     """Damped Newton relaxation for one two-point boundary problem.
 
     The batch of one of solve_paths: convergence is declared when the Newton
-    update falls below tol in the max norm; on the half-line every iterate is
-    kept strictly positive by step halving. Non-convergence raises
+    update falls below DEFAULT_TOL in the max norm; on the half-line every
+    iterate is kept strictly positive by step halving. Non-convergence raises
     SolverError.
     """
-    return solve_paths(params, [(start, end)], grid, [guess], tol=tol, max_iter=max_iter)[0]
+    return solve_paths(params, [(start, end)], grid, [guess], max_iter=max_iter)[0]
 
 
 def _check_traj(grid_points: int, traj: Trajectory):

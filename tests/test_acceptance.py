@@ -234,7 +234,7 @@ def test_criterion_09_quartic_flow_vs_fit():
     ansatz = [0, 2, 4]
 
     def fitted(t, init):
-        table = build_table(quartic, bounds, t, source="oracle", decomposition=dec)
+        table = build_table(quartic, bounds, t, decomposition=dec)
         return fit_at_time(table, ansatz, init, TimeGrid(t, intervals=500))
 
     base = fitted(0.5, classical_init(quartic, ansatz))

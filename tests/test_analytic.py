@@ -260,7 +260,7 @@ def test_reconstruction_outside_the_family_raises():
     mixed = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -4: 0.3}))
     for params in (quartic, mixed):
         with pytest.raises(ValueError, match="no closed-form ground state"):
-            reconstruct_ground_state(params, np.array([0.5, 1.0, 1.8]), normalised=False)
+            reconstruct_ground_state(params, np.array([0.5, 1.0, 1.8]))
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
+import contextlib
 import copy
 import dataclasses
+import gc
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -73,6 +77,28 @@ def test_scales_reports_model_constants(runner, tmp_path):
     assert payload["asymptotic_products"]["mass_v_2"] == pytest.approx(0.5, abs=1e-15)
     assert payload["asymptotic_products"]["mass_v_-2"] == pytest.approx(2.0, abs=1e-12)
     assert payload["config_hash"] == "sha256:" + config_hash(json.loads(open(cfg).read()))
+
+
+def test_in_process_commands_keep_no_output_buffer_alive(tmp_path):
+    # a long-lived process that runs commands with redirected output, as the
+    # benchmark worker does, must let go of every buffer it redirected to
+    good = write_config(tmp_path, {"model": STANDARD_MODEL, "scales": {}}, "good.json")
+    bad = write_config(tmp_path, {"model": STANDARD_MODEL, "scales": {"bogus": 1}}, "bad.json")
+    refs = []
+    for i in range(10):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["scales", "--config", bad if i % 2 else good, "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=argv, prog_name="qaction", standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 1
+        assert ("config error" in err.getvalue()) == bool(i % 2)
+        assert ("wrote scales.json" in out.getvalue()) != bool(i % 2)
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_verify_passes_on_consistent_model(runner, tmp_path):
@@ -222,6 +248,10 @@ def _fit_doc(**changes):
          "fit.initial point 9.0 lies outside the oracle grid [0.002, "),
         ("flow", _flow_doc(compare_fit={"initial": [1.0], "final": [1.0, 20.0], "source": "oracle"}),
          "flow.compare_fit.final point 20.0 lies outside the oracle grid"),
+        # the evaluation budget is the constant fit.MAX_EVALUATIONS, not a key
+        ("fit", _fit_doc(max_evaluations=300), "unknown keys in fit: ['max_evaluations']"),
+        ("flow", _flow_doc(compare_fit={"initial": [1.0], "final": [1.0, 2.0], "max_evaluations": 40}),
+         "unknown keys in flow.compare_fit: ['max_evaluations']"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
@@ -230,7 +260,8 @@ def _fit_doc(**changes):
         "fit_negative_final", "fit_negative_mass", "flow_compare_fit_negative_initial",
         "fit_zero_points_per_unit", "fit_negative_points_per_unit",
         "oracle_fit_final_past_extent", "oracle_fit_initial_past_extent",
-        "oracle_compare_fit_final_past_extent",
+        "oracle_compare_fit_final_past_extent", "fit_max_evaluations",
+        "compare_fit_max_evaluations",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
@@ -264,7 +295,7 @@ def test_hbar_without_a_normal_square_exits_one(runner, tmp_path, cmd, section, 
 @pytest.mark.parametrize(
     "cmd, doc, message",
     [
-        ("fit", _fit_doc(initial=[1e-160], max_evaluations=300),
+        ("fit", _fit_doc(initial=[1e-160]),
          "fit.initial: x^-2 overflows at 1e-160"),
         ("flow", _flow_doc(initial_point=1e-160), "flow.initial_point: x^-2 overflows at 1e-160"),
         # only the ansatz has the negative power

@@ -73,7 +73,7 @@ def test_build_table_sources_agree(standard_table):
     fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(5e-3, 12.0, 5e-3), 160)
     coarse = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 160)
     dec = refine_energies(coarse, fine)
-    oracle_table = build_table(STANDARD, BOUNDS, 1.0, source="oracle", decomposition=dec)
+    oracle_table = build_table(STANDARD, BOUNDS, 1.0, decomposition=dec)
     rel = np.abs(np.exp(oracle_table.log_entries - standard_table.log_entries) - 1.0)
     assert np.max(rel) <= 1e-5
     assert np.all(oracle_table.entries > 0)
@@ -95,10 +95,6 @@ def test_build_table_symmetry_and_small_time():
 def test_build_table_validation():
     with pytest.raises(ValueError):
         build_table(STANDARD, BOUNDS, 0.0)
-    with pytest.raises(ValueError):
-        build_table(STANDARD, BOUNDS, 1.0, source="mystery")
-    with pytest.raises(ValueError):
-        build_table(STANDARD, BOUNDS, 1.0, source="oracle")
     quartic = ActionParams(
         mass=1.0, hbar=1.0, potential=PotentialSpec({2: 1.0, 4: 0.01}), domain=Domain.FULL_LINE
     )
@@ -111,7 +107,7 @@ def test_oracle_amplitude_below_floor_rejected():
     # far-separated endpoints drive the spectral sum below roundoff
     bad = BoundarySet((0.05,), (9.0,))
     with pytest.raises(ValueError, match="roundoff floor"):
-        build_table(STANDARD, bad, 0.5, source="oracle", decomposition=fine)
+        build_table(STANDARD, bad, 0.5, decomposition=fine)
 
 
 def test_harmonic_fit_recovers_classical_action():
@@ -187,7 +183,7 @@ def test_oracle_equivalence(standard_table):
     fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(5e-3, 12.0, 5e-3), 160)
     coarse = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 160)
     dec = refine_energies(coarse, fine)
-    oracle_table = build_table(STANDARD, BOUNDS, 1.0, source="oracle", decomposition=dec)
+    oracle_table = build_table(STANDARD, BOUNDS, 1.0, decomposition=dec)
     grid = TimeGrid(1.0, intervals=300)
     ra = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), grid)
     ro = fit_at_time(oracle_table, [0, 2, -2], standard_init(0, 2, -2), grid)
@@ -199,7 +195,7 @@ def test_oracle_equivalence(standard_table):
 
 def test_sweep_continuation_and_csv(tmp_path):
     times = [0.5, 0.8, 1.2]
-    results = sweep(STANDARD, BOUNDS, [0, 2, -2], times, source="analytic")
+    results = sweep(STANDARD, BOUNDS, [0, 2, -2], times)
     assert [r.time for r in results] == times
     assert all(r.converged for r in results)
     assert all(r.relative_error < 5e-3 for r in results)
@@ -285,7 +281,7 @@ def test_oracle_table_matches_per_pair_loop():
 
     fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 120)
     bounds = BoundarySet(equidistant(0.5, 2.0, 3), equidistant(1.2, 3.0, 5))
-    table = build_table(STANDARD, bounds, 0.8, source="oracle", decomposition=fine)
+    table = build_table(STANDARD, bounds, 0.8, decomposition=fine)
     loop = np.empty((3, 5))
     for i, a in enumerate(bounds.initial):
         for j, b in enumerate(bounds.final):
@@ -301,7 +297,7 @@ def test_oracle_floor_error_names_first_pair_in_row_major_order(monkeypatch):
     values[1, 0] = 0.0  # first in column-major order
     monkeypatch.setattr(qaction.fit, "amplitude", lambda dec, a, b, time: values)
     with pytest.raises(ValueError, match="roundoff floor") as err:
-        build_table(STANDARD, BOUNDS, 1.0, source="oracle", decomposition=object())
+        build_table(STANDARD, BOUNDS, 1.0, decomposition=object())
     assert f"({BOUNDS.initial[0]}, {BOUNDS.final[3]}, T=1.0)" in str(err.value)
 
 

@@ -129,8 +129,7 @@ def test_fits_load_no_deferred_scipy(tmp_path):
         "beta_end": 0.35375,
         "dbeta": 3.75e-3,
         "intervals": 100,
-        "compare_fit": {"initial": [4.5], "final": {"start": 0.5, "stop": 3.0, "count": 5},
-                        "max_evaluations": 40},
+        "compare_fit": {"initial": [4.5], "final": {"start": 0.5, "stop": 3.0, "count": 5}},
     }
     for cmd, section in (("fit", fit), ("flow", flow)):
         (tmp_path / f"{cmd}.json").write_text(json.dumps({"model": MODEL, cmd: section}))
@@ -214,17 +213,37 @@ def test_missing_lapack_extension_fails_import_with_the_searched_path(tmp_path):
     assert str(tmp_path / "scipy" / "linalg") in last
 
 
+def _source_nodes():
+    """(file name, node) of every AST node in the package's modules."""
+    for path in sorted((Path(SRC) / "qaction").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_only_the_lapack_module_imports_scipy():
     # every other module reaches scipy's LAPACK through qaction.lapack
     importers = {}
-    for path in sorted((Path(SRC) / "qaction").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                importers.setdefault(path.name, []).append(node.lineno)
+    for name, node in _source_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            importers.setdefault(name, []).append(node.lineno)
     assert set(importers) <= {"lapack.py"}, importers
+
+
+def test_no_module_uses_click_echo():
+    # click.echo caches every stream it writes to for the life of the process,
+    # so a process that runs commands in turn would keep each redirected buffer
+    uses = [
+        (name, node.lineno)
+        for name, node in _source_nodes()
+        if (isinstance(node, ast.Attribute) and node.attr == "echo"
+            and isinstance(node.value, ast.Name) and node.value.id == "click")
+        or (isinstance(node, ast.ImportFrom) and node.module == "click"
+            and any(alias.name == "echo" for alias in node.names))
+    ]
+    assert uses == []

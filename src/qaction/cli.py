@@ -35,7 +35,7 @@ from .analytic import (
     transformation_residual,
 )
 from .fit import BoundarySet, constant_term, equidistant, sweep, write_results_csv
-from .flow import FlowState, write_trace_csv
+from .flow import DEFAULT_DBETA, FlowState, write_trace_csv
 from .flow import run as flow_run
 from .model import (
     ActionParams,
@@ -47,7 +47,7 @@ from .model import (
 )
 from .oracle import amplitude, default_grid, kinetic_coupling, refine_energies, solve_spectrum
 from .specfun import bessel_i, libm
-from .trajectory import SolverError, TimeGrid, neighbour_offset
+from .trajectory import SolverError, neighbour_offset
 
 
 class ConfigError(ValueError):
@@ -164,6 +164,17 @@ def _require_finite_powers(model: ActionParams, exponents, points, where):
                 raise ConfigError(f"{where}: x^{k} overflows at {x}, too close to 0")
 
 
+def _require_exponents(model: ActionParams, exponents, where):
+    """Fit and flow vary every coefficient of their exponents, so the model's
+    rules must hold with each one non-zero: unit coefficients stand for them."""
+    _built(
+        lambda: ActionParams(
+            model.mass, model.hbar, PotentialSpec(dict.fromkeys(exponents, 1.0)), model.domain
+        ),
+        where,
+    )
+
+
 def _model_from(payload) -> ActionParams:
     if not isinstance(payload, dict):
         raise ConfigError("model must be a JSON object")
@@ -201,11 +212,11 @@ def _oracle_keys(section):
     return out
 
 
-def _oracle_grid(keys, model, all_levels):
-    """The fine grid of the oracle keys, checked against the eigensolves on it.
+def _oracle_grids(keys, model, all_levels):
+    """The fine grid of the oracle keys and, with refine, its Richardson
+    partner at twice the spacing, checked against the eigensolves on them.
 
-    The fine grid, and with refine its Richardson partner at twice the
-    spacing, each need 100 nodes and a finite kinetic coupling, and the fine
+    Each grid needs 100 nodes and a finite kinetic coupling, and the fine
     one room for `levels`. With all_levels the command solves every level on
     the partner too (spectrum, oracle-source fits); the propagator solves
     there only the levels its smallest time keeps, so that count is checked
@@ -226,13 +237,14 @@ def _oracle_grid(keys, model, all_levels):
                 f"levels {keys['levels']} exceeds {grid.n_points - 2}, the most the "
                 f"{grid.n_points}-node oracle grid at spacing {grid.spacing:g} holds"
             )
-    return grids[0]
+    return tuple(grids)
 
 
-def _endpoints(section, model, where, grid=None, exponents=()):
+def _endpoints(section, model, where, grids=None, exponents=()):
     """The initial and final point sets, positive on the half-line with finite
     negative powers of the model and of `exponents`, and, given the oracle
-    grid, on its span."""
+    grids, on the span of the fine one."""
+    grid = grids[0] if grids else None
     out = {}
     for key in ("initial", "final"):
         out[key] = _point_set(section[key], f"{where}.{key}")
@@ -247,7 +259,8 @@ def _endpoints(section, model, where, grid=None, exponents=()):
 
 
 def _amplitude_table(section, model, where, ansatz):
-    """Keys of a fitted amplitude table, shared by fit and flow.compare_fit."""
+    """Source, oracle keys and grids, and boundary set of a fitted amplitude
+    table, shared by fit and flow.compare_fit."""
     source = section.get("source", "analytic")
     if source not in ("analytic", "oracle"):
         raise ConfigError(f"{where}.source must be 'analytic' or 'oracle'")
@@ -255,8 +268,9 @@ def _amplitude_table(section, model, where, ansatz):
         _require_closed_form(model, f"{where} with analytic source")
     out = _oracle_keys(section)
     out["source"] = source
-    grid = _oracle_grid(out, model, all_levels=True) if source == "oracle" else None
-    out.update(_endpoints(section, model, where, grid, ansatz))
+    out["grids"] = _oracle_grids(out, model, all_levels=True) if source == "oracle" else None
+    ends = _endpoints(section, model, where, out["grids"], ansatz)
+    out["bounds"] = _built(functools.partial(BoundarySet, **ends), where)
     return out
 
 
@@ -269,7 +283,8 @@ def _validate_propagator(section, model):
     )
     _require_closed_form(model, "propagator")
     out = _oracle_keys(section)
-    out.update(_endpoints(section, model, "propagator", _oracle_grid(out, model, all_levels=False)))
+    out["grids"] = _oracle_grids(out, model, all_levels=False)
+    out.update(_endpoints(section, model, "propagator", out["grids"]))
     out["times"] = _time_list(section["times"], "propagator.times", allow_empty=True)
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("propagator.times must be positive")
@@ -279,7 +294,7 @@ def _validate_propagator(section, model):
 def _validate_spectrum(section, model):
     _check_keys(section, ("levels", "spacing", "extent", "refine"), (), "spectrum")
     out = _oracle_keys(section)
-    _oracle_grid(out, model, all_levels=True)
+    out["grids"] = _oracle_grids(out, model, all_levels=True)
     return out
 
 
@@ -307,7 +322,7 @@ def _validate_fit(section, model):
     if not isinstance(section["ansatz"], list) or not section["ansatz"]:
         raise ConfigError("fit.ansatz must be a non-empty list of exponents")
     ansatz = sorted({_int(k, "fit.ansatz entry") for k in section["ansatz"]})
-    _built(lambda: PotentialSpec(dict.fromkeys(ansatz, 0.0)), "fit.ansatz")
+    _require_exponents(model, ansatz, "fit.ansatz")
     out = _amplitude_table(section, model, "fit", ansatz)
     out["ansatz"] = ansatz
     out["times"] = _time_list(section["times"], "fit.times")
@@ -373,7 +388,7 @@ def _validate_flow(section, model):
         "initial_point": _float(section["initial_point"], "flow.initial_point"),
         "final_points": _point_set(section["final_points"], "flow.final_points"),
         "beta_end": _float(section["beta_end"], "flow.beta_end"),
-        "dbeta": _float(section.get("dbeta", 3.75e-3), "flow.dbeta"),
+        "dbeta": _float(section.get("dbeta", DEFAULT_DBETA), "flow.dbeta"),
         "mode": section.get("mode", "min_norm"),
         "intervals": _int(section.get("intervals", 500), "flow.intervals", minimum=2),
         "record_stride": _int(section.get("record_stride", 1), "flow.record_stride", minimum=1),
@@ -382,6 +397,11 @@ def _validate_flow(section, model):
         raise ConfigError("flow.mode must be 'min_norm' or 'pin_v0'")
     if out["beta"] <= 0 or out["beta_end"] < out["beta"]:
         raise ConfigError("flow needs 0 < initial.beta <= beta_end")
+    if not out["dbeta"] > 0.0:
+        raise ConfigError("flow.dbeta must be positive")
+    if out["beta"] + out["dbeta"] == out["beta"]:
+        raise ConfigError(f"flow.dbeta {out['dbeta']:g} leaves initial.beta unchanged")
+    _require_exponents(model, out["coefficients"], "flow.initial.coefficients")
     _require_finite_powers(
         model, out["coefficients"], [out["initial_point"]], "flow.initial_point"
     )
@@ -417,6 +437,9 @@ def _validate_flow(section, model):
         )
         compare = _amplitude_table(sub, model, "flow.compare_fit", out["coefficients"])
         compare["stride"] = _int(sub.get("stride", 1), "flow.compare_fit.stride", minimum=1)
+        # the comparison fits take the flow's exponents and mesh
+        compare["ansatz"] = sorted(out["coefficients"])
+        compare["grid"] = {"intervals": out["intervals"]}
     out["compare_fit"] = compare
     return out
 
@@ -502,19 +525,13 @@ def _write_json(path, payload):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _decomposition(model, spacing, extent, levels, refine, vectors=True, t_min=None):
-    fine = solve_spectrum(
-        model, default_grid(model.domain, spacing=spacing, extent=extent), levels, vectors, t_min
-    )
-    if not refine:
+def _decomposition(model, grids, levels, vectors=True, t_min=None):
+    """The oracle on the loader's grids: the fine one, refined by its partner if any."""
+    fine = solve_spectrum(model, grids[0], levels, vectors, t_min)
+    if len(grids) == 1:
         return fine
     # the Richardson partner contributes energies only, of the levels kept
-    coarse = solve_spectrum(
-        model,
-        default_grid(model.domain, spacing=2.0 * spacing, extent=extent),
-        len(fine.energies),
-        vectors=False,
-    )
+    coarse = solve_spectrum(model, grids[1], len(fine.energies), vectors=False)
     return refine_energies(coarse, fine)
 
 
@@ -541,10 +558,7 @@ def _run_propagator(cfg, out_dir, seed):
     kept = 0
     if sec["times"]:
         # only the levels the smallest time can see; sec["levels"] caps them
-        dec = _decomposition(
-            model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"],
-            t_min=min(sec["times"]),
-        )
+        dec = _decomposition(model, sec["grids"], sec["levels"], t_min=min(sec["times"]))
         kept = len(dec.energies)
         kernel = closed_form_kernel(model)
         initial = np.array(sec["initial"])[:, None]
@@ -575,30 +589,18 @@ def _run_propagator(cfg, out_dir, seed):
 def _run_spectrum(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
-    dec = _decomposition(
-        model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"], vectors=False
-    )
+    dec = _decomposition(model, sec["grids"], sec["levels"], vectors=False)
     rows = [[i, float(e)] for i, e in enumerate(dec.energies)]
     path = out_dir / "spectrum.csv"
     write_csv(path, ["level", "energy"], rows, _meta(cfg, seed))
     print(f"wrote {path} ({len(rows)} levels, ground {dec.energies[0]:.10g})", flush=True)
 
 
-def _fit_rows(model, sec, times, init_params):
+def _fit_rows(model, sec, times, init):
     decomposition = None
     if sec["source"] == "oracle":
-        decomposition = _decomposition(
-            model, sec["spacing"], sec["extent"], sec["levels"], sec["refine"]
-        )
-    return sweep(
-        model,
-        BoundarySet(initial=sec["initial"], final=sec["final"]),
-        sec["ansatz"],
-        times,
-        grid_policy=lambda t: TimeGrid(t / model.hbar, **sec["grid"]),
-        decomposition=decomposition,
-        init=init_params,
-    )
+        decomposition = _decomposition(model, sec["grids"], sec["levels"])
+    return sweep(model, sec["bounds"], sec["ansatz"], times, sec["grid"], decomposition, init)
 
 
 def _final_block(params, **extra):
@@ -674,16 +676,13 @@ def _run_flow(cfg, out_dir, seed):
     }
 
     if sec["compare_fit"] is not None:
-        # the comparison fits run at a fixed 500 intervals per slice
-        comp = dict(
-            sec["compare_fit"], ansatz=sorted(sec["coefficients"]), grid={"intervals": 500}
-        )
+        comp = sec["compare_fit"]
         states = trace.states[:: comp["stride"]]
         if states[-1] is not trace.states[-1]:
             states.append(trace.states[-1])
         times = [st.beta * model.hbar for st in states]
         fit_results = _fit_rows(model, comp, times, None)
-        exponents = sorted(sec["coefficients"])
+        exponents = comp["ansatz"]
         # raw v_0 is a gauge choice shared with ln Z~; both sides compare the
         # invariant v_0 - hbar ln Z~ / T, which for the flow is v_0 - ln Z~ / beta
         names = ["mass"] + [f"v_{k}" if k else "constant_term" for k in exponents]

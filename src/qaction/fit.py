@@ -200,9 +200,6 @@ class _Objective:
             domain=self.domain,
         )
 
-    def actions(self, q: ActionParams) -> np.ndarray:
-        return action_values(q, solve_cached(q, self.pairs, self.grid, self.cache))
-
     def evaluate(self, q: ActionParams) -> tuple[np.ndarray, float, list[Trajectory]]:
         """Residuals, ln Z~ and the solved paths at q: one batch of BVP solves."""
         paths = solve_cached(q, self.pairs, self.grid, self.cache)
@@ -241,12 +238,14 @@ def fit_at_time(
     table: AmplitudeTable,
     ansatz,
     init: ActionParams,
-    grid: TimeGrid,
+    mesh: dict,
     max_evaluations: int = MAX_EVALUATIONS,
     cache: dict | None = None,
 ) -> FitResult:
     """Levenberg-Marquardt fit of (mass, v_k for k in ansatz) at one time slice.
 
+    Every path is solved on TimeGrid(T / hbar, **mesh) of the table's time T;
+    mesh is {"intervals": n} or {"points_per_unit": p}.
     The search starts at init, works in units of the initial parameter scales
     and steps along the kept directions of the exact Jacobian (see
     TRUNCATION). v_0 keeps its value from init bit for bit: the profiled
@@ -261,11 +260,7 @@ def fit_at_time(
         raise ValueError("ansatz exponents must be distinct")
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be >= 1: the start is one evaluation")
-    beta = table.time / table.model.hbar
-    if not math.isclose(grid.duration, beta, rel_tol=1e-9):
-        raise ValueError(
-            f"grid duration {grid.duration} does not match beta = T/hbar = {beta}"
-        )
+    grid = TimeGrid(table.time / table.model.hbar, **mesh)
     objective = _Objective(table, exponents, init, grid, cache=cache)
     y = np.zeros(len(objective.center))
     best = objective.params_from(y)
@@ -336,21 +331,18 @@ def sweep(
     bounds: BoundarySet,
     ansatz,
     times,
-    grid_policy=None,
+    mesh: dict,
     decomposition: SpectralDecomposition | None = None,
     init: ActionParams | None = None,
 ) -> list[FitResult]:
     """Fit every time in sequence, warm-starting each from its predecessor.
 
     The tables come from the grid oracle when a decomposition is given and
-    from the closed form when it is None (see build_table). Each slice may
-    spend MAX_EVALUATIONS residual evaluations.
+    from the closed form when it is None (see build_table). Every slice is
+    solved on the mesh of fit_at_time and may spend MAX_EVALUATIONS residual
+    evaluations.
     """
     exponents = sorted(int(k) for k in ansatz)
-    if grid_policy is None:
-        def grid_policy(t: float) -> TimeGrid:
-            return TimeGrid(t / model.hbar, intervals=500)
-
     if init is None:
         coeffs = {k: model.potential.coefficients.get(k, 0.0) for k in exponents}
         init = ActionParams(
@@ -364,7 +356,7 @@ def sweep(
     current = init
     for t in times:
         table = build_table(model, bounds, float(t), decomposition)
-        result = fit_at_time(table, exponents, current, grid_policy(float(t)), cache=cache)
+        result = fit_at_time(table, exponents, current, mesh, cache=cache)
         results.append(result)
         current = result.params
     return results

@@ -77,12 +77,13 @@ class FlowTrace:
 def assemble_system(
     state: FlowState,
     classical: ActionParams,
-    grid: TimeGrid,
+    intervals: int,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the flow system at every final point.
 
-    The trajectory problems are warm-started from `cache` (keyed by final
+    Every path is solved on `intervals` intervals over [0, state.beta]. The
+    trajectory problems are warm-started from `cache` (keyed by final
     point index), which assemble_system updates in place (solve_cached) only
     when every path is solved: a SolverError leaves it as it was.
     """
@@ -93,6 +94,7 @@ def assemble_system(
     a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     hbar = classical.hbar
     start = state.initial_point
+    grid = TimeGrid(state.beta, intervals=intervals)
     paths = solve_cached(state.params, [(start, x_f) for x_f in state.final_points], grid, cache)
     sens = path_sensitivities(state.params, paths)
     a_mat[:, 0] = -1.0
@@ -179,8 +181,7 @@ def _rates_for(
         initial_point=state.initial_point,
         final_points=state.final_points,
     )
-    grid = TimeGrid(beta, intervals=intervals)
-    a_mat, rhs = assemble_system(trial, classical, grid, cache=cache)
+    a_mat, rhs = assemble_system(trial, classical, intervals, cache=cache)
     rates, diag = solve_rates(a_mat, rhs, mode=mode)
     if diag.condition > CONDITION_LIMIT:
         raise StepRejected(
@@ -257,10 +258,13 @@ def run(
 
     Ill-conditioned steps are retried with halved dbeta (up to MAX_HALVINGS),
     and the trace counts these retries in rejected_steps; the nominal dbeta
-    is restored after each accepted step. States are
+    is restored after each accepted step. A step that would leave beta
+    unchanged, halved or not, raises SolverError. States are
     recorded every record_stride accepted steps, always including the first
     and last.
     """
+    if not dbeta > 0.0:
+        raise ValueError(f"dbeta must be positive, got {dbeta}")
     if beta_end < initial.beta - 1e-12:
         raise ValueError("beta_end must not precede the initial beta")
     if beta_end <= initial.beta + 1e-12:
@@ -274,6 +278,8 @@ def run(
         step_size = min(dbeta, beta_end - state.beta)
         halvings = 0
         while True:
+            if state.beta + step_size == state.beta:
+                raise SolverError(f"flow step {step_size:g} leaves beta={state.beta:.4f} unchanged")
             try:
                 new_state, diag = step(
                     state, classical, step_size, intervals, mode=mode, cache=cache

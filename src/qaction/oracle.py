@@ -67,7 +67,7 @@ class SpatialGrid:
         return cls(x_min, x_min + (n - 1) * spacing, n)
 
 
-def default_grid(domain: Domain, spacing: float = 5e-3, extent: float = 12.0) -> SpatialGrid:
+def default_grid(domain: Domain, spacing: float, extent: float) -> SpatialGrid:
     """Half-line grids start one spacing off the singular origin."""
     if domain is Domain.HALF_LINE:
         return SpatialGrid.from_spacing(spacing, extent, spacing)

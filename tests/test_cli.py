@@ -46,13 +46,14 @@ def test_console_script_installed():
         assert cmd in proc.stdout
 
 
-def run_module(*args):
+def run_module(*args, timeout=None):
     """`python -m qaction *args` in a fresh interpreter that imports qaction from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "qaction", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qaction", *args], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
 
 
@@ -252,6 +253,25 @@ def _fit_doc(**changes):
         ("fit", _fit_doc(max_evaluations=300), "unknown keys in fit: ['max_evaluations']"),
         ("flow", _flow_doc(compare_fit={"initial": [1.0], "final": [1.0, 2.0], "max_evaluations": 40}),
          "unknown keys in flow.compare_fit: ['max_evaluations']"),
+        # repeated boundary points: the fit exited 2, and the flow exited 2
+        # after every step, when its comparison fits built the boundary set
+        ("fit", _fit_doc(final=[1.5, 1.5]), "fit: final boundary points must be distinct"),
+        ("fit", _fit_doc(initial={"start": 1, "stop": 1, "count": 3}),
+         "fit: initial boundary points must be distinct"),
+        ("flow", _flow_doc(compare_fit={"initial": [1.0, 1.0], "final": [1.5, 2.0]}),
+         "flow.compare_fit: initial boundary points must be distinct"),
+        ("flow", _flow_doc(compare_fit={"initial": [1.0],
+                                        "final": {"start": 2, "stop": 2, "count": 3}}),
+         "flow.compare_fit: final boundary points must be distinct"),
+        # negative exponents on the full line exited 2, even at a zero coefficient
+        ("fit", dict(_fit_doc(ansatz=[-2, 0, 2], initial=[-0.5, 0.8], final=[0.2, 1.0]),
+                     model=OSCILLATOR_MODEL),
+         "fit.ansatz: negative-exponent coefficients require the half-line domain"),
+        ("flow", dict(_flow_doc(initial={"coefficients": {"-2": 0.0, "0": 0.0, "2": 0.5}},
+                                initial_point=0.2,
+                                final_points={"start": -1.0, "stop": 1.5, "count": 8}),
+                      model=OSCILLATOR_MODEL),
+         "flow.initial.coefficients: negative-exponent coefficients require the half-line domain"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
@@ -261,7 +281,9 @@ def _fit_doc(**changes):
         "fit_zero_points_per_unit", "fit_negative_points_per_unit",
         "oracle_fit_final_past_extent", "oracle_fit_initial_past_extent",
         "oracle_compare_fit_final_past_extent", "fit_max_evaluations",
-        "compare_fit_max_evaluations",
+        "compare_fit_max_evaluations", "fit_repeated_final", "fit_repeated_initial_range",
+        "compare_fit_repeated_initial", "compare_fit_repeated_final_range",
+        "fit_full_line_negative_ansatz", "flow_full_line_negative_coefficient",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
@@ -313,6 +335,58 @@ def test_points_where_a_negative_power_overflows_exit_one(tmp_path, cmd, doc, me
     assert f"config error: {message}, too close to 0" in proc.stderr
     assert "DLASCL" not in proc.stdout + proc.stderr
     assert not out.exists()
+
+
+# A dbeta that cannot advance beta looped forever; each case runs in its own
+# process with a timeout, so that a loop fails the test instead of hanging it.
+@pytest.mark.parametrize(
+    "dbeta, message",
+    [
+        (0, "flow.dbeta must be positive"),
+        (-0.01, "flow.dbeta must be positive"),
+        (1e-300, "flow.dbeta 1e-300 leaves initial.beta unchanged"),
+    ],
+    ids=["zero", "negative", "below_the_spacing_of_floats"],
+)
+def test_dbeta_that_cannot_advance_beta_exits_one(tmp_path, dbeta, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, _flow_doc(dbeta=dbeta))
+    proc = run_module("flow", "--config", cfg, "--out", str(out), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert f"config error: {message}" in proc.stderr
+    assert not out.exists()
+
+
+def test_flow_step_that_leaves_beta_unchanged_exits_two(tmp_path):
+    # 1.9999999999999998 + 1.5e-16 rounds to 2, and 2 + 1.5e-16 rounds to 2:
+    # the first step passes, the second would not move beta
+    doc = _flow_doc(initial={"beta": 1.9999999999999998}, dbeta=1.5e-16, beta_end=2.1)
+    out = tmp_path / "out"
+    proc = run_module("flow", "--config", write_config(tmp_path, doc), "--out", str(out),
+                      timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical failure: flow step 1.5e-16 leaves beta=2.0000 unchanged" in (
+        proc.stderr
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_comparison_fits_use_the_flow_mesh(runner, tmp_path, monkeypatch):
+    meshes = []
+    real_sweep = cli.sweep
+
+    def recorded(*args, **kwargs):
+        results = real_sweep(*args, **kwargs)
+        meshes.extend(r.grid.intervals for r in results)
+        return results
+
+    monkeypatch.setattr(cli, "sweep", recorded)
+    doc = _flow_doc(intervals=250, compare_fit={"initial": [1.0], "final": [1.5, 2.0, 2.5]})
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, ["flow", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "out" / "flow_summary.json").read_text())
+    assert meshes == [250] * summary["comparison"]["points"]
 
 
 def test_valid_flow_and_fit_parameters_load(tmp_path):
@@ -473,7 +547,7 @@ def test_oracle_grids_are_not_checked_for_analytic_fits(tmp_path):
 def test_analytic_fit_endpoints_need_no_oracle_grid(tmp_path):
     # the oracle keys of an analytic-source table describe no grid it uses
     cfg = load_config(write_config(tmp_path, _fit_doc(final=[1.5, 13.0])), "fit")
-    assert cfg["section"]["final"] == (1.5, 13.0)
+    assert cfg["section"]["bounds"].final == (1.5, 13.0)
 
 
 def test_scales_with_overflowing_results_is_numerical_failure(runner, tmp_path):
@@ -647,7 +721,7 @@ def test_propagator_solves_levels_visible_at_smallest_time(runner, tmp_path, nam
     loaded = load_config(cfg, "propagator")
     sec = loaded["section"]
     # all 160 levels, as solved before the smallest time chose the count
-    full = _decomposition(loaded["model"], sec["spacing"], sec["extent"], 160, sec["refine"])
+    full = _decomposition(loaded["model"], sec["grids"], 160)
     lines = (tmp_path / "propagator.csv").read_text().strip().split("\n")
     assert len(lines) == 2 + len(sec["times"]) * len(sec["initial"]) * len(sec["final"])
     columns = lines[1].split(",")

@@ -70,27 +70,27 @@ def test_grid_policy(monkeypatch):
     grids = []
     real_assemble = flow.assemble_system
 
-    def recording(state, classical, grid, cache=None):
-        grids.append(grid)
-        return real_assemble(state, classical, grid, cache)
+    def recording(state, classical, intervals, cache=None):
+        grids.append((state.beta, intervals))
+        return real_assemble(state, classical, intervals, cache)
 
     monkeypatch.setattr(flow, "assemble_system", recording)
     step(harmonic_state(), HARMONIC, 0.5, intervals=300)
-    assert [g.duration for g in grids] == [1.0, 1.25, 1.25, 1.5]
-    assert [g.intervals for g in grids] == [300] * 4
+    assert [beta for beta, _ in grids] == [1.0, 1.25, 1.25, 1.5]
+    assert [intervals for _, intervals in grids] == [300] * 4
 
 
 def test_assemble_requires_matching_hbar():
     other = ActionParams(mass=1.0, hbar=2.0, potential=PotentialSpec({2: 0.5}),
                          domain=Domain.FULL_LINE)
     with pytest.raises(ValueError, match="hbar"):
-        assemble_system(harmonic_state(), other, TimeGrid(1.0, intervals=200))
+        assemble_system(harmonic_state(), other, 200)
 
 
 def test_harmonic_action_is_stationary():
     # exact quantum action: every row consistent, only ln Z~ flows
     state = harmonic_state()
-    a_mat, rhs = assemble_system(state, HARMONIC, TimeGrid(1.0, intervals=500))
+    a_mat, rhs = assemble_system(state, HARMONIC, 500)
     rates, diag = solve_rates(a_mat, rhs)
     exact_rate = -0.5 / math.tanh(1.0)
     assert rates[0] == pytest.approx(exact_rate, abs=2e-6)
@@ -129,7 +129,7 @@ def test_constant_ansatz_degeneracy_and_invariant():
         initial_point=10.0,
         final_points=equidistant(0.2, 7.0, 30),
     )
-    a_mat, rhs = assemble_system(state, STANDARD, TimeGrid(0.35, intervals=500))
+    a_mat, rhs = assemble_system(state, STANDARD, 500)
     r_min, d_min = solve_rates(a_mat, rhs, mode="min_norm")
     r_pin, d_pin = solve_rates(a_mat, rhs, mode="pin_v0")
     assert d_min.deficiency == 1 and d_min.rank == 4
@@ -204,6 +204,41 @@ def test_run_endpoint_handling():
     assert len(trace.diagnostics) == len(trace.states) - 1
     d = trace.diagnostics[0]
     assert d.beta == pytest.approx(1.0) and d.dbeta == pytest.approx(0.02)
+
+
+def test_run_rejects_a_dbeta_that_cannot_advance_beta(monkeypatch):
+    # each of these looped forever; the step budget fails the test instead
+    calls = []
+    real_step = flow.step
+
+    def budgeted(state, classical, dbeta, *args, **kwargs):
+        calls.append(dbeta)
+        if len(calls) > 20:
+            raise RuntimeError("run kept stepping")
+        return real_step(state, classical, dbeta, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", budgeted)
+    state = harmonic_state()
+    for dbeta in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="dbeta must be positive"):
+            run(state, HARMONIC, 1.5, dbeta=dbeta, intervals=100)
+    with pytest.raises(SolverError, match="flow step 1e-300 leaves beta=1.0000 unchanged"):
+        run(state, HARMONIC, 1.5, dbeta=1e-300, intervals=100)
+    assert calls == []
+
+
+def test_run_halved_below_the_spacing_of_floats_raises(monkeypatch):
+    attempts = []
+
+    def rejected(state, classical, dbeta, *args, **kwargs):
+        attempts.append(dbeta)
+        raise StepRejected("condition beyond the limit")
+
+    monkeypatch.setattr(flow, "step", rejected)
+    # 1 + 2^-52 is the float after 1, and 1 + 2^-53 rounds back to 1
+    with pytest.raises(SolverError, match="unchanged"):
+        run(harmonic_state(), HARMONIC, 1.5, dbeta=2.0**-51)
+    assert attempts == [2.0**-51, 2.0**-52]
 
 
 def test_write_trace_csv(tmp_path):
@@ -285,13 +320,13 @@ def _stage_paths(state, grid, cache=None):
     return solve_cached(state.params, pairs, grid, cache if cache is not None else {})
 
 
-def _reference_assemble(state, classical, grid, cache=None):
+def _reference_assemble(state, classical, intervals, cache=None):
     """assemble_system as a loop over final points, one row at a time."""
     exponents = state.exponents()
     a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     rhs = np.empty(len(state.final_points))
     hbar = classical.hbar
-    paths = _stage_paths(state, grid, cache)
+    paths = _stage_paths(state, TimeGrid(state.beta, intervals=intervals), cache)
     for j, x_f in enumerate(state.final_points):
         d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(state.params, paths[j])
         a_mat[j, 0] = -1.0
@@ -327,11 +362,11 @@ def _fitted_state(initial_point=10.0):
 
 
 ASSEMBLY_CASES = {
-    "fitted_0_2_-2": (_fitted_state, STANDARD, 0.35),
+    "fitted_0_2_-2": (_fitted_state, STANDARD),
     # final point 6 has a d_x whose float square (libm pow) and array square
     # (a product) differ in the last bit on x86-64 glibc
-    "fitted_from_10.5": (lambda: _fitted_state(10.5), STANDARD, 0.35),
-    "harmonic": (harmonic_state, HARMONIC, 1.0),
+    "fitted_from_10.5": (lambda: _fitted_state(10.5), STANDARD),
+    "harmonic": (harmonic_state, HARMONIC),
     "ansatz_0_2_4": (
         lambda: FlowState(
             beta=0.8,
@@ -344,7 +379,6 @@ ASSEMBLY_CASES = {
             final_points=equidistant(-1.2, 1.6, 12),
         ),
         QUARTIC,
-        0.8,
     ),
     "hbar_and_mass": (
         lambda: FlowState(
@@ -357,18 +391,16 @@ ASSEMBLY_CASES = {
             final_points=equidistant(0.4, 3.5, 10),
         ),
         HEAVY,
-        0.6,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
 def test_assemble_system_matches_per_point_loop(case):
-    make_state, classical, beta = ASSEMBLY_CASES[case]
+    make_state, classical = ASSEMBLY_CASES[case]
     state = make_state()
-    grid = TimeGrid(beta, intervals=500)
-    a_mat, rhs = assemble_system(state, classical, grid)
-    want_a, want_rhs = _reference_assemble(state, classical, grid)
+    a_mat, rhs = assemble_system(state, classical, 500)
+    want_a, want_rhs = _reference_assemble(state, classical, 500)
     assert np.array_equal(a_mat, want_a)
     assert np.array_equal(rhs, want_rhs)
 
@@ -404,10 +436,10 @@ def test_jacobi_d_xx_matches_neighbour_difference(case):
     # Re-solved neighbours give the same quotient up to the next Taylor term,
     # (h^4 / 120) p^(5), and their Newton tolerance of 1e-12 over 2h >= 2e-3:
     # 1e-8 relative covers both
-    make_state, _, beta = ASSEMBLY_CASES[case]
+    make_state, _ = ASSEMBLY_CASES[case]
     state = make_state()
     for intervals in (500, 1):  # one interval: no interior point to move
-        paths = _stage_paths(state, TimeGrid(beta, intervals=intervals))
+        paths = _stage_paths(state, TimeGrid(state.beta, intervals=intervals))
         got = path_sensitivities(state.params, paths).d_xx
         want = []
         for traj in paths:

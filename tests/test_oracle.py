@@ -40,8 +40,8 @@ def test_grid_validation():
         SpatialGrid(0.0, 1.0, 50)  # too coarse to resolve anything
     grid = SpatialGrid.from_spacing(5e-3, 12.0, 5e-3)
     assert grid.spacing == pytest.approx(5e-3, rel=1e-12)
-    assert default_grid(Domain.HALF_LINE).x_min == pytest.approx(5e-3)
-    assert default_grid(Domain.FULL_LINE).x_min == pytest.approx(-12.0)
+    assert default_grid(Domain.HALF_LINE, 5e-3, 12.0).x_min == pytest.approx(5e-3)
+    assert default_grid(Domain.FULL_LINE, 5e-3, 12.0).x_min == pytest.approx(-12.0)
 
 
 def test_discretize_rejects_bad_grids():
@@ -315,7 +315,7 @@ def test_visible_levels_end_at_first_level_past_threshold(params, t_min, extent,
 
 
 def test_binding_cap_solves_the_lowest_levels():
-    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=5e-3))
+    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=5e-3, extent=12.0))
     capped = spectrum(operator, 20, t_min=0.4)
     plain = spectrum(operator, 20)
     assert np.array_equal(capped.energies, plain.energies)

@@ -511,7 +511,7 @@ def test_failed_fit_evaluation_leaves_cache_as_it_was():
     grid = TimeGrid(1.0, intervals=200)
     init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
     objective = _Objective(table, [0, 2, -2], init, grid)
-    objective.actions(init)
+    objective.evaluate(init)
     objective.cache[3] = _poisoned(grid)
     before = dict(objective.cache)
     q = _nudged(init, 1.01)
@@ -522,7 +522,7 @@ def test_failed_fit_evaluation_leaves_cache_as_it_was():
             message = str(exc)
             break
     with pytest.raises(SolverError) as error:
-        objective.actions(q)
+        objective.evaluate(q)
     assert str(error.value) == message
     _assert_cache_kept(objective.cache, before)
     assert objective(np.full(len(objective.center), 0.01)) == math.inf
@@ -535,7 +535,7 @@ def test_failed_flow_stage_leaves_cache_as_it_was(poisoned):
                       final_points=tuple(np.linspace(0.5, 3.0, 8)))
     grid = TimeGrid(1.0, intervals=200)
     cache = {}
-    assemble_system(state, STANDARD, grid, cache)
+    assemble_system(state, STANDARD, 200, cache)
     cache[poisoned] = _poisoned(grid)
     before = dict(cache)
     state = dataclasses.replace(state, params=_nudged(params, 1.01))
@@ -546,7 +546,7 @@ def test_failed_flow_stage_leaves_cache_as_it_was(poisoned):
             message = str(exc)
             break
     with pytest.raises(SolverError) as error:
-        assemble_system(state, STANDARD, grid, cache)
+        assemble_system(state, STANDARD, 200, cache)
     assert str(error.value) == message
     _assert_cache_kept(cache, before)
 

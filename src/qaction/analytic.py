@@ -207,7 +207,7 @@ def ground_state(params: ActionParams) -> GroundState:
     )
 
 
-def dynamical_scales(params: ActionParams, probability: float = 0.95) -> DynamicalScales:
+def dynamical_scales(params: ActionParams, probability: float) -> DynamicalScales:
     """T_sc = hbar / E_gr and the length containing `probability` of |psi_gr|^2.
 
     |psi_gr|^2 is proportional to x^(2 gamma + 1) exp(-s x^2), s = m omega / hbar,

@@ -60,6 +60,7 @@ class VerificationFailure(RuntimeError):
 
 _TOP_KEYS = ("model", "propagator", "spectrum", "fit", "flow", "verify", "scales")
 _SECTION_REQUIRED = {"propagator", "spectrum", "fit", "flow"}
+DEFAULT_INTERVALS = 500  # trajectory intervals of a fit or flow whose config sets no mesh
 
 
 def config_hash(document) -> str:
@@ -336,7 +337,7 @@ def _validate_fit(section, model):
             raise ConfigError("fit.points_per_unit must be positive")
         out["grid"] = {"points_per_unit": ppu}
     else:
-        n_int = _int(section.get("intervals", 500), "fit.intervals", minimum=2)
+        n_int = _int(section.get("intervals", DEFAULT_INTERVALS), "fit.intervals", minimum=2)
         out["grid"] = {"intervals": n_int}
     out["divergence_threshold"] = _float(
         section.get("divergence_threshold", 1e-2), "fit.divergence_threshold"
@@ -370,7 +371,6 @@ def _validate_flow(section, model):
             "final_points",
             "beta_end",
             "dbeta",
-            "mode",
             "intervals",
             "record_stride",
             "compare_fit",
@@ -389,12 +389,9 @@ def _validate_flow(section, model):
         "final_points": _point_set(section["final_points"], "flow.final_points"),
         "beta_end": _float(section["beta_end"], "flow.beta_end"),
         "dbeta": _float(section.get("dbeta", DEFAULT_DBETA), "flow.dbeta"),
-        "mode": section.get("mode", "min_norm"),
-        "intervals": _int(section.get("intervals", 500), "flow.intervals", minimum=2),
+        "intervals": _int(section.get("intervals", DEFAULT_INTERVALS), "flow.intervals", minimum=2),
         "record_stride": _int(section.get("record_stride", 1), "flow.record_stride", minimum=1),
     }
-    if out["mode"] not in ("min_norm", "pin_v0"):
-        raise ConfigError("flow.mode must be 'min_norm' or 'pin_v0'")
     if out["beta"] <= 0 or out["beta_end"] < out["beta"]:
         raise ConfigError("flow needs 0 < initial.beta <= beta_end")
     if not out["dbeta"] > 0.0:
@@ -659,7 +656,6 @@ def _run_flow(cfg, out_dir, seed):
         sec["beta_end"],
         dbeta=sec["dbeta"],
         intervals=sec["intervals"],
-        mode=sec["mode"],
         record_stride=sec["record_stride"],
     )
     last = trace.states[-1]
@@ -667,7 +663,7 @@ def _run_flow(cfg, out_dir, seed):
     summary = {
         "config_hash": f"sha256:{cfg['hash']}",
         "seed": seed,
-        "mode": sec["mode"],
+        "mode": "min_norm",  # how the ln Z~ / v~_0 degeneracy is resolved
         "recorded_states": len(trace.states),
         "rejected_steps": trace.rejected_steps,
         "max_rank_deficiency": max_deficiency,

@@ -207,25 +207,12 @@ class _Objective:
         log_norm = float(np.mean(self.log_g + sig))
         return self.log_g + sig - log_norm, log_norm, paths
 
-    def residuals(self, q: ActionParams) -> tuple[np.ndarray, float]:
-        return self.evaluate(q)[:2]
-
     def jacobian(self, q: ActionParams, paths: list[Trajectory]) -> np.ndarray:
         """Exact d residuals / d y at the solved paths of q, without the v_0 column."""
         d_mass, d_coeff = parameter_partials(q, paths)
         jac = np.column_stack([d_mass] + [d_coeff[k] for k in self.exponents])
         jac = jac[:, self.free] * self.scales[self.free]
         return jac - jac.mean(axis=0)
-
-    def __call__(self, y: np.ndarray) -> float:
-        q = self.params_from(y)
-        if q is None:
-            return math.inf
-        try:
-            res, _ = self.residuals(q)
-        except SolverError:
-            return math.inf
-        return float(res @ res)
 
 
 def _directions(jac: np.ndarray):

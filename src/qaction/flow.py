@@ -113,37 +113,16 @@ def assemble_system(
     return a_mat, rhs
 
 
-def solve_rates(
-    a_mat: np.ndarray, rhs: np.ndarray, mode: str = "min_norm"
-) -> tuple[np.ndarray, StepDiagnostics]:
-    """Least-squares rates plus rank/condition diagnostics.
+def solve_rates(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
+    """Minimum-norm least-squares rates plus rank/condition diagnostics.
 
-    mode "min_norm" keeps all unknowns and resolves the ln Z~ / v~_0
-    degeneracy by minimum norm; "pin_v0" freezes v~_0 instead. The beta and
-    dbeta fields of the diagnostics are filled by the caller.
+    Minimum norm keeps all unknowns and resolves the ln Z~ / v~_0 degeneracy.
+    The beta and dbeta fields of the diagnostics are filled by the caller.
     """
-    n_unknowns = a_mat.shape[1]
-    if mode == "pin_v0":
-        # column order is [ln Z~, mass, v_k ascending]; find the v_0 column
-        pinned = None
-        for col in range(2, n_unknowns):
-            if np.allclose(np.diff(a_mat[:, col]), 0.0, atol=1e-13):
-                pinned = col
-                break
-        if pinned is None:
-            raise ValueError("pin_v0 mode needs a constant ansatz column")
-        keep = [c for c in range(n_unknowns) if c != pinned]
-        sub = a_mat[:, keep]
-        sol, residual, rank, svals = np.linalg.lstsq(sub, rhs, rcond=None)
-        rates = np.zeros(n_unknowns)
-        rates[keep] = sol
-    elif mode == "min_norm":
-        rates, residual, rank, svals = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    rates, residual, rank, svals = np.linalg.lstsq(a_mat, rhs, rcond=None)
     fitted = a_mat @ rates
     res_norm = float(np.max(np.abs(fitted - rhs)))
-    deficiency = (a_mat.shape[1] if mode == "min_norm" else a_mat.shape[1] - 1) - rank
+    deficiency = a_mat.shape[1] - rank
     if deficiency > 0 and len(svals) > deficiency:
         condition = float(svals[0] / svals[-1 - deficiency])
     elif len(svals) > 0:
@@ -161,8 +140,12 @@ def solve_rates(
     return rates, diag
 
 
-class StepRejected(RuntimeError):
-    """Raised when the assembled system is too ill-conditioned to advance."""
+class StepRejected(SolverError):
+    """Raised when a flow stage cannot advance.
+
+    Either its assembled system is too ill-conditioned (beyond
+    CONDITION_LIMIT), or its mass has left the positive domain.
+    """
 
 
 def _rates_for(
@@ -171,7 +154,6 @@ def _rates_for(
     beta: float,
     vector: np.ndarray,
     intervals: int,
-    mode: str,
     cache: dict,
 ) -> tuple[np.ndarray, StepDiagnostics]:
     trial = FlowState(
@@ -182,7 +164,7 @@ def _rates_for(
         final_points=state.final_points,
     )
     a_mat, rhs = assemble_system(trial, classical, intervals, cache=cache)
-    rates, diag = solve_rates(a_mat, rhs, mode=mode)
+    rates, diag = solve_rates(a_mat, rhs)
     if diag.condition > CONDITION_LIMIT:
         raise StepRejected(
             f"condition {diag.condition:.2e} beyond {CONDITION_LIMIT:.0e} at beta={beta:.4f}"
@@ -213,8 +195,7 @@ def step(
     state: FlowState,
     classical: ActionParams,
     dbeta: float,
-    intervals: int = 500,
-    mode: str = "min_norm",
+    intervals: int,
     cache: dict | None = None,
 ) -> tuple[FlowState, StepDiagnostics]:
     """One classical Runge-Kutta step of the parameter flow.
@@ -226,14 +207,10 @@ def step(
     cache = cache if cache is not None else {}
     u0 = _vector_of(state)
     b0 = state.beta
-    k1, diag = _rates_for(state, classical, b0, u0, intervals, mode, cache)
-    k2, _ = _rates_for(
-        state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k1, intervals, mode, cache
-    )
-    k3, _ = _rates_for(
-        state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k2, intervals, mode, cache
-    )
-    k4, _ = _rates_for(state, classical, b0 + dbeta, u0 + dbeta * k3, intervals, mode, cache)
+    k1, diag = _rates_for(state, classical, b0, u0, intervals, cache)
+    k2, _ = _rates_for(state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k1, intervals, cache)
+    k3, _ = _rates_for(state, classical, b0 + 0.5 * dbeta, u0 + 0.5 * dbeta * k2, intervals, cache)
+    k4, _ = _rates_for(state, classical, b0 + dbeta, u0 + dbeta * k3, intervals, cache)
     u1 = u0 + dbeta / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     new_state = FlowState(
         beta=b0 + dbeta,
@@ -250,18 +227,18 @@ def run(
     classical: ActionParams,
     beta_end: float,
     dbeta: float = DEFAULT_DBETA,
-    intervals: int = 500,
-    mode: str = "min_norm",
-    record_stride: int = 1,
+    *,
+    intervals: int,
+    record_stride: int,
 ) -> FlowTrace:
     """March the flow from initial.beta to beta_end with rejection control.
 
-    Ill-conditioned steps are retried with halved dbeta (up to MAX_HALVINGS),
-    and the trace counts these retries in rejected_steps; the nominal dbeta
-    is restored after each accepted step. A step that would leave beta
-    unchanged, halved or not, raises SolverError. States are
-    recorded every record_stride accepted steps, always including the first
-    and last.
+    A step that raises SolverError (StepRejected among them) is retried with
+    halved dbeta (up to MAX_HALVINGS), and the trace counts these retries in
+    rejected_steps; the nominal dbeta is restored after each accepted step. A
+    step that would leave beta unchanged, halved or not, raises SolverError.
+    States are recorded every record_stride accepted steps, always including
+    the first and last.
     """
     if not dbeta > 0.0:
         raise ValueError(f"dbeta must be positive, got {dbeta}")
@@ -281,11 +258,9 @@ def run(
             if state.beta + step_size == state.beta:
                 raise SolverError(f"flow step {step_size:g} leaves beta={state.beta:.4f} unchanged")
             try:
-                new_state, diag = step(
-                    state, classical, step_size, intervals, mode=mode, cache=cache
-                )
+                new_state, diag = step(state, classical, step_size, intervals, cache=cache)
                 break
-            except (StepRejected, SolverError):
+            except SolverError:
                 rejected += 1
                 halvings += 1
                 if halvings > MAX_HALVINGS:

@@ -40,9 +40,9 @@ from .model import (
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 200
 # Paths relaxed together by solve_paths. A block of 32 paths on 500 intervals
-# keeps 0.6 MB of work arrays, and 0.4 MB more during a Newton solve. On a 2-vCPU Xeon, blocks of 16 to 60 paths gave
-# the same flow stage time (about 20 ms for 30 final points), so larger
-# blocks would only add memory.
+# keeps 0.6 MB of work arrays, and 0.4 MB more during a Newton solve. On a
+# 2-vCPU Xeon, blocks of 16 to 60 paths gave the same flow stage time (about
+# 20 ms for 30 final points), so larger blocks would only add memory.
 BLOCK_PATHS = 32
 
 
@@ -56,16 +56,22 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid over [0, duration]; intervals defaults to round(duration * ppu)."""
+    """Uniform grid over [0, duration].
+
+    It has `intervals` intervals or, given points_per_unit alone,
+    round(duration * points_per_unit) of them.
+    """
 
     duration: float
-    points_per_unit: float = 500.0
+    points_per_unit: float | None = None
     intervals: int | None = None
 
     def __post_init__(self):
         if not (self.duration > 0.0) or not math.isfinite(self.duration):
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.intervals is None:
+            if self.points_per_unit is None:
+                raise ValueError("a grid needs intervals or points_per_unit")
             if not (self.points_per_unit > 0.0):
                 raise ValueError("points_per_unit must be positive")
             object.__setattr__(

@@ -2,15 +2,20 @@
 
 Each re-solves or recombines what the package computes in one pass: the
 conserved Euclidean energy of a path, the duration derivative of the action
-by finite differences, the two neighbour paths behind d_xx, and the
+by finite differences, the two neighbour paths behind d_xx, the fit
+objective as one number, the flow rates with v~_0 pinned, and the
 gauge-invariant mix of flow rates that the ln Z~ / v~_0 degeneracy leaves
 well defined.
 """
 
+import math
+
 import numpy as np
 
+from qaction.flow import StepDiagnostics
 from qaction.model import ActionParams, potential_value
 from qaction.trajectory import (
+    SolverError,
     TimeGrid,
     Trajectory,
     _check_traj,
@@ -83,9 +88,66 @@ def neighbour_pair(
     return lo, hi
 
 
+def sum_of_squares(objective, y: np.ndarray) -> float:
+    """The fit objective (a fit._Objective) at scaled coordinates y as one number.
+
+    The sum of squared residuals, or inf outside the parameter region and
+    where a solve fails: the scalar cost the fit's old Nelder-Mead search took.
+    """
+    q = objective.params_from(y)
+    if q is None:
+        return math.inf
+    try:
+        res = objective.evaluate(q)[0]
+    except SolverError:
+        return math.inf
+    return float(res @ res)
+
+
 def invariant_combination(beta: float, rates: np.ndarray, exponents: list[int]) -> float:
     """Gauge-invariant mix -d ln Z~/d beta + beta d v~_0/d beta."""
     if 0 not in exponents:
         raise ValueError("combination defined only when the ansatz has a constant term")
     idx = 2 + exponents.index(0)
     return -float(rates[0]) + beta * float(rates[idx])
+
+
+def pinned_v0_rates(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
+    """Flow rates with d v~_0 / d beta frozen at zero, plus their diagnostics.
+
+    The other resolution of the ln Z~ / v~_0 degeneracy that flow.solve_rates
+    resolves by minimum norm: the constant column is dropped before the
+    least-squares solve. Both give the same invariant_combination.
+    """
+    n_unknowns = a_mat.shape[1]
+    # column order is [ln Z~, mass, v_k ascending]; find the v_0 column
+    pinned = None
+    for col in range(2, n_unknowns):
+        if np.allclose(np.diff(a_mat[:, col]), 0.0, atol=1e-13):
+            pinned = col
+            break
+    if pinned is None:
+        raise ValueError("pinning v_0 needs a constant ansatz column")
+    keep = [c for c in range(n_unknowns) if c != pinned]
+    sub = a_mat[:, keep]
+    sol, residual, rank, svals = np.linalg.lstsq(sub, rhs, rcond=None)
+    rates = np.zeros(n_unknowns)
+    rates[keep] = sol
+    fitted = a_mat @ rates
+    res_norm = float(np.max(np.abs(fitted - rhs)))
+    deficiency = a_mat.shape[1] - 1 - rank
+    if deficiency > 0 and len(svals) > deficiency:
+        condition = float(svals[0] / svals[-1 - deficiency])
+    elif len(svals) > 0:
+        condition = float(svals[0] / svals[-1])
+    else:
+        condition = math.inf
+    diag = StepDiagnostics(
+        beta=math.nan,
+        dbeta=math.nan,
+        residual_norm=res_norm,
+        condition=condition,
+        rank=int(rank),
+        deficiency=int(deficiency),
+    )
+    return rates, diag

@@ -168,7 +168,7 @@ def test_feynman_kac_projection_at_long_time():
 
 
 def test_dynamical_scales_standard_model():
-    sc = dynamical_scales(STANDARD)
+    sc = dynamical_scales(STANDARD, probability=0.95)
     assert sc.time_scale == pytest.approx(0.4, abs=1e-15)
     # independent root: P(L) = gammainc(gamma+1, L^2 m w / hbar) = 0.95
     lam_ref = math.sqrt(

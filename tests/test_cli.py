@@ -272,6 +272,8 @@ def _fit_doc(**changes):
                                 final_points={"start": -1.0, "stop": 1.5, "count": 8}),
                       model=OSCILLATOR_MODEL),
          "flow.initial.coefficients: negative-exponent coefficients require the half-line domain"),
+        # the rates have one solve, minimum norm; the pinned-v_0 one is a test reference
+        ("flow", _flow_doc(mode="pin_v0"), "unknown keys in flow: ['mode']"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
@@ -284,6 +286,7 @@ def _fit_doc(**changes):
         "compare_fit_max_evaluations", "fit_repeated_final", "fit_repeated_initial_range",
         "compare_fit_repeated_initial", "compare_fit_repeated_final_range",
         "fit_full_line_negative_ansatz", "flow_full_line_negative_coefficient",
+        "flow_mode",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
@@ -399,6 +402,15 @@ def test_valid_flow_and_fit_parameters_load(tmp_path):
     )
     init = fit_cfg["section"]["init"]
     assert init.mass == 1.1 and init.potential.coefficients == {-2: 0.0, 0: 0.0, 2: 0.4}
+
+
+def test_fit_and_flow_without_a_mesh_get_the_one_default(tmp_path):
+    flow_doc = _flow_doc()
+    del flow_doc["flow"]["intervals"]
+    flow_cfg = load_config(write_config(tmp_path, flow_doc, "flow.json"), "flow")
+    fit_cfg = load_config(write_config(tmp_path, _fit_doc(), "fit.json"), "fit")
+    assert flow_cfg["section"]["intervals"] == cli.DEFAULT_INTERVALS == 500
+    assert fit_cfg["section"]["grid"] == {"intervals": cli.DEFAULT_INTERVALS}
 
 
 def _propagator_doc(**changes):
@@ -892,6 +904,7 @@ def test_flow_smoke_with_fit_comparison(runner, tmp_path):
     assert trace_lines[1] == "beta,mass,v_2,log_norm,residual_norm,condition,rank,deficiency"
     assert len(trace_lines) == 2 + 3  # initial state plus two steps
     summary = json.loads((tmp_path / "flow_summary.json").read_text())
+    assert summary["mode"] == "min_norm"
     assert summary["degenerate_directions_detected"] is False
     assert summary["final"]["beta"] == pytest.approx(1.04)
     assert summary["final"]["mass"] == pytest.approx(1.0, abs=1e-5)

@@ -21,6 +21,7 @@ from qaction.fit import (
 from qaction.model import ActionParams, Domain, PotentialSpec
 from qaction.oracle import SpatialGrid, amplitude, refine_energies, solve_spectrum
 from qaction.trajectory import SolverError, TimeGrid
+from references import sum_of_squares
 
 STANDARD = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -2: 1.0}))
 HARMONIC = ActionParams(
@@ -137,7 +138,8 @@ def test_monotone_improvement_and_idempotence(standard_table, standard_fit):
     from qaction.fit import _Objective
 
     start = _Objective(standard_table, [-2, 0, 2], standard_init(0, 2, -2), grid)
-    assert standard_fit.objective <= start(np.zeros(4)) + 1e-15
+    res = start.evaluate(start.params_from(np.zeros(4)))[0]
+    assert standard_fit.objective <= res @ res + 1e-15
     again = fit_at_time(standard_table, [0, 2, -2], standard_fit.params, {"intervals": 300})
     c1 = standard_fit.params.potential.coefficients
     c2 = again.params.potential.coefficients
@@ -322,8 +324,8 @@ def test_jacobian_matches_central_differences_of_residuals(standard_table):
     for j in np.flatnonzero(objective.free):
         e = np.zeros_like(y)
         e[j] = h
-        plus, _ = objective.residuals(objective.params_from(y + e))
-        minus, _ = objective.residuals(objective.params_from(y - e))
+        plus = objective.evaluate(objective.params_from(y + e))[0]
+        minus = objective.evaluate(objective.params_from(y - e))[0]
         columns.append((plus - minus) / (2.0 * h))
     npt.assert_allclose(jac, np.column_stack(columns), rtol=0, atol=1e-7 * np.abs(jac).max())
     # centring over the pairs: every column sums to zero, as the residuals do
@@ -414,13 +416,14 @@ def small_fit(objective, budget=MAX_EVALUATIONS):
     return fit_at_time(objective.table, objective.exponents, start, mesh, max_evaluations=budget)
 
 
-def scipy_nelder_mead(func, budget):
-    """scipy's Nelder-Mead on func from the fit's start, at the old fit's options."""
+def scipy_nelder_mead(objective, budget):
+    """scipy's Nelder-Mead on objective from the fit's start, at the old fit's options."""
     from scipy.optimize import minimize
 
     simplex = np.vstack([np.zeros(4), 0.05 * np.eye(4)])
     options = {"xatol": 1e-10, "fatol": 1e-14, "maxfev": budget, "initial_simplex": simplex}
-    res = minimize(func, simplex[0], method="Nelder-Mead", options=options)
+    res = minimize(lambda y: sum_of_squares(objective, y), simplex[0], method="Nelder-Mead",
+                   options=options)
     return res.x, res.fun, bool(res.status == 0)
 
 
@@ -447,7 +450,7 @@ def test_nelder_mead_matches_scipy_on_fit_objective(small_objective, budget):
         assert nm_converged
         objective = small_objective()
         q = objective.params_from(x)
-        _, log_norm = objective.residuals(q)
+        log_norm = objective.evaluate(q)[1]
         assert result.params.mass == pytest.approx(q.mass, rel=1e-6)
         for k in (2, -2):
             assert result.params.potential.coefficients[k] == pytest.approx(
@@ -468,7 +471,7 @@ def test_nelder_mead_budget_smaller_than_simplex(small_objective, budget):
     result = small_fit(objective, budget)
     assert (result.evaluations, result.converged) == (budget, False)
     # the reported objective is the objective at the reported parameters
-    residuals, log_norm = small_objective().residuals(result.params)
+    residuals, log_norm, _ = small_objective().evaluate(result.params)
     assert (float(residuals @ residuals), log_norm) == (result.objective, result.log_norm)
     start = objective.params_from(np.zeros(len(objective.center)))
     if budget == 1:

@@ -35,7 +35,7 @@ from qaction.trajectory import (
     sensitivities,
     solve_cached,
 )
-from references import invariant_combination, neighbour_pair
+from references import invariant_combination, neighbour_pair, pinned_v0_rates
 
 HARMONIC = ActionParams(
     mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE
@@ -102,7 +102,7 @@ def test_harmonic_action_is_stationary():
 
 def test_harmonic_log_norm_evolution():
     state = harmonic_state()
-    trace = run(state, HARMONIC, 1.2, dbeta=0.02, intervals=500)
+    trace = run(state, HARMONIC, 1.2, dbeta=0.02, intervals=500, record_stride=1)
     last = trace.states[-1]
     assert last.beta == pytest.approx(1.2, abs=1e-12)
     exact_shift = -0.5 * (math.log(math.sinh(1.2)) - math.log(math.sinh(1.0)))
@@ -130,8 +130,8 @@ def test_constant_ansatz_degeneracy_and_invariant():
         final_points=equidistant(0.2, 7.0, 30),
     )
     a_mat, rhs = assemble_system(state, STANDARD, 500)
-    r_min, d_min = solve_rates(a_mat, rhs, mode="min_norm")
-    r_pin, d_pin = solve_rates(a_mat, rhs, mode="pin_v0")
+    r_min, d_min = solve_rates(a_mat, rhs)
+    r_pin, d_pin = pinned_v0_rates(a_mat, rhs)
     assert d_min.deficiency == 1 and d_min.rank == 4
     assert d_pin.deficiency == 0 and d_pin.rank == 4
     exps = state.exponents()
@@ -164,15 +164,13 @@ def test_solve_rates_synthetic_diagnostics():
         ])
         rhs = rng.normal(size=n)
         r_min, d_min = solve_rates(a_mat, rhs)
-        r_pin, d_pin = solve_rates(a_mat, rhs, mode="pin_v0")
+        r_pin, d_pin = pinned_v0_rates(a_mat, rhs)
         assert d_min.deficiency == 1 and d_pin.deficiency == 0
         np.testing.assert_allclose(a_mat @ r_min, a_mat @ r_pin, atol=1e-12)
         assert abs(-r_min[0] + 0.7 * r_min[2] - (-r_pin[0])) < 1e-12
-    with pytest.raises(ValueError, match="mode"):
-        solve_rates(a_mat, rhs, mode="bogus")
     no_const = np.column_stack([-np.ones(4), np.arange(4.0), np.arange(4.0) ** 2])
     with pytest.raises(ValueError, match="constant"):
-        solve_rates(no_const, np.zeros(4), mode="pin_v0")
+        pinned_v0_rates(no_const, np.zeros(4))
 
 
 def test_ill_conditioned_system_is_rejected():
@@ -189,17 +187,17 @@ def test_ill_conditioned_system_is_rejected():
         step(state, narrow, 0.01, intervals=300)
     # halving cannot fix conditioning; run gives up after the retry budget
     with pytest.raises(SolverError, match="rejected"):
-        run(state, narrow, 0.9, dbeta=0.01, intervals=300)
+        run(state, narrow, 0.9, dbeta=0.01, intervals=300, record_stride=1)
 
 
 def test_run_endpoint_handling():
     state = harmonic_state()
-    trivial = run(state, HARMONIC, state.beta)
+    trivial = run(state, HARMONIC, state.beta, intervals=500, record_stride=1)
     assert trivial.states == [state] and trivial.diagnostics == []
     with pytest.raises(ValueError):
-        run(state, HARMONIC, 0.5)
+        run(state, HARMONIC, 0.5, intervals=500, record_stride=1)
     # a fractional last step lands exactly on beta_end
-    trace = run(state, HARMONIC, 1.03, dbeta=0.02, intervals=300)
+    trace = run(state, HARMONIC, 1.03, dbeta=0.02, intervals=300, record_stride=1)
     assert trace.states[-1].beta == pytest.approx(1.03, abs=1e-12)
     assert len(trace.diagnostics) == len(trace.states) - 1
     d = trace.diagnostics[0]
@@ -221,9 +219,9 @@ def test_run_rejects_a_dbeta_that_cannot_advance_beta(monkeypatch):
     state = harmonic_state()
     for dbeta in (0.0, -0.01, math.nan):
         with pytest.raises(ValueError, match="dbeta must be positive"):
-            run(state, HARMONIC, 1.5, dbeta=dbeta, intervals=100)
+            run(state, HARMONIC, 1.5, dbeta=dbeta, intervals=100, record_stride=1)
     with pytest.raises(SolverError, match="flow step 1e-300 leaves beta=1.0000 unchanged"):
-        run(state, HARMONIC, 1.5, dbeta=1e-300, intervals=100)
+        run(state, HARMONIC, 1.5, dbeta=1e-300, intervals=100, record_stride=1)
     assert calls == []
 
 
@@ -237,7 +235,7 @@ def test_run_halved_below_the_spacing_of_floats_raises(monkeypatch):
     monkeypatch.setattr(flow, "step", rejected)
     # 1 + 2^-52 is the float after 1, and 1 + 2^-53 rounds back to 1
     with pytest.raises(SolverError, match="unchanged"):
-        run(harmonic_state(), HARMONIC, 1.5, dbeta=2.0**-51)
+        run(harmonic_state(), HARMONIC, 1.5, dbeta=2.0**-51, intervals=500, record_stride=1)
     assert attempts == [2.0**-51, 2.0**-52]
 
 
@@ -479,7 +477,7 @@ def test_run_counts_rejected_steps(monkeypatch):
     # the step sizes are binary fractions, so the betas equal those of a run
     # at 0.125
     state = harmonic_state()
-    want = run(state, HARMONIC, 2.0, dbeta=0.125, intervals=300)
+    want = run(state, HARMONIC, 2.0, dbeta=0.125, intervals=300, record_stride=1)
     assert want.rejected_steps == 0
     real_step = flow.step
     rejections = []
@@ -491,7 +489,7 @@ def test_run_counts_rejected_steps(monkeypatch):
         return real_step(state, classical, dbeta, *args, **kwargs)
 
     monkeypatch.setattr(flow, "step", limited)
-    trace = run(state, HARMONIC, 2.0, dbeta=0.25, intervals=300)
+    trace = run(state, HARMONIC, 2.0, dbeta=0.25, intervals=300, record_stride=1)
     assert trace.rejected_steps == len(rejections) == 7
     assert trace.states == want.states and trace.diagnostics == want.diagnostics
 
@@ -499,9 +497,9 @@ def test_run_counts_rejected_steps(monkeypatch):
 def test_flow_run_matches_per_point_loop(monkeypatch):
     state = _fitted_state()
     beta_end = state.beta + 3 * 3.75e-3
-    trace = run(state, STANDARD, beta_end, dbeta=3.75e-3, intervals=300)
+    trace = run(state, STANDARD, beta_end, dbeta=3.75e-3, intervals=300, record_stride=1)
     monkeypatch.setattr(flow, "assemble_system", _reference_assemble)
-    want = run(state, STANDARD, beta_end, dbeta=3.75e-3, intervals=300)
+    want = run(state, STANDARD, beta_end, dbeta=3.75e-3, intervals=300, record_stride=1)
     assert len(trace.states) == len(want.states) == 4
     assert trace.diagnostics == want.diagnostics
     for got, ref in zip(trace.states, want.states):

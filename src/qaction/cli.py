@@ -666,6 +666,8 @@ def _run_flow(cfg, out_dir, seed):
         "mode": "min_norm",  # how the ln Z~ / v~_0 degeneracy is resolved
         "recorded_states": len(trace.states),
         "rejected_steps": trace.rejected_steps,
+        "path_solves": trace.path_solves,
+        "newton_iterations": trace.newton_iterations,
         "max_rank_deficiency": max_deficiency,
         "degenerate_directions_detected": max_deficiency > 0,
         "final": _final_block(last.params, beta=last.beta, log_norm=last.log_norm),

@@ -1,6 +1,9 @@
-"""The three LAPACK routines qaction calls, bound from scipy's f2py extension.
+"""The five LAPACK routines qaction calls, bound from scipy's f2py extension.
 
-    dgtsv    tridiagonal solve (trajectory: Newton steps, Jacobi equations)
+    dgtsv    tridiagonal solve (trajectory: Newton steps, Jacobi equations
+             whose matrix is not positive definite)
+    dpttrf   LDL^T factor of a positive definite tridiagonal matrix
+    dpttrs   solve with that factor (trajectory: the three Jacobi equations)
     dstebz   tridiagonal bisection for eigenvalues (oracle)
     dstein   inverse iteration for eigenvectors (oracle)
 
@@ -50,5 +53,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgtsv = _flapack.dgtsv
+dpttrf = _flapack.dpttrf
+dpttrs = _flapack.dpttrs
 dstebz = _flapack.dstebz
 dstein = _flapack.dstein

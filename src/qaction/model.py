@@ -104,13 +104,14 @@ def potential_terms(spec: PotentialSpec, order: int) -> list[tuple[int, float]]:
     return [(k, c) for k, c in terms if c != 0.0]
 
 
-def evaluate_potential(spec: PotentialSpec, x, order: int, out=None, tmp=None):
+def evaluate_potential(spec: PotentialSpec, x, order: int, out=None, tmp=None, powers=None):
     """The order-th derivative of V at x: the sum of potential_terms(spec, order).
 
     Zeros, then out + c x^k per term (out + c for the constant), written
     into out with tmp as scratch (both of x's shape), so a caller that passes
     its own buffers allocates nothing. Without them both are allocated, and
-    scalar x gives a float.
+    scalar x gives a float. A caller that already holds x^k by exponent k
+    passes them as `powers`; np.power(x, k) would give the same bits.
     """
     _check_domain(spec, x)
     x = np.asarray(x, dtype=float)
@@ -121,8 +122,8 @@ def evaluate_potential(spec: PotentialSpec, x, order: int, out=None, tmp=None):
         if k == 0:  # c x^0 is c for every x, nan and inf too: one pass, not three
             np.add(out, c, out=out)
         else:
-            np.power(x, k, out=tmp)
-            np.multiply(tmp, c, out=tmp)
+            base = np.power(x, k, out=tmp) if powers is None else powers[k]
+            np.multiply(base, c, out=tmp)
             np.add(out, tmp, out=out)
     return float(out) if out.ndim == 0 else out
 

@@ -15,9 +15,12 @@ hbar = 1 they coincide with Euclidean time.
 
 The Newton steps of the relaxation and the Jacobi equations behind d_xx solve
 with the same Newton matrix J = tridiag(m/dt^2, -2m/dt^2 - hbar^2 V''(x_i),
-m/dt^2), through one kernel (_solve_tridiagonal): one LAPACK gtsv call on the
-paths stacked with zero couplings between them (scipy's own dgtsv, bound by
-qaction.lapack). A singular J raises SolverError wherever it is met.
+m/dt^2), always on the paths stacked with zero couplings between them. A
+Newton step is one LAPACK gtsv call (_solve_tridiagonal). The three Jacobi
+solves share one pttrf factor L D L^T of -J, one pttrs call each, and fall
+back to three gtsv calls when -J is not positive definite (_jacobi_solver).
+The routines are scipy's own, bound by qaction.lapack. A singular J raises
+SolverError wherever it is met.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lapack import dgtsv
+from .lapack import dgtsv, dpttrf, dpttrs
 from .model import (
     ActionParams,
     Domain,
     evaluate_potential,
     potential_derivative,
     potential_second_derivative,
-    potential_value,
 )
 
 DEFAULT_TOL = 1e-12
@@ -58,8 +60,8 @@ class SolverError(RuntimeError):
 class TimeGrid:
     """Uniform grid over [0, duration].
 
-    It has `intervals` intervals or, given points_per_unit alone,
-    round(duration * points_per_unit) of them.
+    It has `intervals` intervals or round(duration * points_per_unit) of
+    them; exactly one of the two is given.
     """
 
     duration: float
@@ -69,9 +71,9 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.duration > 0.0) or not math.isfinite(self.duration):
             raise ValueError(f"duration must be positive, got {self.duration}")
+        if (self.intervals is None) == (self.points_per_unit is None):
+            raise ValueError("a grid needs one of intervals and points_per_unit")
         if self.intervals is None:
-            if self.points_per_unit is None:
-                raise ValueError("a grid needs intervals or points_per_unit")
             if not (self.points_per_unit > 0.0):
                 raise ValueError("points_per_unit must be positive")
             object.__setattr__(
@@ -457,9 +459,17 @@ def _kinetic_sums(x: np.ndarray) -> np.ndarray:
     return np.sum(dx * dx, axis=-1)
 
 
-def _trapezoid_sums(params: ActionParams, x: np.ndarray):
-    """Row sums of (x_{i+1} - x_i)^2 and of V(x_i) + V(x_{i+1}), the two sums of the action."""
-    v = potential_value(params.potential, x)
+def _powers(params: ActionParams, x: np.ndarray) -> dict[int, np.ndarray]:
+    """x^k for every exponent k != 0 of the potential, each computed once."""
+    return {k: np.power(x, k) for k in params.potential.coefficients if k != 0}
+
+
+def _trapezoid_sums(params: ActionParams, x: np.ndarray, powers=None):
+    """Row sums of (x_{i+1} - x_i)^2 and of V(x_i) + V(x_{i+1}), the two sums of the action.
+
+    V is summed from `powers` (see _powers) when given, else from x.
+    """
+    v = evaluate_potential(params.potential, x, 0, powers=powers)
     return _kinetic_sums(x), np.sum(v[..., :-1] + v[..., 1:], axis=-1)
 
 
@@ -495,9 +505,11 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
     grid, x = _stack(trajs)
     step, n_int = grid.step, grid.intervals
     m, hbar = params.mass, params.hbar
-    kinetic_sum, potential_sum = _trapezoid_sums(params, x)
+    powers = _powers(params, x)
+    kinetic_sum, potential_sum = _trapezoid_sums(params, x, powers)
     pot_sum = potential_sum * 0.5
-    d_mass, d_coeff = _parameter_partials(params, x, step, kinetic_sum)
+    d_mass, d_coeff = _parameter_partials(params, x, step, kinetic_sum, powers)
+    del powers  # not held through the Jacobi solves, where the memory of a stage peaks
     # exact derivative of the discrete action with respect to duration at
     # fixed interval count: minus the mean interval energy
     d_time = (pot_sum - m * kinetic_sum / (2.0 * hbar**2 * step**2)) / n_int
@@ -516,11 +528,14 @@ def parameter_partials(params: ActionParams, trajs) -> tuple[np.ndarray, dict[in
     The fit's Jacobian needs only these, so it skips the Jacobi solves behind d_xx.
     """
     grid, x = _stack(list(trajs))
-    return _parameter_partials(params, x, grid.step, _kinetic_sums(x))
+    return _parameter_partials(params, x, grid.step, _kinetic_sums(x), _powers(params, x))
 
 
-def _parameter_partials(params: ActionParams, x: np.ndarray, step: float, kinetic_sum):
-    """Partials of the action in the mass and in each coefficient, per row of x."""
+def _parameter_partials(params: ActionParams, x: np.ndarray, step: float, kinetic_sum, powers):
+    """Partials of the action in the mass and in each coefficient, per row of x.
+
+    powers holds x^k by exponent (see _powers).
+    """
     n, n_int = x.shape[0], x.shape[1] - 1
     d_mass = kinetic_sum / (2.0 * params.hbar**2 * step)
     d_coeff = {}
@@ -528,7 +543,7 @@ def _parameter_partials(params: ActionParams, x: np.ndarray, step: float, kineti
         if k == 0:
             d_coeff[k] = np.full(n, step * n_int)
         else:
-            p = x**k
+            p = powers[k]
             d_coeff[k] = step * np.sum(p[:, :-1] + p[:, 1:], axis=1) * 0.5
     return d_mass, d_coeff
 
@@ -556,19 +571,30 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
         J y3 = hbar^2 (3 V'''(x) y1 y2 + V''''(x) y1^3)
 
     and p' = m (1 - y1_last) / (hbar^2 dt) + (dt/2) V''(x_f),
-    p''' = -m y3_last / (hbar^2 dt) + (dt/2) V''''(x_f).
+    p''' = -m y3_last / (hbar^2 dt) + (dt/2) V''''(x_f). The three systems
+    share one factor of J (see _jacobi_solver).
     """
     spec, m, hbar2 = params.potential, params.mass, params.hbar**2
     inner, ends = x[:, 1:-1], x[:, -1]
     coupling = m / step**2
-    diag = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
+    # J's diagonal outlives the factor only where the gtsv fallback needs it:
+    # a flow stage's memory peaks in these solves
+    solve = _jacobi_solver(
+        coupling, -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
+    )
     v3 = hbar2 * evaluate_potential(spec, inner, 3)
     v4 = hbar2 * evaluate_potential(spec, inner, 4)
     y1 = np.zeros(inner.shape)
     y1[:, -1:] = -coupling
-    _solve_tridiagonal(coupling, diag, y1)
-    y2 = _solve_tridiagonal(coupling, diag, v3 * y1**2)
-    y3 = _solve_tridiagonal(coupling, diag, 3.0 * v3 * y1 * y2 + v4 * y1**3)
+    solve(y1)
+    y2 = solve(v3 * y1**2)
+    # 3.0 * v3 * y1 * y2 + v4 * y1**3, with one temporary fewer
+    rhs = 3.0 * v3 * y1
+    rhs *= y2
+    cube = y1**3
+    cube *= v4
+    rhs += cube
+    y3 = solve(rhs)
     # a path of one interval has no interior points to move
     y1_last, y3_last = (y1[:, -1], y3[:, -1]) if inner.shape[1] else (0.0, 0.0)
     scale = m / (hbar2 * step)
@@ -579,6 +605,33 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     if not np.isfinite(d_xx).all():
         raise SolverError("tangent solve gave a non-finite d_xx")
     return d_xx
+
+
+def _jacobi_solver(coupling: float, diag: np.ndarray):
+    """A solve(rhs) of J y = rhs, in place in the C-contiguous rhs, for the rows of diag.
+
+    J = tridiag(coupling, diag[i], coupling) for every row i, stacked with
+    zero couplings between rows as in _solve_tridiagonal. pttrf factors -J
+    once as L D L^T, and each solve is one pttrs call on -rhs. Where J is
+    diagonally dominant, as for V'' >= 0, the pivots of D are the negated gtsv
+    pivots of J bit for bit, and so is the last entry of a solve whose
+    right-hand side is zero but there. If a pivot is not positive, or the
+    system has one unknown or none, each solve is a _solve_tridiagonal call,
+    which raises SolverError for a singular J.
+    """
+    if diag.size > 1:
+        n_int = diag.shape[-1]
+        off = np.full(diag.size - 1, -coupling)
+        off[n_int - 1 :: n_int] = 0.0
+        d, e, info = dpttrf(np.negative(diag).reshape(-1), off, 1, 1)
+        if info == 0:
+
+            def solve(rhs: np.ndarray) -> np.ndarray:
+                dpttrs(d, e, np.negative(rhs, out=rhs).reshape(-1), 1)
+                return rhs
+
+            return solve
+    return lambda rhs: _solve_tridiagonal(coupling, diag, rhs)
 
 
 def neighbour_offset(x: float) -> float:

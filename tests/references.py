@@ -46,7 +46,7 @@ def conserved_energy_drift(params: ActionParams, traj: Trajectory) -> float:
 
 def with_duration(grid: TimeGrid, duration: float) -> TimeGrid:
     """Same interval count, new duration; keeps refinement studies smooth."""
-    return TimeGrid(duration, grid.points_per_unit, grid.intervals)
+    return TimeGrid(duration, intervals=grid.intervals)
 
 
 def time_derivative_fd(

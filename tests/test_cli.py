@@ -936,6 +936,13 @@ def test_flow_summary_counts_rejected_steps(runner, tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     plain = json.loads((tmp_path / "plain" / "flow_summary.json").read_text())
     assert plain["rejected_steps"] == 0
+    # four stages of 8 paths per step, counted the same way on every run
+    assert plain["path_solves"] == 2 * 4 * 8
+    assert plain["path_solves"] <= plain["newton_iterations"]
+    res = runner.invoke(main, ["flow", "--config", cfg, "--out", str(tmp_path / "again")])
+    assert res.exit_code == 0, res.output
+    again = json.loads((tmp_path / "again" / "flow_summary.json").read_text())
+    assert again == plain
     # a 0.25 step is rejected as an ill-conditioned one would be and retried
     # at 0.125: three rejections on the way to beta 1.375, then the last
     # 0.125 step

@@ -494,6 +494,58 @@ def test_run_counts_rejected_steps(monkeypatch):
     assert trace.states == want.states and trace.diagnostics == want.diagnostics
 
 
+def test_stages_start_from_the_extrapolation_of_the_last_two_betas(monkeypatch):
+    # the starts each stage hands to assemble_system, against the paths that
+    # the stages before it solved
+    stages = []
+    real_assemble = flow.assemble_system
+
+    def recording(state, classical, intervals, cache=None):
+        starts = dict(cache)
+        out = real_assemble(state, classical, intervals, cache)
+        stages.append((state.beta, starts, dict(cache)))
+        return out
+
+    monkeypatch.setattr(flow, "assemble_system", recording)
+    trace = run(harmonic_state(), HARMONIC, 1.1, dbeta=0.05, intervals=100, record_stride=1)
+    assert [beta for beta, _, _ in stages] == [
+        1.0, 1.025, 1.025, 1.05, 1.05, 1.075, 1.075, 1.1
+    ]
+    kept = []  # (beta, solved paths) of the last two stages at distinct betas
+    for beta, starts, solved in stages:
+        if not kept:
+            assert starts == {}
+        elif len(kept) == 1 or beta == kept[-1][0]:
+            assert all(starts[j] is path for j, path in kept[-1][1].items())
+        else:
+            (b_prev, prev), (b_last, last) = kept
+            for j, path in last.items():
+                want = [
+                    x_last + (beta - b_last) / (b_last - b_prev) * (x_last - x_prev)
+                    for x_last, x_prev in zip(path.positions.tolist(), prev[j].positions.tolist())
+                ]
+                assert starts[j].tolist() == want
+        kept = kept[:-1] if kept and kept[-1][0] == beta else kept[-1:]
+        kept.append((beta, solved))
+    assert trace.path_solves == len(stages) * len(harmonic_state().final_points)
+    assert trace.newton_iterations == sum(
+        path.iterations for _, _, solved in stages for path in solved.values()
+    )
+
+
+def test_flow_solver_counts_repeat():
+    state = _fitted_state()
+    traces = [
+        run(state, STANDARD, state.beta + 3 * 3.75e-3, dbeta=3.75e-3, intervals=300,
+            record_stride=1)
+        for _ in range(2)
+    ]
+    counts = [(t.path_solves, t.newton_iterations) for t in traces]
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 3 * 4 * 30
+    assert counts[0][0] <= counts[0][1] <= 3 * counts[0][0]
+
+
 def test_flow_run_matches_per_point_loop(monkeypatch):
     state = _fitted_state()
     beta_end = state.beta + 3 * 3.75e-3

@@ -41,3 +41,19 @@ def test_differences_names_every_stream_and_file():
     assert same_outputs.differences(a, b) == [
         "exit code", "stderr", "a.csv", "b.json (in one tree only)", "c.csv (in one tree only)"
     ]
+
+
+def test_column_differences_gives_the_largest_relative_difference_per_numeric_column():
+    a = b"# run=a\nbeta,mass,tag,rank\n1,2.0,x,3\n2,4.0,y,3\n"
+    b = b"# run=b\nbeta,mass,tag,rank\n1,2.5,z,3\n2,4.000004,y,3\n"
+    assert same_outputs.column_differences(a, a) == {"beta": 0.0, "mass": 0.0, "rank": 0.0}
+    got = same_outputs.column_differences(a, b)
+    assert list(got) == ["beta", "mass", "rank"]  # "tag" does not parse as a float
+    assert got["beta"] == got["rank"] == 0.0
+    assert got["mass"] == 0.5 / 2.5  # the larger of 0.2 and 1e-6
+    assert same_outputs.column_differences(a, b"beta,mass,tag,rank\n1,2.0,x,3\n") is None
+    assert same_outputs.column_differences(a, a.replace(b"rank", b"deficiency")) is None
+    nan = b"h\nnan\n0\ninf\n"
+    assert same_outputs.column_differences(nan, nan) == {"h": 0.0}
+    assert same_outputs.column_differences(nan, b"h\n1\n0\ninf\n") == {"h": float("inf")}
+    assert same_outputs.column_differences(b"h\n0\n", b"h\n-1e-300\n") == {"h": 1.0}

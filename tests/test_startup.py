@@ -177,6 +177,8 @@ d, e = np.ones(3), np.ones(2)
 stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (d, e))
 same = [qaction.lapack.dgtsv is scipy.linalg.lapack.dgtsv,
         qaction.lapack.dgtsv is scipy.linalg.get_lapack_funcs(("gtsv",), (d,))[0],
+        qaction.lapack.dpttrf is scipy.linalg.lapack.dpttrf,
+        qaction.lapack.dpttrs is scipy.linalg.get_lapack_funcs(("pttrs",), (d,))[0],
         qaction.lapack.dstebz is stebz,
         qaction.lapack.dstein is stein,
         sys.modules[{flapack!r}] is scipy.linalg.lapack._flapack]
@@ -193,7 +195,7 @@ def test_bound_lapack_routines_are_scipys_own(first):
 import json
 print(json.dumps(same))
 """
-    assert fresh_python(code) == [True] * 5
+    assert fresh_python(code) == [True] * 7
 
 
 def test_missing_lapack_extension_fails_import_with_the_searched_path(tmp_path):

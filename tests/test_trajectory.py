@@ -7,8 +7,9 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import solve_banded
 
+from qaction import flow, trajectory
 from qaction.fit import BoundarySet, _Objective, build_table
-from qaction.flow import FlowState, assemble_system
+from qaction.flow import FlowState, PathHistory, StepRejected, assemble_system
 from qaction.model import (
     ActionParams,
     Domain,
@@ -74,6 +75,8 @@ def test_time_grid_properties():
         TimeGrid(1.0, points_per_unit=0.0)
     with pytest.raises(ValueError):
         TimeGrid(1.0, intervals=0)
+    with pytest.raises(ValueError, match="one of intervals and points_per_unit"):
+        TimeGrid(1.0, points_per_unit=250.0, intervals=100)
 
 
 def test_harmonic_nodes_match_closed_form():
@@ -550,6 +553,115 @@ def test_failed_flow_stage_leaves_cache_as_it_was(poisoned):
         assemble_system(state, STANDARD, 200, cache)
     assert str(error.value) == message
     _assert_cache_kept(cache, before)
+
+
+def _history_snapshot(history):
+    """The lists a PathHistory holds, their paths and its counts."""
+    return (history.prev, history.last, list(history.prev), list(history.last),
+            history.path_solves, history.newton_iterations)
+
+
+def _assert_history_kept(history, snapshot):
+    prev, last, prev_paths, last_paths, solves, iterations = snapshot
+    assert history.prev is prev and history.last is last
+    assert len(prev) == len(prev_paths) and all(a is b for a, b in zip(prev, prev_paths))
+    assert len(last) == len(last_paths) and all(a is b for a, b in zip(last, last_paths))
+    assert (history.path_solves, history.newton_iterations) == (solves, iterations)
+
+
+def _history_state():
+    params = ActionParams(1.0, 1.0, PotentialSpec({0: 0.1, 2: 0.5, -2: 1.0}))
+    state = FlowState(beta=0.95, params=params, log_norm=0.0, initial_point=1.5,
+                      final_points=tuple(np.linspace(0.5, 3.0, 8)))
+    history = PathHistory()
+    # stages at 0.95, 0.975, 0.975 and 1.0: the history keeps 0.975 and 1.0
+    state, _ = flow.step(state, STANDARD, 0.05, 200, history)
+    return state, history
+
+
+@pytest.mark.parametrize("poisoned", ["last", "prev"])
+def test_failed_flow_stage_leaves_history_as_it_was(poisoned):
+    # a stage at beta_last starts from the last paths, a later one from their
+    # extrapolation; a NaN path stalls the line search either way
+    state, history = _history_state()
+    assert [history.prev[0].grid.duration, history.last[0].grid.duration] == [0.975, 1.0]
+    paths = list(getattr(history, poisoned))
+    paths[4] = _poisoned(paths[4].grid)
+    setattr(history, poisoned, paths)
+    beta = {"last": 1.0, "prev": 1.0125}[poisoned]
+    starts = history.starts(beta)
+    snapshot = _history_snapshot(history)
+    grid = TimeGrid(beta, intervals=200)
+    for j, x_f in enumerate(state.final_points):  # the first failure of a per-point loop
+        try:
+            _reference_solve(state.params, 1.5, x_f, grid, starts[j])
+        except SolverError as exc:
+            message = str(exc)
+            break
+    with pytest.raises(SolverError) as error:
+        flow._rates_for(state, STANDARD, beta, flow._vector_of(state), 200, history)
+    assert str(error.value) == message
+    _assert_history_kept(history, snapshot)
+
+
+def test_rejected_stage_leaves_history_as_it_was(monkeypatch):
+    # k3 assembles its system but is rejected for its condition: the history
+    # keeps what k1 and k2 put there
+    state, history = _history_state()
+    real_solve_rates = flow.solve_rates
+    stages = []
+
+    def third_rejected(a_mat, rhs):
+        rates, diag = real_solve_rates(a_mat, rhs)
+        stages.append(_history_snapshot(history))
+        if len(stages) == 3:
+            diag = dataclasses.replace(diag, condition=math.inf)
+        return rates, diag
+
+    monkeypatch.setattr(flow, "solve_rates", third_rejected)
+    with pytest.raises(StepRejected, match="condition inf"):
+        flow.step(state, STANDARD, 0.05, 200, history)
+    _assert_history_kept(history, stages[2])
+    assert [history.prev[0].grid.duration, history.last[0].grid.duration] == [1.0, 1.025]
+    assert history.path_solves == 6 * len(state.final_points)
+
+
+# V'' = -8 + 12 x^2 is about -8 near 0, where -J = tridiag(-c, 2c + V'', -c)
+# has a negative pivot once c = m / dt^2 < 4
+DOUBLE_WELL = ActionParams(1.0, 1.0, PotentialSpec({2: -4.0, 4: 1.0}), domain=Domain.FULL_LINE)
+
+
+def _jacobi_case(case):
+    """(params, positions of the paths, step)."""
+    if case == "definite":  # V'' > 0 keeps J diagonally dominant: the factor gives the gtsv bits
+        grid = TimeGrid(1.0, intervals=500)
+        paths = solve_paths(STANDARD, [(1.5, 0.5), (1.5, 2.0), (0.8, 3.0)], grid)
+        return STANDARD, np.stack([p.positions for p in paths]), grid.step
+    x = np.array([[0.1, 0.0, 0.05, -0.02, 0.1, 0.2], [0.3, 0.2, 0.1, 0.0, -0.1, -0.1]])
+    return DOUBLE_WELL, x, 0.6
+
+
+@pytest.mark.parametrize("case", ["definite", "indefinite"])
+def test_jacobi_solves_share_one_factor_or_fall_back_to_gtsv(case, monkeypatch):
+    params, x, step = _jacobi_case(case)
+    with monkeypatch.context() as patched:  # each Jacobi system solved by its own gtsv call
+        patched.setattr(trajectory, "_jacobi_solver",
+                        lambda c, diag: lambda rhs: _solve_tridiagonal(c, diag, rhs))
+        want = trajectory._endpoint_curvature(params, x, step)
+    calls = {"gtsv": 0, "pttrs": 0}
+    real_gtsv, real_pttrs = trajectory._solve_tridiagonal, trajectory.dpttrs
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(trajectory, "_solve_tridiagonal", counted("gtsv", real_gtsv))
+    monkeypatch.setattr(trajectory, "dpttrs", counted("pttrs", real_pttrs))
+    got = trajectory._endpoint_curvature(params, x, step)
+    assert calls == ({"gtsv": 0, "pttrs": 3} if case == "definite" else {"gtsv": 3, "pttrs": 0})
+    assert np.array_equal(got, want)
 
 
 def test_objective_residuals_match_per_path_loop():

@@ -10,9 +10,11 @@ PYTHONPATH=<tree>/src. The command is the config's one top-level key besides
 names no command and is reported as one the script cannot run. The script
 reports every output file that differs between the two runs or exists in one
 only (the CSVs and JSON summaries), and any difference in stderr, in the exit
-code, or in stdout once the output directory is replaced by "<out>". A run
-that outlives TIMEOUT seconds counts as exit code "timeout". Exit status: 0
-when every config runs and matches, 1 otherwise.
+code, or in stdout once the output directory is replaced by "<out>". For
+each CSV that differs it also prints the largest relative difference
+|a - b| / max(|a|, |b|) in every numeric column, which states the tolerance
+that a change keeps. A run that outlives TIMEOUT seconds counts as exit code
+"timeout". Exit status: 0 when every config runs and matches, 1 otherwise.
 
 Standard library only, so it runs against any tree, the parent commit's too.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +71,40 @@ def differences(a: dict, b: dict) -> list[str]:
     return found
 
 
+def relative_difference(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values (two NaNs too), inf where it is not finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return rel if math.isfinite(rel) else math.inf
+
+
+def column_differences(a: bytes, b: bytes) -> dict[str, float] | None:
+    """The largest relative difference in each numeric column of two CSVs.
+
+    Lines that start with "#" are skipped, and the first line left is the
+    header. A column is numeric where both cells parse as floats; it is
+    listed once one pair does. None when the headers or row counts differ.
+    """
+
+    def table(data: bytes):
+        rows = [line.split(",") for line in data.decode().splitlines() if not line.startswith("#")]
+        return (rows[0] if rows else []), rows[1:]
+
+    (head_a, rows_a), (head_b, rows_b) = table(a), table(b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return None
+    largest: dict[str, float] = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, cell_a, cell_b in zip(head_a, row_a, row_b):
+            try:
+                rel = relative_difference(float(cell_a), float(cell_b))
+            except ValueError:
+                continue
+            largest[name] = max(largest.get(name, 0.0), rel)
+    return largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path)
@@ -96,6 +133,12 @@ def main(argv=None) -> int:
             failed += bool(found)
             status = "DIFFERS: " + ", ".join(found) if found else "same"
             print(f"{config.name}: {status} (exit {a['exit code']})", flush=True)
+            for name in found:
+                if name.endswith(".csv"):
+                    largest = column_differences(a["files"][name], b["files"][name])
+                    cells = ("headers or row counts differ" if largest is None else
+                             ", ".join(f"{col} {rel:.2g}" for col, rel in largest.items()))
+                    print(f"  {name}: largest relative difference: {cells}", flush=True)
     print(f"{len(configs) - failed} of {len(configs)} configs give the same outputs")
     return 1 if failed else 0
 

@@ -47,7 +47,7 @@ from .model import (
 )
 from .oracle import amplitude, default_grid, kinetic_coupling, refine_energies, solve_spectrum
 from .specfun import bessel_i, libm
-from .trajectory import SolverError, neighbour_offset
+from .trajectory import SolverError, TimeGrid, neighbour_offset
 
 
 class ConfigError(ValueError):
@@ -336,6 +336,10 @@ def _validate_fit(section, model):
         if not ppu > 0.0:
             raise ConfigError("fit.points_per_unit must be positive")
         out["grid"] = {"points_per_unit": ppu}
+        for t in out["times"]:  # the 2 intervals fit.intervals asks for, at every time
+            if _built(lambda: TimeGrid(t / model.hbar, points_per_unit=ppu), "fit.times").intervals < 2:
+                raise ConfigError(f"fit.points_per_unit {ppu:g} gives 1 interval at T = {t:g}; "
+                                  "a fit needs at least 2")
     else:
         n_int = _int(section.get("intervals", DEFAULT_INTERVALS), "fit.intervals", minimum=2)
         out["grid"] = {"intervals": n_int}

@@ -19,7 +19,7 @@ continuation put it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .model import ActionParams, Domain, PotentialSpec, write_csv
 from .oracle import SpectralDecomposition, amplitude
 from .specfun import libm
 from .trajectory import (
+    Paths,
     SolverError,
     TimeGrid,
-    Trajectory,
     action_values,
     parameter_partials,
-    solve_cached,
+    resampled,
+    solve_paths,
 )
 
 # Residual evaluations a slice may spend. The ten configs/fit_*.json take 3 to
@@ -160,6 +161,8 @@ class FitResult:
     converged: bool
     evaluations: int
     grid: TimeGrid
+    # paths solved at params; sweep starts its next slice from them, and keeps None
+    paths: Paths | None = field(compare=False, repr=False)
 
 
 class _Objective:
@@ -171,7 +174,7 @@ class _Objective:
         exponents: list[int],
         init: ActionParams,
         grid: TimeGrid,
-        cache: dict | None = None,
+        start: Paths | None = None,
     ):
         self.table = table
         self.exponents = exponents
@@ -180,7 +183,7 @@ class _Objective:
         self.domain = table.model.domain
         self.pairs = table.bounds.pairs()
         self.log_g = table.log_entries.ravel()
-        self.cache: dict[int, Trajectory] = cache if cache is not None else {}
+        self.start = start
         coeffs = init.potential.coefficients
         self.center = np.array(
             [init.mass] + [coeffs.get(k, 0.0) for k in exponents], dtype=float
@@ -200,14 +203,18 @@ class _Objective:
             domain=self.domain,
         )
 
-    def evaluate(self, q: ActionParams) -> tuple[np.ndarray, float, list[Trajectory]]:
-        """Residuals, ln Z~ and the solved paths at q: one batch of BVP solves."""
-        paths = solve_cached(q, self.pairs, self.grid, self.cache)
+    def evaluate(self, q: ActionParams) -> tuple[np.ndarray, float, Paths]:
+        """Residuals, ln Z~ and the solved paths at q: one batch of BVP solves.
+
+        They start from `start` (see resampled) and replace it once solved.
+        """
+        start = None if self.start is None else resampled(self.start, self.grid)
+        self.start = paths = solve_paths(q, self.pairs, self.grid, start)
         sig = action_values(q, paths)
         log_norm = float(np.mean(self.log_g + sig))
         return self.log_g + sig - log_norm, log_norm, paths
 
-    def jacobian(self, q: ActionParams, paths: list[Trajectory]) -> np.ndarray:
+    def jacobian(self, q: ActionParams, paths: Paths) -> np.ndarray:
         """Exact d residuals / d y at the solved paths of q, without the v_0 column."""
         d_mass, d_coeff = parameter_partials(q, paths)
         jac = np.column_stack([d_mass] + [d_coeff[k] for k in self.exponents])
@@ -227,12 +234,13 @@ def fit_at_time(
     init: ActionParams,
     mesh: dict,
     max_evaluations: int = MAX_EVALUATIONS,
-    cache: dict | None = None,
+    start: Paths | None = None,
 ) -> FitResult:
     """Levenberg-Marquardt fit of (mass, v_k for k in ansatz) at one time slice.
 
     Every path is solved on TimeGrid(T / hbar, **mesh) of the table's time T;
-    mesh is {"intervals": n} or {"points_per_unit": p}.
+    mesh is {"intervals": n} or {"points_per_unit": p}. The first evaluation
+    starts from `start`, paths solved at another time (see _Objective.evaluate).
     The search starts at init, works in units of the initial parameter scales
     and steps along the kept directions of the exact Jacobian (see
     TRUNCATION). v_0 keeps its value from init bit for bit: the profiled
@@ -248,7 +256,7 @@ def fit_at_time(
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be >= 1: the start is one evaluation")
     grid = TimeGrid(table.time / table.model.hbar, **mesh)
-    objective = _Objective(table, exponents, init, grid, cache=cache)
+    objective = _Objective(table, exponents, init, grid, start)
     y = np.zeros(len(objective.center))
     best = objective.params_from(y)
     if best is None:
@@ -294,8 +302,6 @@ def fit_at_time(
         else:
             damping *= growth
             growth *= 2.0
-    # the next slice warm-starts from the paths of the optimum
-    objective.cache.update(enumerate(paths))
     # residual = ln G - ln(Z~ e^-Sigma), so the model amplitude in the linear
     # domain is exp(ln G - residual)
     g = np.exp(objective.log_g)
@@ -310,6 +316,7 @@ def fit_at_time(
         converged=converged,
         evaluations=evaluations,
         grid=grid,
+        paths=paths,
     )
 
 
@@ -322,7 +329,7 @@ def sweep(
     decomposition: SpectralDecomposition | None = None,
     init: ActionParams | None = None,
 ) -> list[FitResult]:
-    """Fit every time in sequence, warm-starting each from its predecessor.
+    """Fit every time in sequence, starting each from the optimum of its predecessor.
 
     The tables come from the grid oracle when a decomposition is given and
     from the closed form when it is None (see build_table). Every slice is
@@ -339,13 +346,12 @@ def sweep(
             domain=model.domain,
         )
     results = []
-    cache: dict[int, Trajectory] = {}
-    current = init
+    current, start = init, None
     for t in times:
         table = build_table(model, bounds, float(t), decomposition)
-        result = fit_at_time(table, exponents, current, mesh, cache=cache)
-        results.append(result)
-        current = result.params
+        result = fit_at_time(table, exponents, current, mesh, start=start)
+        current, start = result.params, result.paths
+        results.append(replace(result, paths=None))
     return results
 
 

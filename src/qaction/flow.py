@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ActionParams, PotentialSpec, potential_value, write_csv
-from .trajectory import SolverError, TimeGrid, Trajectory, path_sensitivities, solve_cached
+from .trajectory import Paths, SolverError, TimeGrid, path_sensitivities, solve_paths
 
 DEFAULT_DBETA = 3.75e-3
 CONDITION_LIMIT = 1e12
@@ -48,6 +48,8 @@ class FlowState:
         if not (self.beta > 0.0):
             raise ValueError("beta must be positive")
         pts = tuple(float(v) for v in self.final_points)
+        if len(set(pts)) != len(pts):
+            raise ValueError("final points must be distinct")
         n_unknowns = 2 + len(self.params.potential.coefficients)
         if len(pts) < n_unknowns + 2:
             raise ValueError(
@@ -81,72 +83,61 @@ class FlowTrace:
 class PathHistory:
     """Warm starts of a flow's paths from the stages it has solved, and its solver counts.
 
-    For every final point it keeps the paths of the last two successful
-    stages at distinct betas, x_prev at beta_prev and x_last at beta_last. A
-    stage at beta starts each path from
+    It keeps the Paths of the last two successful stages at distinct betas,
+    x_prev at beta_prev and x_last at beta_last. A stage at beta starts from
 
         x_last + (beta - beta_last) / (beta_last - beta_prev) * (x_last - x_prev),
 
-    index by index on the shared interval count, or from x_last itself at
-    beta_last or while one stage is kept. A stage enters the history only
-    when it succeeds, so a failed one leaves it as it was.
-
-    It keeps the stages' own Trajectory objects and extrapolates path by
-    path. Stacked arrays of all final points, tried instead, raised the
-    peak RSS of the flow_march benchmark by 0.6 MiB against 0.2 MiB this
-    way, and took 12% off its wall time against 20-30%.
+    index by index, or from x_last itself, which solve_paths only reads, at
+    beta_last or while one stage is kept. A failed stage leaves it as it was.
+    An earlier stacked trial measured slower than one Trajectory per path;
+    with the outputs allocated as solve_paths does, both measure the same.
     """
 
     def __init__(self):
-        self.prev: list[Trajectory] | None = None
-        self.last: list[Trajectory] | None = None
+        self.prev: Paths | None = None
+        self.last: Paths | None = None
         self.path_solves = 0
         self.newton_iterations = 0
 
-    def starts(self, beta: float) -> dict:
-        """The start of every path at beta by final point index, a cache for assemble_system."""
+    def starts(self, beta: float) -> np.ndarray | None:
+        """The start positions of every path at beta, or None before the first stage."""
         if self.last is None:
-            return {}
-        beta_last = self.last[0].grid.duration
+            return None
+        x_last, beta_last = self.last.positions, self.last.grid.duration
         if self.prev is None or beta == beta_last:
-            return dict(enumerate(self.last))
-        ratio = (beta - beta_last) / (beta_last - self.prev[0].grid.duration)
-        return {
-            j: last.positions + ratio * (last.positions - prev.positions)
-            for j, (last, prev) in enumerate(zip(self.last, self.prev))
-        }
+            return x_last
+        ratio = (beta - beta_last) / (beta_last - self.prev.grid.duration)
+        return x_last + ratio * (x_last - self.prev.positions)
 
-    def record(self, paths: list[Trajectory]) -> None:
+    def record(self, paths: Paths) -> None:
         """Keep the paths of a successful stage and count their solves."""
-        if self.last is not None and paths[0].grid.duration != self.last[0].grid.duration:
+        if self.last is not None and paths.grid.duration != self.last.grid.duration:
             self.prev = self.last
         self.last = paths
         self.path_solves += len(paths)
-        self.newton_iterations += sum(path.iterations for path in paths)
+        self.newton_iterations += int(paths.iterations.sum())
 
 
 def assemble_system(
     state: FlowState,
     classical: ActionParams,
     intervals: int,
-    cache: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the flow system at every final point.
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, Paths]:
+    """Rows of the flow system at every final point, and the paths behind them.
 
-    Every path is solved on `intervals` intervals over [0, state.beta]. The
-    trajectory problems are warm-started from `cache` (keyed by final
-    point index), which assemble_system updates in place (solve_cached) only
-    when every path is solved: a SolverError leaves it as it was.
+    Every path is solved on `intervals` intervals over [0, state.beta], from
+    row j of `start` for final point j (see solve_paths).
     """
     if classical.hbar != state.params.hbar:
         raise ValueError("classical and quantum actions must share hbar")
     exponents = state.exponents()
-    cache = cache if cache is not None else {}
     a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     hbar = classical.hbar
-    start = state.initial_point
+    x_i = state.initial_point
     grid = TimeGrid(state.beta, intervals=intervals)
-    paths = solve_cached(state.params, [(start, x_f) for x_f in state.final_points], grid, cache)
+    paths = solve_paths(state.params, [(x_i, x_f) for x_f in state.final_points], grid, start)
     sens = path_sensitivities(state.params, paths)
     a_mat[:, 0] = -1.0
     a_mat[:, 1] = sens.d_mass
@@ -161,7 +152,7 @@ def assemble_system(
         - hbar**2 / (2.0 * classical.mass) * (d_x_squared - sens.d_xx)
         + potential_value(classical.potential, np.array(state.final_points))
     )
-    return a_mat, rhs
+    return a_mat, rhs, paths
 
 
 def solve_rates(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
@@ -215,14 +206,13 @@ def _rates_for(
         initial_point=state.initial_point,
         final_points=state.final_points,
     )
-    cache = history.starts(beta)
-    a_mat, rhs = assemble_system(trial, classical, intervals, cache=cache)
+    a_mat, rhs, paths = assemble_system(trial, classical, intervals, history.starts(beta))
     rates, diag = solve_rates(a_mat, rhs)
     if diag.condition > CONDITION_LIMIT:
         raise StepRejected(
             f"condition {diag.condition:.2e} beyond {CONDITION_LIMIT:.0e} at beta={beta:.4f}"
         )
-    history.record([cache[j] for j in range(len(trial.final_points))])
+    history.record(paths)
     return rates, diag
 
 

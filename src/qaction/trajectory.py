@@ -13,6 +13,9 @@ at end +/- neighbour_offset(end), computed from the solved path alone. Times
 are measured in inverse-temperature units (duration = T / hbar); with
 hbar = 1 they coincide with Euclidean time.
 
+A batch of paths on one grid travels as one Paths record, one path per row,
+which solve_paths fills from one start array (see resampled).
+
 The Newton steps of the relaxation and the Jacobi equations behind d_xx solve
 with the same Newton matrix J = tridiag(m/dt^2, -2m/dt^2 - hbar^2 V''(x_i),
 m/dt^2), always on the paths stacked with zero couplings between them. A
@@ -105,6 +108,30 @@ class Trajectory:
     el_residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class Paths:
+    """Solved paths on one grid, stacked: row i of positions is path i.
+
+    positions is n x grid.n_points and C-contiguous; iterations, step_norm
+    and el_residual hold one entry per path.
+    """
+
+    grid: TimeGrid
+    positions: np.ndarray
+    iterations: np.ndarray
+    step_norm: np.ndarray
+    el_residual: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        """Path i as the Trajectory solve_bvp returns; its positions are a view of row i."""
+        x = self.positions[i]
+        return Trajectory(self.grid, float(x[0]), float(x[-1]), x, int(self.iterations[i]),
+                          float(self.step_norm[i]), float(self.el_residual[i]))
+
+
 @dataclass(frozen=True)
 class ActionSensitivities:
     """Exact partials of the discrete action at solved trajectories.
@@ -154,31 +181,14 @@ def _solve_tridiagonal(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np
     return rhs
 
 
-def _initial_positions(grid: TimeGrid, start: float, end: float, guess) -> np.ndarray:
-    if guess is None:
-        return np.linspace(start, end, grid.n_points)
-    if isinstance(guess, Trajectory) and guess.grid.n_points == grid.n_points:
-        # np.interp returns the node values exactly where the nodes coincide
-        x = guess.positions.copy()
-    elif isinstance(guess, Trajectory):
-        src_t = np.linspace(0.0, 1.0, guess.grid.n_points)
-        dst_t = np.linspace(0.0, 1.0, grid.n_points)
-        x = np.interp(dst_t, src_t, guess.positions)
-    else:
-        x = np.asarray(guess, dtype=float).copy()
-        if len(x) != grid.n_points:
-            raise ValueError(f"guess has {len(x)} points, grid needs {grid.n_points}")
-    x[0], x[-1] = start, end
-    return x
-
-
 class _Relaxation:
     """State and work buffers of one block of paths in solve_paths.
 
     Rows are paths. The first len(ids) rows of every buffer belong to the
-    paths still iterating, in input order (ids maps them back); a converged
-    path leaves by compaction. Kernels write into five buffers with out=, so
-    a batch holds a fixed set of arrays of its own size:
+    paths still iterating, in input order; ids holds their rows in the Paths
+    of the batch, where a converged path is written as it leaves by
+    compaction. Kernels write into five buffers with out=, so a batch holds
+    a fixed set of arrays of its own size:
     accepted and trial positions, trial residuals, the Newton step and a
     scratch array. Between iterations `delta` holds the right-hand side
     -r(x) of the accepted iterate, which the tridiagonal solve turns into the
@@ -186,22 +196,20 @@ class _Relaxation:
     residuals, which the line search fills only afterwards.
     """
 
-    def __init__(self, params: ActionParams, grid: TimeGrid, pairs: list, x: np.ndarray):
+    def __init__(self, params: ActionParams, grid: TimeGrid, x: np.ndarray, first: int):
         n_paths, n_points = x.shape
         n_int = n_points - 2
         m, step = params.mass, grid.step
-        self.grid, self.pairs = grid, pairs
         self.half_line = params.domain is Domain.HALF_LINE
         self.spec = params.potential
         self.mass, self.hbar2, self.step2 = m, params.hbar**2, step**2
         self.diag_shift, self.off_diag = -2.0 * m / step**2, m / step**2
         self.x, self.x_try = x, np.empty_like(x)
         self.resid_try, self.delta, self.tmp = (np.empty((n_paths, n_int)) for _ in range(3))
-        self.ids = np.arange(n_paths)
+        self.ids = np.arange(first, first + n_paths)
         self.res_norm = self.max_abs(self.residual(x, self.resid_try))
         np.negative(self.resid_try, out=self.delta)
         self.delta_norm = np.full(n_paths, np.nan)
-        self.done: dict[int, Trajectory] = {}
 
     def residual(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """m (x_{i+1} - 2 x_i + x_{i-1}) / dt^2 - hbar^2 V'(x_i) for the rows of x."""
@@ -243,8 +251,11 @@ class _Relaxation:
                 _solve_tridiagonal(self.off_diag, diag[row : row + 1], delta[row : row + 1])
         return delta
 
-    def iterate(self, iteration: int) -> bool:
-        """One damped Newton iteration of every iterating path; False once none is left."""
+    def iterate(self, iteration: int, out: Paths) -> bool:
+        """One damped Newton iteration of every iterating path; False once none is left.
+
+        A path that converges is written to its row of out.
+        """
         rows = len(self.ids)
         delta = self.newton_steps()
         self.delta_norm = delta_norm = self.max_abs(delta)
@@ -296,15 +307,14 @@ class _Relaxation:
             pending = np.sort(np.concatenate([retry, pending[~accept]]))
 
         converged = step_norm <= DEFAULT_TOL
-        for row in np.flatnonzero(converged):
-            path = int(self.ids[row])
-            start, end = self.pairs[path]
-            self.done[path] = Trajectory(
-                self.grid, start, end, self.x[row].copy(), iteration,
-                float(step_norm[row]), float(res_norm[row]),
-            )
-        keep = ~converged
-        if not keep.all():
+        if converged.any():
+            done = np.flatnonzero(converged)
+            ids = self.ids[done]
+            out.positions[ids] = self.x[done]
+            out.iterations[ids] = iteration
+            out.step_norm[ids] = step_norm[done]
+            out.el_residual[ids] = res_norm[done]
+            keep = ~converged
             kept = np.flatnonzero(keep)
             np.take(self.x, kept, axis=0, out=self.x_try[: kept.size], mode="clip")
             np.take(self.delta, kept, axis=0, out=self.resid_try[: kept.size], mode="clip")
@@ -315,29 +325,22 @@ class _Relaxation:
             )
         return len(self.ids) > 0
 
-    def result(self, max_iter: int) -> list[Trajectory]:
-        """Trajectories in input order; a path still iterating did not converge."""
-        if len(self.ids):
-            raise SolverError(
-                f"no convergence in {max_iter} iterations; "
-                f"last residual {self.res_norm[0]:.3e}, last step {self.delta_norm[0]:.3e}"
-            )
-        return [self.done[i] for i in range(len(self.pairs))]
-
 
 def solve_paths(
     params: ActionParams,
     pairs,
     grid: TimeGrid,
-    guesses=None,
+    start: np.ndarray | None = None,
     max_iter: int = MAX_ITERATIONS,
-) -> list[Trajectory]:
+) -> Paths:
     """Damped Newton relaxation for a batch of two-point problems on one grid.
 
-    Each (start, end) pair of `pairs` is solved from its entry of `guesses`
-    (None, a Trajectory or an array; all None when omitted). Convergence of a
-    path is declared when its Newton update falls below DEFAULT_TOL in the max
-    norm; on the half-line every iterate is kept strictly positive by step halving.
+    Path i solves pairs[i] = (start, end) from row i of `start`, an array of
+    len(pairs) x grid.n_points positions that is only read, with its ends
+    replaced, or from the straight line when `start` is None. Convergence of
+    a path is declared when its Newton update falls below DEFAULT_TOL in the
+    max norm; on the half-line every iterate is kept strictly positive by
+    step halving.
 
     The paths share one tridiagonal solve per Newton iteration: the stacked
     system of all unconverged paths, with zero couplings between them. The
@@ -354,48 +357,63 @@ def solve_paths(
     The first path that fails raises SolverError at once, and nothing of the
     batch is returned: a singular Newton matrix, a line search that stalls or
     cannot keep the iterate positive, or, after max_iter iterations, the first
-    path still iterating. Bad boundary points or guesses raise ValueError.
+    path still iterating. Bad boundary points or a start of the wrong shape
+    raise ValueError.
     """
-    pairs = list(pairs)
-    guesses = [None] * len(pairs) if guesses is None else list(guesses)
-    if len(guesses) != len(pairs):
-        raise ValueError(f"{len(guesses)} guesses for {len(pairs)} boundary pairs")
-    if params.domain is Domain.HALF_LINE and any(a <= 0.0 or b <= 0.0 for a, b in pairs):
+    ends = np.array(pairs, dtype=float).reshape(len(pairs), 2)
+    n = len(ends)
+    if start is not None and np.shape(start) != (n, grid.n_points):
+        raise ValueError(f"start has shape {np.shape(start)}, the paths need {(n, grid.n_points)}")
+    if params.domain is Domain.HALF_LINE and np.any(ends <= 0.0):
         raise ValueError("boundary points must be positive on the half-line")
     if grid.n_points == 2:
-        x = _start_positions(params, grid, pairs, guesses)
-        return [Trajectory(grid, a, b, row.copy(), 0, 0.0, 0.0) for (a, b), row in zip(pairs, x)]
-    solved: list[Trajectory] = []
-    for first in range(0, len(pairs), BLOCK_PATHS):
+        return _stacked(grid, ends)
+    paths = None
+    for first in range(0, max(n, 1), BLOCK_PATHS):
         block = slice(first, first + BLOCK_PATHS)
-        x = _start_positions(params, grid, pairs[block], guesses[block])
-        work = _Relaxation(params, grid, pairs[block], x)
+        if start is None:  # by row: one path with equal ends changes a batched linspace
+            x = np.array([np.linspace(a, b, grid.n_points) for a, b in ends[block]])
+            x = x.reshape(-1, grid.n_points)  # no pairs, one empty block
+        else:
+            x = np.array(start[block], dtype=float)
+            x[:, 0], x[:, -1] = ends[block, 0], ends[block, 1]
+        if params.domain is Domain.HALF_LINE:
+            for row in np.flatnonzero(np.any(x[:, 1:-1] <= 0.0, axis=1)):
+                x[row, 1:-1] = np.abs(x[row, 1:-1]) + 1e-12
+        work = _Relaxation(params, grid, x, first)
+        if paths is None:
+            # After the first block's work arrays: malloc returns memory only
+            # from the top of its heap, so outputs below the work arrays gave
+            # their pages back after every solve. A flow_march pass then took
+            # 46,500 minor page faults against 14,200-17,100, and 0.08 s more system time.
+            paths = _stacked(grid, np.empty((n, grid.n_points)))
         for iteration in range(1, max_iter + 1):
-            if not work.iterate(iteration):
+            if not work.iterate(iteration, paths):
                 break
-        solved += work.result(max_iter)
-    return solved
+        if len(work.ids):  # the first path still iterating did not converge
+            raise SolverError(
+                f"no convergence in {max_iter} iterations; last residual "
+                f"{work.res_norm[0]:.3e}, last step {work.delta_norm[0]:.3e}"
+            )
+    return paths
 
 
-def solve_cached(params: ActionParams, pairs, grid: TimeGrid, cache: dict) -> list[Trajectory]:
-    """solve_paths warm-started from cache[j] for pair j; what it solves goes back into cache.
+def _stacked(grid: TimeGrid, positions: np.ndarray) -> Paths:
+    """Paths of these positions with zero iterations, step norms and residuals."""
+    n = len(positions)
+    return Paths(grid, positions, np.zeros(n, dtype=int), np.zeros(n), np.zeros(n))
 
-    The cache is updated only on success: a SolverError leaves it as it was.
+
+def resampled(paths, grid: TimeGrid) -> np.ndarray:
+    """The positions of paths (a Paths, or a Trajectory as one row) as a start on grid.
+
+    The positions themselves on the same point count, else each row interpolated in t / duration.
     """
-    pairs = list(pairs)
-    trajs = solve_paths(params, pairs, grid, [cache.get(j) for j in range(len(pairs))])
-    cache.update(enumerate(trajs))
-    return trajs
-
-
-def _start_positions(params: ActionParams, grid: TimeGrid, pairs, guesses) -> np.ndarray:
-    x = np.empty((len(pairs), grid.n_points))
-    for row, ((start, end), guess) in enumerate(zip(pairs, guesses)):
-        x[row] = _initial_positions(grid, start, end, guess)
-    if params.domain is Domain.HALF_LINE:
-        for row in np.flatnonzero(np.any(x[:, 1:-1] <= 0.0, axis=1)):
-            x[row, 1:-1] = np.abs(x[row, 1:-1]) + 1e-12
-    return x
+    x = np.atleast_2d(paths.positions)
+    if x.shape[1] == grid.n_points:
+        return x
+    src_t, dst_t = np.linspace(0.0, 1.0, x.shape[1]), np.linspace(0.0, 1.0, grid.n_points)
+    return np.array([np.interp(dst_t, src_t, row) for row in x])
 
 
 def solve_bvp(
@@ -408,17 +426,16 @@ def solve_bvp(
 ) -> Trajectory:
     """Damped Newton relaxation for one two-point boundary problem.
 
-    The batch of one of solve_paths: convergence is declared when the Newton
-    update falls below DEFAULT_TOL in the max norm; on the half-line every
-    iterate is kept strictly positive by step halving. Non-convergence raises
+    The batch of one of solve_paths, started from `guess`: None for the
+    straight line, a solved Trajectory (see resampled) or an array of
+    grid.n_points positions. Convergence is declared when the Newton update
+    falls below DEFAULT_TOL in the max norm; on the half-line every iterate
+    is kept strictly positive by step halving. Non-convergence raises
     SolverError.
     """
-    return solve_paths(params, [(start, end)], grid, [guess], max_iter=max_iter)[0]
-
-
-def _check_traj(grid_points: int, traj: Trajectory):
-    if len(traj.positions) != grid_points:
-        raise ValueError("trajectory does not match its grid")
+    guess = resampled(guess, grid) if isinstance(guess, Trajectory) else guess
+    rows = None if guess is None else np.reshape(guess, (1, -1))
+    return solve_paths(params, [(start, end)], grid, rows, max_iter=max_iter)[0]
 
 
 def action_value(params: ActionParams, traj: Trajectory) -> float:
@@ -426,31 +443,16 @@ def action_value(params: ActionParams, traj: Trajectory) -> float:
 
     sum_i dt [ (m / 2 hbar^2) ((x_{i+1}-x_i)/dt)^2 + (V(x_i)+V(x_{i+1}))/2 ].
     """
-    _check_traj(traj.grid.n_points, traj)
     return float(_trapezoid_actions(params, traj.positions, traj.grid.step))
 
 
-def action_values(params: ActionParams, trajs) -> np.ndarray:
-    """action_value of trajectories on one grid, computed row-wise on their stack.
+def action_values(params: ActionParams, paths: Paths) -> np.ndarray:
+    """action_value of each path, computed row-wise on the stack.
 
     Row sums of a C-contiguous array equal the sums of the rows alone, so each
-    entry equals action_value of its trajectory bit for bit.
+    entry equals action_value of its path bit for bit.
     """
-    trajs = list(trajs)
-    if not trajs:
-        return np.empty(0)
-    grid, x = _stack(trajs)
-    return _trapezoid_actions(params, x, grid.step)
-
-
-def _stack(trajs: list[Trajectory]) -> tuple[TimeGrid, np.ndarray]:
-    """The one time grid of trajectories and their positions as the rows of one array."""
-    grid = trajs[0].grid
-    for traj in trajs:
-        if traj.grid != grid:
-            raise ValueError("trajectories must share one time grid")
-        _check_traj(grid.n_points, traj)
-    return grid, np.stack([t.positions for t in trajs])
+    return _trapezoid_actions(params, paths.positions, paths.grid.step)
 
 
 def _kinetic_sums(x: np.ndarray) -> np.ndarray:
@@ -484,26 +486,24 @@ def sensitivities(params: ActionParams, traj: Trajectory) -> ActionSensitivities
 
     The batch of one of path_sensitivities.
     """
-    return path_sensitivities(params, [traj]).row(0)
+    return path_sensitivities(params, _stacked(traj.grid, traj.positions[None, :])).row(0)
 
 
-def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
-    """Partial derivatives of the action at fixed trajectories, row-wise on their stack.
+def path_sensitivities(params: ActionParams, paths: Paths) -> ActionSensitivities:
+    """Partial derivatives of the action at fixed paths, row-wise on their stack.
 
     Stationarity makes the fixed-trajectory partials equal to total
-    derivatives of the solved action. The trajectories share one grid. d_xx
-    is the central difference quotient of the endpoint momentum over
-    end +/- neighbour_offset(end), in closed form (see _endpoint_curvature).
-    Row sums of a C-contiguous stack equal the sums of the rows alone, and
-    the stacked tangent solves equal those of each path alone, so every
-    entry equals that of the trajectory on its own, bit for bit. A singular
-    tangent system or a non-finite d_xx raises SolverError.
+    derivatives of the solved action. d_xx is the central difference
+    quotient of the endpoint momentum over end +/- neighbour_offset(end), in
+    closed form (see _endpoint_curvature). Row sums of a C-contiguous stack
+    equal the sums of the rows alone, and the stacked tangent solves equal
+    those of each path alone, so every entry equals that of the path on its
+    own, bit for bit. A singular tangent system or a non-finite d_xx raises
+    SolverError.
     """
-    trajs = list(trajs)
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    grid, x = _stack(trajs)
-    step, n_int = grid.step, grid.intervals
+    if not len(paths):
+        raise ValueError("need at least one path")
+    x, step, n_int = paths.positions, paths.grid.step, paths.grid.intervals
     m, hbar = params.mass, params.hbar
     powers = _powers(params, x)
     kinetic_sum, potential_sum = _trapezoid_sums(params, x, powers)
@@ -522,13 +522,13 @@ def path_sensitivities(params: ActionParams, trajs) -> ActionSensitivities:
     )
 
 
-def parameter_partials(params: ActionParams, trajs) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def parameter_partials(params: ActionParams, paths: Paths) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """d_mass and d_coeff of path_sensitivities, bit for bit, without its endpoint derivatives.
 
     The fit's Jacobian needs only these, so it skips the Jacobi solves behind d_xx.
     """
-    grid, x = _stack(list(trajs))
-    return _parameter_partials(params, x, grid.step, _kinetic_sums(x), _powers(params, x))
+    x = paths.positions
+    return _parameter_partials(params, x, paths.grid.step, _kinetic_sums(x), _powers(params, x))
 
 
 def _parameter_partials(params: ActionParams, x: np.ndarray, step: float, kinetic_sum, powers):
@@ -600,8 +600,7 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     scale = m / (hbar2 * step)
     first = scale * (1.0 - y1_last) + 0.5 * step * potential_second_derivative(spec, ends)
     third = -scale * y3_last + 0.5 * step * evaluate_potential(spec, ends, 4)
-    h = np.array([neighbour_offset(float(end)) for end in ends])
-    d_xx = first + h**2 / 6.0 * third
+    d_xx = first + neighbour_offset(ends) ** 2 / 6.0 * third
     if not np.isfinite(d_xx).all():
         raise SolverError("tangent solve gave a non-finite d_xx")
     return d_xx
@@ -634,6 +633,6 @@ def _jacobi_solver(coupling: float, diag: np.ndarray):
     return lambda rhs: _solve_tridiagonal(coupling, diag, rhs)
 
 
-def neighbour_offset(x: float) -> float:
-    """Half-width h of the central difference behind d_xx at endpoint x."""
-    return 1e-3 * max(1.0, abs(x))
+def neighbour_offset(x):
+    """Half-width h of the central difference behind d_xx at endpoint x (a float or an array)."""
+    return 1e-3 * np.maximum(1.0, np.abs(x))

@@ -15,10 +15,10 @@ import numpy as np
 from qaction.flow import StepDiagnostics
 from qaction.model import ActionParams, potential_value
 from qaction.trajectory import (
+    Paths,
     SolverError,
     TimeGrid,
     Trajectory,
-    _check_traj,
     action_value,
     neighbour_offset,
     solve_bvp,
@@ -32,7 +32,8 @@ def conserved_energy_drift(params: ActionParams, traj: Trajectory) -> float:
     E_i = (m / 2 hbar^2) v_i^2 - V(x_i) with centred velocities; the drift of
     a converged trajectory vanishes with the square of the grid step.
     """
-    _check_traj(traj.grid.n_points, traj)
+    if len(traj.positions) != traj.grid.n_points:
+        raise ValueError("trajectory does not match its grid")
     if traj.grid.n_points < 3:
         return 0.0
     step = traj.grid.step
@@ -71,21 +72,22 @@ def neighbour_pair(
     params: ActionParams,
     traj: Trajectory,
     offset: float | None = None,
-) -> tuple[Trajectory, Trajectory]:
+) -> Paths:
     """Solve the two bracketing problems at end +/- h, warm-started from traj.
+
+    The lower path is row 0 of the returned Paths, the upper one row 1.
 
     The difference quotient of their endpoint momenta is the d_xx that
     path_sensitivities computes from traj alone; these re-solves check it.
     """
     if offset is None:
         offset = neighbour_offset(traj.end)
-    lo, hi = solve_paths(
+    return solve_paths(
         params,
         [(traj.start, traj.end - offset), (traj.start, traj.end + offset)],
         traj.grid,
-        [traj, traj],
+        np.stack([traj.positions, traj.positions]),
     )
-    return lo, hi
 
 
 def sum_of_squares(objective, y: np.ndarray) -> float:

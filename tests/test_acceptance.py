@@ -392,7 +392,7 @@ def test_criterion_11_property_suite():
         initial_point=10.0,
         final_points=equidistant(0.2, 7.0, 30),
     )
-    a_mat, rhs = assemble_system(state, STANDARD, 500)
+    a_mat, rhs, _ = assemble_system(state, STANDARD, 500)
     r_min, d_min = solve_rates(a_mat, rhs)
     r_pin, _ = pinned_v0_rates(a_mat, rhs)
     gap = abs(

@@ -274,6 +274,14 @@ def _fit_doc(**changes):
          "flow.initial.coefficients: negative-exponent coefficients require the half-line domain"),
         # the rates have one solve, minimum norm; the pinned-v_0 one is a test reference
         ("flow", _flow_doc(mode="pin_v0"), "unknown keys in flow: ['mode']"),
+        # repeated final points counted toward the n + 2 the flow needs: the
+        # flow ran with exit 0 and a rank deficiency of 4
+        ("flow", _flow_doc(final_points=[1.0] * 7), "flow: final points must be distinct"),
+        ("flow", _flow_doc(final_points={"start": 1, "stop": 1, "count": 8}),
+         "flow: final points must be distinct"),
+        # round(0.1 * 10) = 1 interval: the fit ran on straight lines with exit 0
+        ("fit", _fit_doc(points_per_unit=10, times=[1.0, 0.1, 0.12]),
+         "fit.points_per_unit 10 gives 1 interval at T = 0.1; a fit needs at least 2"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
@@ -286,7 +294,8 @@ def _fit_doc(**changes):
         "compare_fit_max_evaluations", "fit_repeated_final", "fit_repeated_initial_range",
         "compare_fit_repeated_initial", "compare_fit_repeated_final_range",
         "fit_full_line_negative_ansatz", "flow_full_line_negative_coefficient",
-        "flow_mode",
+        "flow_mode", "flow_repeated_final_points", "flow_repeated_final_range",
+        "fit_points_per_unit_one_interval",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):

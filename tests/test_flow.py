@@ -28,12 +28,12 @@ from qaction.model import (
     potential_value,
 )
 from qaction.trajectory import (
+    Paths,
     SolverError,
     TimeGrid,
-    Trajectory,
     path_sensitivities,
     sensitivities,
-    solve_cached,
+    solve_paths,
 )
 from references import invariant_combination, neighbour_pair, pinned_v0_rates
 
@@ -70,9 +70,9 @@ def test_grid_policy(monkeypatch):
     grids = []
     real_assemble = flow.assemble_system
 
-    def recording(state, classical, intervals, cache=None):
+    def recording(state, classical, intervals, start=None):
         grids.append((state.beta, intervals))
-        return real_assemble(state, classical, intervals, cache)
+        return real_assemble(state, classical, intervals, start)
 
     monkeypatch.setattr(flow, "assemble_system", recording)
     step(harmonic_state(), HARMONIC, 0.5, intervals=300)
@@ -90,7 +90,7 @@ def test_assemble_requires_matching_hbar():
 def test_harmonic_action_is_stationary():
     # exact quantum action: every row consistent, only ln Z~ flows
     state = harmonic_state()
-    a_mat, rhs = assemble_system(state, HARMONIC, 500)
+    a_mat, rhs, _ = assemble_system(state, HARMONIC, 500)
     rates, diag = solve_rates(a_mat, rhs)
     exact_rate = -0.5 / math.tanh(1.0)
     assert rates[0] == pytest.approx(exact_rate, abs=2e-6)
@@ -129,7 +129,7 @@ def test_constant_ansatz_degeneracy_and_invariant():
         initial_point=10.0,
         final_points=equidistant(0.2, 7.0, 30),
     )
-    a_mat, rhs = assemble_system(state, STANDARD, 500)
+    a_mat, rhs, _ = assemble_system(state, STANDARD, 500)
     r_min, d_min = solve_rates(a_mat, rhs)
     r_pin, d_pin = pinned_v0_rates(a_mat, rhs)
     assert d_min.deficiency == 1 and d_min.rank == 4
@@ -313,18 +313,18 @@ def _reference_d_xx(params, traj):
     return first + h * h / 6.0 * third
 
 
-def _stage_paths(state, grid, cache=None):
+def _stage_paths(state, grid, start=None):
     pairs = [(state.initial_point, x_f) for x_f in state.final_points]
-    return solve_cached(state.params, pairs, grid, cache if cache is not None else {})
+    return solve_paths(state.params, pairs, grid, start)
 
 
-def _reference_assemble(state, classical, intervals, cache=None):
+def _reference_assemble(state, classical, intervals, start=None):
     """assemble_system as a loop over final points, one row at a time."""
     exponents = state.exponents()
     a_mat = np.empty((len(state.final_points), 2 + len(exponents)))
     rhs = np.empty(len(state.final_points))
     hbar = classical.hbar
-    paths = _stage_paths(state, TimeGrid(state.beta, intervals=intervals), cache)
+    paths = _stage_paths(state, TimeGrid(state.beta, intervals=intervals), start)
     for j, x_f in enumerate(state.final_points):
         d_mass, d_coeff, d_time, d_x, d_xx = _reference_partials(state.params, paths[j])
         a_mat[j, 0] = -1.0
@@ -336,7 +336,7 @@ def _reference_assemble(state, classical, intervals, cache=None):
             - hbar**2 / (2.0 * classical.mass) * (d_x**2 - d_xx)
             + potential_value(classical.potential, x_f)
         )
-    return a_mat, rhs
+    return a_mat, rhs, paths
 
 
 QUARTIC = ActionParams(
@@ -397,8 +397,8 @@ ASSEMBLY_CASES = {
 def test_assemble_system_matches_per_point_loop(case):
     make_state, classical = ASSEMBLY_CASES[case]
     state = make_state()
-    a_mat, rhs = assemble_system(state, classical, 500)
-    want_a, want_rhs = _reference_assemble(state, classical, 500)
+    a_mat, rhs, _ = assemble_system(state, classical, 500)
+    want_a, want_rhs, _ = _reference_assemble(state, classical, 500)
     assert np.array_equal(a_mat, want_a)
     assert np.array_equal(rhs, want_rhs)
 
@@ -420,12 +420,8 @@ def test_sensitivities_is_the_batch_of_one():
 def test_path_sensitivities_validation():
     state = _fitted_state()
     grid = TimeGrid(0.35, intervals=100)
-    paths = _stage_paths(state, grid)
     with pytest.raises(ValueError, match="at least one"):
-        path_sensitivities(state.params, [])
-    other = _stage_paths(state, TimeGrid(0.35, intervals=120))
-    with pytest.raises(ValueError, match="one time grid"):
-        path_sensitivities(state.params, paths[:1] + other[1:2])
+        path_sensitivities(state.params, solve_paths(state.params, [], grid))
 
 
 @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
@@ -441,9 +437,9 @@ def test_jacobi_d_xx_matches_neighbour_difference(case):
         got = path_sensitivities(state.params, paths).d_xx
         want = []
         for traj in paths:
-            lower, upper = neighbour_pair(state.params, traj)
-            p_lower, p_upper = path_sensitivities(state.params, [lower, upper]).d_x
-            want.append((p_upper - p_lower) / (upper.end - lower.end))
+            pair = neighbour_pair(state.params, traj)
+            p_lower, p_upper = path_sensitivities(state.params, pair).d_x
+            want.append((p_upper - p_lower) / (pair[1].end - pair[0].end))
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
 
@@ -454,21 +450,23 @@ SINGULAR = ActionParams(
 )
 
 
-def _path(duration, positions):
-    grid = TimeGrid(duration, intervals=len(positions) - 1)
-    return Trajectory(grid, positions[0], positions[-1], np.array(positions), 1, 0.0, 0.0)
+def _paths(duration, *rows):
+    """Paths of the given positions over duration, one row each."""
+    grid = TimeGrid(duration, intervals=len(rows[0]) - 1)
+    n = len(rows)
+    return Paths(grid, np.array(rows, dtype=float), np.ones(n, dtype=int), np.zeros(n), np.zeros(n))
 
 
 def test_singular_tangent_solve_raises_solver_error():
-    one = _path(1.0, [0.3, 0.0, 0.5])
+    one = [0.3, 0.0, 0.5]
     with pytest.raises(SolverError, match="singular"):  # the zero pivot of a 1x1 system
-        path_sensitivities(SINGULAR, [one])
+        path_sensitivities(SINGULAR, _paths(1.0, one))
     with pytest.raises(SolverError, match="singular"):  # zero pivot of the stacked gtsv
-        path_sensitivities(SINGULAR, [_path(1.0, [0.3, 0.0, 0.7]), one])
+        path_sensitivities(SINGULAR, _paths(1.0, [0.3, 0.0, 0.7], one))
     with pytest.raises(SolverError, match="singular"):  # tridiag(4, 0, 4) of one path
-        path_sensitivities(SINGULAR, [_path(2.0, [0.3, 0.0, 0.0, 0.0, 0.5])])
+        path_sensitivities(SINGULAR, _paths(2.0, [0.3, 0.0, 0.0, 0.0, 0.5]))
     with pytest.raises(SolverError, match="non-finite"):
-        path_sensitivities(SINGULAR, [_path(1.0, [0.3, math.nan, 0.5])])
+        path_sensitivities(SINGULAR, _paths(1.0, [0.3, math.nan, 0.5]))
 
 
 def test_run_counts_rejected_steps(monkeypatch):
@@ -500,11 +498,13 @@ def test_stages_start_from_the_extrapolation_of_the_last_two_betas(monkeypatch):
     stages = []
     real_assemble = flow.assemble_system
 
-    def recording(state, classical, intervals, cache=None):
-        starts = dict(cache)
-        out = real_assemble(state, classical, intervals, cache)
-        stages.append((state.beta, starts, dict(cache)))
-        return out
+    def recording(state, classical, intervals, start=None):
+        before = None if start is None else start.copy()
+        a_mat, rhs, paths = real_assemble(state, classical, intervals, start)
+        # the stage only reads its start
+        assert start is None or np.array_equal(start, before)
+        stages.append((state.beta, start, paths))
+        return a_mat, rhs, paths
 
     monkeypatch.setattr(flow, "assemble_system", recording)
     trace = run(harmonic_state(), HARMONIC, 1.1, dbeta=0.05, intervals=100, record_stride=1)
@@ -512,24 +512,25 @@ def test_stages_start_from_the_extrapolation_of_the_last_two_betas(monkeypatch):
         1.0, 1.025, 1.025, 1.05, 1.05, 1.075, 1.075, 1.1
     ]
     kept = []  # (beta, solved paths) of the last two stages at distinct betas
-    for beta, starts, solved in stages:
+    for beta, start, solved in stages:
         if not kept:
-            assert starts == {}
+            assert start is None
         elif len(kept) == 1 or beta == kept[-1][0]:
-            assert all(starts[j] is path for j, path in kept[-1][1].items())
+            assert start is kept[-1][1].positions
         else:
             (b_prev, prev), (b_last, last) = kept
-            for j, path in last.items():
+            for j in range(len(last)):
                 want = [
                     x_last + (beta - b_last) / (b_last - b_prev) * (x_last - x_prev)
-                    for x_last, x_prev in zip(path.positions.tolist(), prev[j].positions.tolist())
+                    for x_last, x_prev in zip(last.positions[j].tolist(),
+                                              prev.positions[j].tolist())
                 ]
-                assert starts[j].tolist() == want
+                assert start[j].tolist() == want
         kept = kept[:-1] if kept and kept[-1][0] == beta else kept[-1:]
         kept.append((beta, solved))
     assert trace.path_solves == len(stages) * len(harmonic_state().final_points)
     assert trace.newton_iterations == sum(
-        path.iterations for _, _, solved in stages for path in solved.values()
+        path.iterations for _, _, solved in stages for path in solved
     )
 
 

@@ -28,7 +28,6 @@ from qaction.trajectory import (
     action_values,
     sensitivities,
     solve_bvp,
-    solve_cached,
     solve_paths,
 )
 from references import (
@@ -364,11 +363,6 @@ def _nudged(params, factor):
     )
 
 
-def _poisoned(grid):
-    """A guess that makes the line search stall at once (NaN residual)."""
-    return Trajectory(grid, 1.0, 1.0, np.full(grid.n_points, np.nan), 0, 0.0, 0.0)
-
-
 @pytest.mark.parametrize("params", [HARMONIC, STANDARD], ids=["harmonic", "inverse_square"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_solve_paths_matches_per_path_solves(params, warm):
@@ -377,7 +371,7 @@ def test_solve_paths_matches_per_path_solves(params, warm):
     pairs = [tuple(rng.uniform(low, high, size=2)) for _ in range(7)]
     grid = TimeGrid(1.3, intervals=400)
     guesses = solve_paths(_nudged(params, 1.02), pairs, grid) if warm else None
-    batch = solve_paths(params, pairs, grid, guesses)
+    batch = solve_paths(params, pairs, grid, guesses.positions if warm else None)
     assert len(batch) == len(pairs)
     for idx, (a, b) in enumerate(pairs):
         guess = guesses[idx] if warm else None
@@ -385,7 +379,7 @@ def test_solve_paths_matches_per_path_solves(params, warm):
         _assert_same_path(batch[idx], want)
         _assert_same_path(solve_bvp(params, a, b, grid, guess=guess), want)
     if warm:
-        assert max(t.iterations for t in batch) < max(t.iterations for t in guesses)
+        assert max(batch.iterations) < max(guesses.iterations)
 
 
 def test_action_values_match_action_value():
@@ -394,10 +388,7 @@ def test_action_values_match_action_value():
     values = action_values(STANDARD, trajs)
     for traj, value in zip(trajs, values):
         assert value == action_value(STANDARD, traj) == _reference_action(STANDARD, traj)
-    assert action_values(STANDARD, []).shape == (0,)
-    other = solve_bvp(STANDARD, 0.8, 2.5, TimeGrid(1.0, intervals=400))
-    with pytest.raises(ValueError, match="one time grid"):
-        action_values(STANDARD, [trajs[0], other])
+    assert action_values(STANDARD, solve_paths(STANDARD, [], grid)).shape == (0,)
 
 
 def test_batch_with_positivity_halving():
@@ -408,7 +399,7 @@ def test_batch_with_positivity_halving():
     pairs = [(0.5, 0.6), (0.03, 0.07), (0.4, 0.2), (0.3, 0.5)]
     # the last guess crosses zero and is reflected into the half-line first
     guesses = [None, np.full(grid.n_points, 3.0), None, np.linspace(-0.5, 0.5, grid.n_points)]
-    batch = solve_paths(params, pairs, grid, guesses)
+    batch = solve_paths(params, pairs, grid, _starts(grid, pairs, guesses))
     halvings = []
     for traj, (a, b), guess in zip(batch, pairs, guesses):
         want, count = _reference_solve(params, a, b, grid, guess)
@@ -417,30 +408,40 @@ def test_batch_with_positivity_halving():
     assert halvings[1] > 0 and halvings[0] == halvings[2] == 0
 
 
-def _assert_cache_kept(cache: dict, before: dict):
-    """A failed solve_cached leaves the same keys and the same objects."""
-    assert cache.keys() == before.keys()
-    assert all(cache[key] is before[key] for key in before)
+def _starts(grid, pairs, guesses):
+    """A start array for solve_paths: row i is guesses[i], or the straight line of
+    pairs[i] where guesses[i] is None, as the start of a cold solve."""
+    return np.array([
+        np.linspace(a, b, grid.n_points) if guess is None else guess
+        for (a, b), guess in zip(pairs, guesses)
+    ])
+
+
+def _assert_start_kept(start: np.ndarray, before: np.ndarray):
+    """solve_paths only reads its start, failed or not: the same values, NaNs included."""
+    assert np.array_equal(start, before, equal_nan=True)
 
 
 def test_batch_with_failing_path():
     grid = TimeGrid(1.3, intervals=200)
     pairs = [(0.8, 2.5), (1.0, 1.2), (0.6, 1.9), (2.0, 2.2), (1.5, 0.7)]
-    cache = {2: _poisoned(grid)}
-    before = dict(cache)
+    # a NaN start makes the line search stall at once (NaN residual)
+    start = _starts(grid, pairs, [None, None, np.full(grid.n_points, np.nan), None, None])
+    before = start.copy()
     with pytest.raises(SolverError) as batch_error:
-        solve_cached(STANDARD, pairs, grid, cache)
+        solve_paths(STANDARD, pairs, grid, start)
     with pytest.raises(SolverError) as path_error:
         _reference_solve(STANDARD, *pairs[2], grid, before[2])
     assert str(batch_error.value) == str(path_error.value)
     assert "after 1 iterations" in str(batch_error.value)
-    _assert_cache_kept(cache, before)
+    _assert_start_kept(start, before)
 
     # non-convergence: warm paths finish within the budget, the cold one not
     warm = solve_paths(STANDARD, pairs, grid)
-    guesses = [warm[0], warm[1], None, warm[3], warm[4]]
+    start = _starts(grid, pairs, [warm[0].positions, warm[1].positions, None,
+                                  warm[3].positions, warm[4].positions])
     with pytest.raises(SolverError, match="no convergence in 2 iterations") as batch_error:
-        solve_paths(STANDARD, pairs, grid, guesses, max_iter=2)
+        solve_paths(STANDARD, pairs, grid, start, max_iter=2)
     with pytest.raises(SolverError) as path_error:
         _reference_solve(STANDARD, *pairs[2], grid, max_iter=2)
     assert str(batch_error.value) == str(path_error.value)
@@ -451,15 +452,16 @@ def test_failure_in_a_later_block():
     ends = np.linspace(0.6, 3.0, BLOCK_PATHS + 6)
     pairs = [(1.1, float(b)) for b in ends]
     bad = BLOCK_PATHS + 3
-    cache = {bad: _poisoned(grid)}
-    before = dict(cache)
+    start = _starts(grid, pairs, [None] * len(pairs))
+    start[bad] = np.nan
+    before = start.copy()
     with pytest.raises(SolverError) as error:
-        solve_cached(STANDARD, pairs, grid, cache)
+        solve_paths(STANDARD, pairs, grid, start)
     with pytest.raises(SolverError) as path_error:
         _reference_solve(STANDARD, *pairs[bad], grid, before[bad])
     assert str(error.value) == str(path_error.value)
-    # the first block was solved, but nothing of the failed batch is stored
-    _assert_cache_kept(cache, before)
+    # the first block was solved, but nothing of it reaches the start
+    _assert_start_kept(start, before)
     full = solve_paths(STANDARD, pairs, grid)
     for traj, (a, b) in zip(full, pairs):
         _assert_same_path(traj, _reference_solve(STANDARD, a, b, grid)[0])
@@ -483,11 +485,12 @@ def test_singular_newton_matrix_raises_solver_error():
     params = ActionParams(1.0, 1.0, PotentialSpec({2: -4.0, 4: 1.0}), domain=Domain.FULL_LINE)
     grid = TimeGrid(2.0, intervals=4)
     pairs = [(0.3, 0.5), (0.0, 0.0), (0.2, 0.1)]
-    cache = {0: solve_bvp(params, 0.3, 0.6, grid), 2: solve_bvp(params, 0.2, 0.2, grid)}
-    before = dict(cache)
+    start = _starts(grid, pairs, [solve_bvp(params, 0.3, 0.6, grid).positions, None,
+                                  solve_bvp(params, 0.2, 0.2, grid).positions])
+    before = start.copy()
     with pytest.raises(SolverError, match="singular"):
-        solve_cached(params, pairs, grid, cache)
-    _assert_cache_kept(cache, before)
+        solve_paths(params, pairs, grid, start)
+    _assert_start_kept(start, before)
 
 
 def test_one_point_zero_pivot_raises_solver_error():
@@ -505,9 +508,9 @@ def test_solve_paths_validation():
     grid = TimeGrid(1.0, intervals=50)
     with pytest.raises(ValueError, match="positive"):
         solve_paths(STANDARD, [(1.0, 2.0), (1.0, -2.0)], grid)
-    with pytest.raises(ValueError, match="guesses"):
-        solve_paths(STANDARD, [(1.0, 2.0)], grid, [None, None])
-    assert solve_paths(STANDARD, [], grid) == []
+    with pytest.raises(ValueError, match=r"start has shape \(2, 51\), the paths need \(1, 51\)"):
+        solve_paths(STANDARD, [(1.0, 2.0)], grid, np.ones((2, grid.n_points)))
+    assert len(solve_paths(STANDARD, [], grid)) == 0
 
 
 def test_failed_fit_evaluation_leaves_cache_as_it_was():
@@ -516,19 +519,21 @@ def test_failed_fit_evaluation_leaves_cache_as_it_was():
     init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
     objective = _Objective(table, [0, 2, -2], init, grid)
     objective.evaluate(init)
-    objective.cache[3] = _poisoned(grid)
-    before = dict(objective.cache)
+    start = objective.start
+    start.positions[3] = np.nan
+    before = start.positions.copy()
     q = _nudged(init, 1.01)
     for idx, (a, b) in enumerate(objective.pairs):  # the first failure of a per-path loop
         try:
-            _reference_solve(q, a, b, grid, before.get(idx))
+            _reference_solve(q, a, b, grid, before[idx])
         except SolverError as exc:
             message = str(exc)
             break
     with pytest.raises(SolverError) as error:
         objective.evaluate(q)
     assert str(error.value) == message
-    _assert_cache_kept(objective.cache, before)
+    assert objective.start is start
+    _assert_start_kept(start.positions, before)
     assert sum_of_squares(objective, np.full(len(objective.center), 0.01)) == math.inf
 
 
@@ -538,34 +543,34 @@ def test_failed_flow_stage_leaves_cache_as_it_was(poisoned):
     state = FlowState(beta=1.0, params=params, log_norm=0.0, initial_point=1.5,
                       final_points=tuple(np.linspace(0.5, 3.0, 8)))
     grid = TimeGrid(1.0, intervals=200)
-    cache = {}
-    assemble_system(state, STANDARD, 200, cache)
-    cache[poisoned] = _poisoned(grid)
-    before = dict(cache)
+    start = assemble_system(state, STANDARD, 200)[2].positions
+    start[poisoned] = np.nan
+    before = start.copy()
     state = dataclasses.replace(state, params=_nudged(params, 1.01))
     for j, x_f in enumerate(state.final_points):  # the first failure of a per-point loop
         try:
-            _reference_solve(state.params, 1.5, x_f, grid, before.get(j))
+            _reference_solve(state.params, 1.5, x_f, grid, before[j])
         except SolverError as exc:
             message = str(exc)
             break
     with pytest.raises(SolverError) as error:
-        assemble_system(state, STANDARD, 200, cache)
+        assemble_system(state, STANDARD, 200, start)
     assert str(error.value) == message
-    _assert_cache_kept(cache, before)
+    _assert_start_kept(start, before)
 
 
 def _history_snapshot(history):
-    """The lists a PathHistory holds, their paths and its counts."""
-    return (history.prev, history.last, list(history.prev), list(history.last),
-            history.path_solves, history.newton_iterations)
+    """The Paths a PathHistory holds, copies of their positions and its counts."""
+    return (history.prev, history.last, history.prev.positions.copy(),
+            history.last.positions.copy(), history.path_solves, history.newton_iterations)
 
 
 def _assert_history_kept(history, snapshot):
-    prev, last, prev_paths, last_paths, solves, iterations = snapshot
+    """The same Paths objects, their positions unchanged, and the same counts."""
+    prev, last, prev_positions, last_positions, solves, iterations = snapshot
     assert history.prev is prev and history.last is last
-    assert len(prev) == len(prev_paths) and all(a is b for a, b in zip(prev, prev_paths))
-    assert len(last) == len(last_paths) and all(a is b for a, b in zip(last, last_paths))
+    _assert_start_kept(prev.positions, prev_positions)
+    _assert_start_kept(last.positions, last_positions)
     assert (history.path_solves, history.newton_iterations) == (solves, iterations)
 
 
@@ -584,10 +589,8 @@ def test_failed_flow_stage_leaves_history_as_it_was(poisoned):
     # a stage at beta_last starts from the last paths, a later one from their
     # extrapolation; a NaN path stalls the line search either way
     state, history = _history_state()
-    assert [history.prev[0].grid.duration, history.last[0].grid.duration] == [0.975, 1.0]
-    paths = list(getattr(history, poisoned))
-    paths[4] = _poisoned(paths[4].grid)
-    setattr(history, poisoned, paths)
+    assert [history.prev.grid.duration, history.last.grid.duration] == [0.975, 1.0]
+    getattr(history, poisoned).positions[4] = np.nan
     beta = {"last": 1.0, "prev": 1.0125}[poisoned]
     starts = history.starts(beta)
     snapshot = _history_snapshot(history)
@@ -622,8 +625,21 @@ def test_rejected_stage_leaves_history_as_it_was(monkeypatch):
     with pytest.raises(StepRejected, match="condition inf"):
         flow.step(state, STANDARD, 0.05, 200, history)
     _assert_history_kept(history, stages[2])
-    assert [history.prev[0].grid.duration, history.last[0].grid.duration] == [1.0, 1.025]
+    assert [history.prev.grid.duration, history.last.grid.duration] == [1.0, 1.025]
     assert history.path_solves == 6 * len(state.final_points)
+
+
+def test_a_stage_at_beta_last_leaves_the_paths_it_starts_from_unchanged():
+    # at beta_last the history hands its last positions themselves to
+    # solve_paths; the stage must only read them, and the previous ones too
+    state, history = _history_state()
+    last, prev = history.last, history.prev
+    assert history.starts(1.0) is last.positions
+    last_before, prev_before = last.positions.copy(), prev.positions.copy()
+    flow._rates_for(state, STANDARD, 1.0, flow._vector_of(state), 200, history)
+    assert history.prev is prev and history.last is not last
+    assert np.array_equal(last.positions, last_before)
+    assert np.array_equal(prev.positions, prev_before)
 
 
 # V'' = -8 + 12 x^2 is about -8 near 0, where -J = tridiag(-c, 2c + V'', -c)
@@ -636,7 +652,7 @@ def _jacobi_case(case):
     if case == "definite":  # V'' > 0 keeps J diagonally dominant: the factor gives the gtsv bits
         grid = TimeGrid(1.0, intervals=500)
         paths = solve_paths(STANDARD, [(1.5, 0.5), (1.5, 2.0), (0.8, 3.0)], grid)
-        return STANDARD, np.stack([p.positions for p in paths]), grid.step
+        return STANDARD, paths.positions, grid.step
     x = np.array([[0.1, 0.0, 0.05, -0.02, 0.1, 0.2], [0.3, 0.2, 0.1, 0.0, -0.1, -0.1]])
     return DOUBLE_WELL, x, 0.6
 

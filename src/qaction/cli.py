@@ -672,6 +672,7 @@ def _run_flow(cfg, out_dir, seed):
         "rejected_steps": trace.rejected_steps,
         "path_solves": trace.path_solves,
         "newton_iterations": trace.newton_iterations,
+        "line_search_halvings": trace.line_search_halvings,
         "max_rank_deficiency": max_deficiency,
         "degenerate_directions_detected": max_deficiency > 0,
         "final": _final_block(last.params, beta=last.beta, log_norm=last.log_norm),

@@ -78,6 +78,7 @@ class FlowTrace:
     rejected_steps: int = 0  # step attempts retried at half the step size
     path_solves: int = 0  # paths solved by the stages that succeeded
     newton_iterations: int = 0  # their Newton iterations
+    line_search_halvings: int = 0  # their line-search step halvings
 
 
 class PathHistory:
@@ -99,6 +100,7 @@ class PathHistory:
         self.last: Paths | None = None
         self.path_solves = 0
         self.newton_iterations = 0
+        self.line_search_halvings = 0
 
     def starts(self, beta: float) -> np.ndarray | None:
         """The start positions of every path at beta, or None before the first stage."""
@@ -117,6 +119,7 @@ class PathHistory:
         self.last = paths
         self.path_solves += len(paths)
         self.newton_iterations += int(paths.iterations.sum())
+        self.line_search_halvings += int(paths.line_search_halvings.sum())
 
 
 def assemble_system(
@@ -330,6 +333,7 @@ def run(
         rejected_steps=rejected,
         path_solves=history.path_solves,
         newton_iterations=history.newton_iterations,
+        line_search_halvings=history.line_search_halvings,
     )
 
 

@@ -1,9 +1,11 @@
 """The five LAPACK routines qaction calls, bound from scipy's f2py extension.
 
-    dgtsv    tridiagonal solve (trajectory: Newton steps, Jacobi equations
-             whose matrix is not positive definite)
     dpttrf   LDL^T factor of a positive definite tridiagonal matrix
-    dpttrs   solve with that factor (trajectory: the three Jacobi equations)
+             (trajectory: the Newton matrix of every relaxation step)
+    dpttrs   solve with that factor (trajectory: the Newton steps, and the
+             two Jacobi equations at the solved positions)
+    dgtsv    tridiagonal solve (trajectory: the fallback for both where the
+             matrix is not positive definite)
     dstebz   tridiagonal bisection for eigenvalues (oracle)
     dstein   inverse iteration for eigenvectors (oracle)
 

@@ -122,15 +122,20 @@ def evaluate_potential(spec: PotentialSpec, x, order: int, out=None, tmp=None, p
         if k == 0:  # c x^0 is c for every x, nan and inf too: one pass, not three
             np.add(out, c, out=out)
         else:
-            base = np.power(x, k, out=tmp) if powers is None else powers[k]
+            if k == 1:  # x^1 is x itself, nan and inf too: no copy through power
+                base = x
+            else:
+                base = np.power(x, k, out=tmp) if powers is None else powers[k]
             np.multiply(base, c, out=tmp)
             np.add(out, tmp, out=out)
     return float(out) if out.ndim == 0 else out
 
 
 def _check_domain(spec: PotentialSpec, x):
+    # all() fails exactly where x == 0 holds, -0.0 included, and NaN passes
+    # both: the same verdicts without a boolean array
     if any(k < 0 for k in spec.coefficients):
-        if np.any(np.asarray(x) == 0.0):
+        if not np.asarray(x).all():
             raise ValueError("x = 0 is singular for negative-exponent potentials")
 
 

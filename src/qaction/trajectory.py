@@ -19,9 +19,12 @@ which solve_paths fills from one start array (see resampled).
 The Newton steps of the relaxation and the Jacobi equations behind d_xx solve
 with the same Newton matrix J = tridiag(m/dt^2, -2m/dt^2 - hbar^2 V''(x_i),
 m/dt^2), always on the paths stacked with zero couplings between them. A
-Newton step is one LAPACK gtsv call (_solve_tridiagonal). The three Jacobi
-solves share one pttrf factor L D L^T of -J, one pttrs call each, and fall
-back to three gtsv calls when -J is not positive definite (_jacobi_solver).
+Newton step factors -J = L D L^T with one LAPACK pttrf call and solves with
+one pttrs call (_factor). Where -J is not positive definite, or the step is
+not finite, each path is solved alone: pttrf and pttrs where its own -J is
+positive definite, else gtsv (_solve_each). The two Jacobi solves behind
+d_xx share one pttrf factor of -J at the solved positions, one pttrs call
+each, and fall back to _solve_each in the same way (_jacobi_solver).
 The routines are scipy's own, bound by qaction.lapack. A singular J raises
 SolverError wherever it is met.
 """
@@ -99,6 +102,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One solved path; el_residual is that of the iterate its last step was taken from."""
+
     grid: TimeGrid
     start: float
     end: float
@@ -112,8 +117,13 @@ class Trajectory:
 class Paths:
     """Solved paths on one grid, stacked: row i of positions is path i.
 
-    positions is n x grid.n_points and C-contiguous; iterations, step_norm
-    and el_residual hold one entry per path.
+    positions is n x grid.n_points and C-contiguous; iterations, step_norm,
+    el_residual and line_search_halvings hold one entry per path. el_residual
+    is the max-norm residual of the iterate a path's last step was taken
+    from: a full Newton step within DEFAULT_TOL ends the relaxation without
+    evaluating the residual it lands on. line_search_halvings counts the
+    step halvings of the line search, those that keep an iterate positive
+    included.
     """
 
     grid: TimeGrid
@@ -121,6 +131,7 @@ class Paths:
     iterations: np.ndarray
     step_norm: np.ndarray
     el_residual: np.ndarray
+    line_search_halvings: np.ndarray
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -181,6 +192,40 @@ def _solve_tridiagonal(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np
     return rhs
 
 
+def _solve_each(coupling: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve tridiag(coupling, diag[i], coupling) y[i] = rhs[i] row by row, in place in rhs.
+
+    Each row as if alone: pttrf and pttrs where its -J is positive definite,
+    else gtsv (_solve_tridiagonal), which raises SolverError for a singular J.
+    """
+    for row in range(len(rhs)):
+        one = slice(row, row + 1)
+        pivots, lower = np.negative(diag[one]), np.empty_like(diag[one])
+        if _factor(pivots, coupling, lower):
+            dpttrs(pivots[0], lower[0, :-1], np.negative(rhs[row], out=rhs[row]), 1)
+        else:
+            _solve_tridiagonal(coupling, diag[one], rhs[one])
+    return rhs
+
+
+def _factor(pivots: np.ndarray, coupling: float, lower: np.ndarray) -> bool:
+    """Factor -J = L D L^T in place with one pttrf call on the stacked rows.
+
+    -J = tridiag(-coupling, pivots[i], -coupling) for every row i, stacked
+    with zero couplings between rows; pivots holds -J's diagonal and receives
+    D, and lower (of the same shape) receives the subdiagonal of L, 0 in each
+    row's last column. A row boundary meets a zero coupling, so each row gets
+    the bits of its own factor. False, with both arrays partly overwritten,
+    if a pivot is not positive (NaN passes), or if the system has one unknown
+    or none, which pttrf does not take.
+    """
+    if pivots.size <= 1:
+        return False
+    lower.fill(-coupling)
+    lower[:, -1] = 0.0
+    return dpttrf(pivots.reshape(-1), lower.reshape(-1)[:-1], 1, 1)[-1] == 0
+
+
 class _Relaxation:
     """State and work buffers of one block of paths in solve_paths.
 
@@ -188,12 +233,11 @@ class _Relaxation:
     paths still iterating, in input order; ids holds their rows in the Paths
     of the batch, where a converged path is written as it leaves by
     compaction. Kernels write into five buffers with out=, so a batch holds
-    a fixed set of arrays of its own size:
-    accepted and trial positions, trial residuals, the Newton step and a
-    scratch array. Between iterations `delta` holds the right-hand side
-    -r(x) of the accepted iterate, which the tridiagonal solve turns into the
-    step in place; the diagonal of the Newton matrix goes into the trial
-    residuals, which the line search fills only afterwards.
+    a fixed set of arrays of its own size: accepted and trial positions,
+    trial residuals, the Newton step and a scratch array. Between iterations
+    `delta` holds the right-hand side -r(x) of the accepted iterate, which
+    the Newton solve turns into the step in place; while it solves, the
+    trial residuals hold the factor's D and the scratch array its L.
     """
 
     def __init__(self, params: ActionParams, grid: TimeGrid, x: np.ndarray, first: int):
@@ -228,38 +272,47 @@ class _Relaxation:
         """Row-wise max norm."""
         return np.abs(a, out=self.tmp[: len(a)]).max(axis=1)
 
-    def newton_steps(self) -> np.ndarray:
-        """Newton updates of the iterating paths from one stacked tridiagonal solve.
+    def negated_diagonal(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """-J's diagonal 2m/dt^2 + hbar^2 V''(x_i) for the rows of x, J's negated bit for bit."""
+        diag = evaluate_potential(self.spec, x[:, 1:-1], 2, out, self.tmp[: len(x)])
+        np.multiply(diag, self.hbar2, out=diag)
+        return np.subtract(diag, self.diag_shift, out=diag)
 
-        The solve runs in place on `delta`. If it meets a zero pivot or gives
-        an inf or NaN, which may have crossed a path boundary, each path is
-        solved alone, as before batching, and the first singular one raises
-        SolverError.
+    def newton_steps(self) -> np.ndarray:
+        """Newton updates of the iterating paths, in place in `delta`.
+
+        One pttrf factor of the stacked -J and one pttrs solve. If a pivot is
+        not positive, or the step has an inf or NaN, which may have crossed a
+        path boundary, each path is solved alone, as before batching: pttrf
+        and pttrs where its -J is positive definite, else gtsv, and the first
+        singular J raises SolverError (_solve_each).
         """
         rows = len(self.ids)
         x, delta = self.x[:rows], self.delta[:rows]
-        diag = evaluate_potential(self.spec, x[:, 1:-1], 2, self.resid_try[:rows], self.tmp[:rows])
-        np.multiply(diag, self.hbar2, out=diag)
-        np.subtract(self.diag_shift, diag, out=diag)
-        try:
-            stacked = np.isfinite(_solve_tridiagonal(self.off_diag, diag, delta)).all()
-        except SolverError:
-            stacked = False
-        if not stacked:
-            np.negative(self.residual(x, delta), out=delta)  # the solve consumed -r(x)
-            for row in range(rows):
-                _solve_tridiagonal(self.off_diag, diag[row : row + 1], delta[row : row + 1])
-        return delta
+        pivots, lower = self.resid_try[:rows], self.tmp[:rows]
+        if _factor(self.negated_diagonal(x, pivots), self.off_diag, lower):
+            np.negative(delta, out=delta)  # -J step = r(x)
+            dpttrs(pivots.reshape(-1), lower.reshape(-1)[:-1], delta.reshape(-1), 1)
+            if np.isfinite(delta).all():
+                return delta
+        # pttrf overwrote -J's diagonal, and the solve may have consumed -r(x)
+        diag = np.negative(self.negated_diagonal(x, pivots), out=pivots)
+        np.negative(self.residual(x, delta), out=delta)
+        return _solve_each(self.off_diag, diag, delta)
 
     def iterate(self, iteration: int, out: Paths) -> bool:
         """One damped Newton iteration of every iterating path; False once none is left.
 
-        A path that converges is written to its row of out.
+        A path that converges is written to its row of out. A full step
+        within DEFAULT_TOL is the last one: it is taken without a line search
+        and without the residual it lands on, unless it would leave the
+        half-line.
         """
         rows = len(self.ids)
         delta = self.newton_steps()
         self.delta_norm = delta_norm = self.max_abs(delta)
         res_norm = self.res_norm
+        halvings = out.line_search_halvings
         scale = np.ones(rows)
         step_norm = np.full(rows, np.nan)
         pending = np.arange(rows)
@@ -276,15 +329,25 @@ class _Relaxation:
                     retry = pending[negative]
                     for row in retry:
                         scale[row] *= 0.5
+                        halvings[self.ids[row]] += 1
                         if scale[row] < 1e-14:
                             raise SolverError(
                                 "step underflow keeping iterate positive "
                                 f"(residual {res_norm[row]:.3e})"
                             )
                     pending, trial = pending[~negative], trial[~negative]
+            sc = scale[pending]
+            last = (sc == 1.0) & (delta_norm[pending] <= DEFAULT_TOL)
+            if last.any():
+                done = pending[last]
+                self.x[done] = trial[last]
+                step_norm[done] = delta_norm[done]
+                pending, trial, sc = pending[~last], trial[~last], sc[~last]
+                if not pending.size:
+                    pending = retry
+                    continue
             resid_try = self.residual(trial, self.resid_try[: pending.size])
             res_try = self.max_abs(resid_try)
-            sc = scale[pending]
             accept = (res_try < res_norm[pending] * (1.0 - 1e-4 * sc)) | (
                 sc * delta_norm[pending] <= DEFAULT_TOL
             )
@@ -299,6 +362,7 @@ class _Relaxation:
             step_norm[taken] = sc[accept] * delta_norm[taken]
             for row in pending[~accept]:
                 scale[row] *= 0.5
+                halvings[self.ids[row]] += 1
                 if scale[row] < 1e-14:
                     raise SolverError(
                         f"line search stalled at residual {res_norm[row]:.3e} "
@@ -339,20 +403,23 @@ def solve_paths(
     len(pairs) x grid.n_points positions that is only read, with its ends
     replaced, or from the straight line when `start` is None. Convergence of
     a path is declared when its Newton update falls below DEFAULT_TOL in the
-    max norm; on the half-line every iterate is kept strictly positive by
-    step halving.
+    max norm. A full Newton step that small is taken as it is, without a
+    line search and without evaluating the residual it lands on, so the
+    path returned is the Newton-corrected one; a damped step that small
+    ends the relaxation too, at the iterate the line search accepted. On the
+    half-line every iterate is kept strictly positive by step halving.
 
-    The paths share one tridiagonal solve per Newton iteration: the stacked
-    system of all unconverged paths, with zero couplings between them. The
-    line search and the convergence test run per path, and a converged path
-    leaves the batch. Every path therefore takes exactly the iterates it
-    would take alone: positions, iteration counts and residuals equal those
-    of solving the pairs one at a time, bit for bit.
+    The paths share one factor and solve per Newton iteration (see
+    _Relaxation.newton_steps): the stacked system of all unconverged paths,
+    with zero couplings between them. The line search and the convergence
+    test run per path, and a converged path leaves the batch. Every path
+    therefore takes exactly the iterates it would take alone: positions,
+    iteration counts, residuals and halvings equal those of solving the
+    pairs one at a time, bit for bit.
 
     Paths are relaxed in consecutive blocks of at most BLOCK_PATHS, which
     bounds the work arrays of a call whatever the number of pairs: five of
-    BLOCK_PATHS x n_points floats, and three more while the tridiagonal
-    solve runs (its two bands and a copy of the diagonal).
+    BLOCK_PATHS x n_points floats.
 
     The first path that fails raises SolverError at once, and nothing of the
     batch is returned: a singular Newton matrix, a line search that stalls or
@@ -399,9 +466,10 @@ def solve_paths(
 
 
 def _stacked(grid: TimeGrid, positions: np.ndarray) -> Paths:
-    """Paths of these positions with zero iterations, step norms and residuals."""
+    """Paths of these positions with zero counts, step norms and residuals."""
     n = len(positions)
-    return Paths(grid, positions, np.zeros(n, dtype=int), np.zeros(n), np.zeros(n))
+    return Paths(grid, positions, np.zeros(n, dtype=int), np.zeros(n), np.zeros(n),
+                 np.zeros(n, dtype=int))
 
 
 def resampled(paths, grid: TimeGrid) -> np.ndarray:
@@ -498,8 +566,8 @@ def path_sensitivities(params: ActionParams, paths: Paths) -> ActionSensitivitie
     closed form (see _endpoint_curvature). Row sums of a C-contiguous stack
     equal the sums of the rows alone, and the stacked tangent solves equal
     those of each path alone, so every entry equals that of the path on its
-    own, bit for bit. A singular tangent system or a non-finite d_xx raises
-    SolverError.
+    own (sensitivities of paths[i]), bit for bit. A singular tangent system or a non-finite
+    d_xx raises SolverError.
     """
     if not len(paths):
         raise ValueError("need at least one path")
@@ -567,36 +635,39 @@ def _endpoint_curvature(params: ActionParams, x: np.ndarray, step: float) -> np.
     interior points solve
 
         J y1 = -(m/dt^2) e_last
-        J y2 = hbar^2 V'''(x) y1^2
-        J y3 = hbar^2 (3 V'''(x) y1 y2 + V''''(x) y1^3)
+        J y2 = b2 = hbar^2 V'''(x) y1^2
+        J y3 = b3 = hbar^2 (3 V'''(x) y1 y2 + V''''(x) y1^3)
 
     and p' = m (1 - y1_last) / (hbar^2 dt) + (dt/2) V''(x_f),
-    p''' = -m y3_last / (hbar^2 dt) + (dt/2) V''''(x_f). The three systems
-    share one factor of J (see _jacobi_solver).
+    p''' = -m y3_last / (hbar^2 dt) + (dt/2) V''''(x_f). J is symmetric, so
+    y1 . b3 = (J y1) . y3 = -(m/dt^2) y3_last: y3_last is
+    -(3 b2 . y2 + hbar^2 V'''' . y1^4) / (m/dt^2), and only y1 and y2 take a
+    solve. The two share one factor of J (see _jacobi_solver).
     """
     spec, m, hbar2 = params.potential, params.mass, params.hbar**2
     inner, ends = x[:, 1:-1], x[:, -1]
     coupling = m / step**2
-    # J's diagonal outlives the factor only where the gtsv fallback needs it:
+    # J's diagonal outlives the factor only where the fallback needs it:
     # a flow stage's memory peaks in these solves
     solve = _jacobi_solver(
         coupling, -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
     )
-    v3 = hbar2 * evaluate_potential(spec, inner, 3)
-    v4 = hbar2 * evaluate_potential(spec, inner, 4)
     y1 = np.zeros(inner.shape)
     y1[:, -1:] = -coupling
     solve(y1)
-    y2 = solve(v3 * y1**2)
-    # 3.0 * v3 * y1 * y2 + v4 * y1**3, with one temporary fewer
-    rhs = 3.0 * v3 * y1
-    rhs *= y2
-    cube = y1**3
-    cube *= v4
-    rhs += cube
-    y3 = solve(rhs)
+    square = y1 * y1
+    b2 = hbar2 * evaluate_potential(spec, inner, 3)
+    b2 *= square
+    y2 = solve(b2.copy())
+    # y1 . b3 = 3 b2 . y2 + hbar^2 V'''' . y1^4 row by row, in place
+    square *= square
+    square *= hbar2 * evaluate_potential(spec, inner, 4)
+    y2 *= b2
+    y2 *= 3.0
+    y2 += square
+    y3_last = -y2.sum(axis=1) / coupling
     # a path of one interval has no interior points to move
-    y1_last, y3_last = (y1[:, -1], y3[:, -1]) if inner.shape[1] else (0.0, 0.0)
+    y1_last = y1[:, -1] if inner.shape[1] else 0.0
     scale = m / (hbar2 * step)
     first = scale * (1.0 - y1_last) + 0.5 * step * potential_second_derivative(spec, ends)
     third = -scale * y3_last + 0.5 * step * evaluate_potential(spec, ends, 4)
@@ -611,26 +682,24 @@ def _jacobi_solver(coupling: float, diag: np.ndarray):
 
     J = tridiag(coupling, diag[i], coupling) for every row i, stacked with
     zero couplings between rows as in _solve_tridiagonal. pttrf factors -J
-    once as L D L^T, and each solve is one pttrs call on -rhs. Where J is
-    diagonally dominant, as for V'' >= 0, the pivots of D are the negated gtsv
-    pivots of J bit for bit, and so is the last entry of a solve whose
+    once (_factor), and each solve is one pttrs call on -rhs. Where J is
+    diagonally dominant, as for V'' >= 0, the pivots of D are the negated
+    gtsv pivots of J bit for bit, and so is the last entry of a solve whose
     right-hand side is zero but there. If a pivot is not positive, or the
-    system has one unknown or none, each solve is a _solve_tridiagonal call,
-    which raises SolverError for a singular J.
+    system has one unknown or none, each solve is a _solve_each call, which
+    gives every row the bits of its own solve and raises SolverError for a
+    singular J.
     """
-    if diag.size > 1:
-        n_int = diag.shape[-1]
-        off = np.full(diag.size - 1, -coupling)
-        off[n_int - 1 :: n_int] = 0.0
-        d, e, info = dpttrf(np.negative(diag).reshape(-1), off, 1, 1)
-        if info == 0:
+    pivots, lower = np.negative(diag), np.empty_like(diag)
+    if _factor(pivots, coupling, lower):
+        d, e = pivots.reshape(-1), lower.reshape(-1)[:-1]
 
-            def solve(rhs: np.ndarray) -> np.ndarray:
-                dpttrs(d, e, np.negative(rhs, out=rhs).reshape(-1), 1)
-                return rhs
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            dpttrs(d, e, np.negative(rhs, out=rhs).reshape(-1), 1)
+            return rhs
 
-            return solve
-    return lambda rhs: _solve_tridiagonal(coupling, diag, rhs)
+        return solve
+    return lambda rhs: _solve_each(coupling, diag, rhs)
 
 
 def neighbour_offset(x):

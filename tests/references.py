@@ -2,7 +2,8 @@
 
 Each re-solves or recombines what the package computes in one pass: the
 conserved Euclidean energy of a path, the duration derivative of the action
-by finite differences, the two neighbour paths behind d_xx, the fit
+by finite differences, the two neighbour paths behind d_xx, d_xx from three
+Jacobi solves, the fit
 objective as one number, the flow rates with v~_0 pinned, and the
 gauge-invariant mix of flow rates that the ln Z~ / v~_0 degeneracy leaves
 well defined.
@@ -13,12 +14,18 @@ import math
 import numpy as np
 
 from qaction.flow import StepDiagnostics
-from qaction.model import ActionParams, potential_value
+from qaction.model import (
+    ActionParams,
+    evaluate_potential,
+    potential_second_derivative,
+    potential_value,
+)
 from qaction.trajectory import (
     Paths,
     SolverError,
     TimeGrid,
     Trajectory,
+    _solve_tridiagonal,
     action_value,
     neighbour_offset,
     solve_bvp,
@@ -88,6 +95,32 @@ def neighbour_pair(
         traj.grid,
         np.stack([traj.positions, traj.positions]),
     )
+
+
+def three_solve_d_xx(params: ActionParams, x: np.ndarray, step: float) -> np.ndarray:
+    """d_xx of path_sensitivities for the rows of x, with y3 solved rather than eliminated.
+
+    The three Jacobi systems J y1 = -(m/dt^2) e_last, J y2 = hbar^2 V''' y1^2
+    and J y3 = hbar^2 (3 V''' y1 y2 + V'''' y1^3), each solved by its own gtsv
+    call on the stacked rows of x, and p' + (h^2 / 6) p''' from y1_last and
+    y3_last.
+    """
+    spec, m, hbar2 = params.potential, params.mass, params.hbar**2
+    inner, ends = x[:, 1:-1], x[:, -1]
+    coupling = m / step**2
+    diag = -2.0 * coupling - hbar2 * potential_second_derivative(spec, inner)
+    v3 = hbar2 * evaluate_potential(spec, inner, 3)
+    v4 = hbar2 * evaluate_potential(spec, inner, 4)
+    y1 = np.zeros(inner.shape)
+    y1[:, -1:] = -coupling
+    _solve_tridiagonal(coupling, diag, y1)
+    y2 = _solve_tridiagonal(coupling, diag, v3 * y1**2)
+    y3 = _solve_tridiagonal(coupling, diag, 3.0 * v3 * y1 * y2 + v4 * y1**3)
+    y1_last, y3_last = (y1[:, -1], y3[:, -1]) if inner.shape[1] else (0.0, 0.0)
+    scale = m / (hbar2 * step)
+    first = scale * (1.0 - y1_last) + 0.5 * step * potential_second_derivative(spec, ends)
+    third = -scale * y3_last + 0.5 * step * evaluate_potential(spec, ends, 4)
+    return first + neighbour_offset(ends) ** 2 / 6.0 * third
 
 
 def sum_of_squares(objective, y: np.ndarray) -> float:

@@ -948,6 +948,7 @@ def test_flow_summary_counts_rejected_steps(runner, tmp_path, monkeypatch):
     # four stages of 8 paths per step, counted the same way on every run
     assert plain["path_solves"] == 2 * 4 * 8
     assert plain["path_solves"] <= plain["newton_iterations"]
+    assert plain["line_search_halvings"] >= 0
     res = runner.invoke(main, ["flow", "--config", cfg, "--out", str(tmp_path / "again")])
     assert res.exit_code == 0, res.output
     again = json.loads((tmp_path / "again" / "flow_summary.json").read_text())

@@ -454,7 +454,8 @@ def _paths(duration, *rows):
     """Paths of the given positions over duration, one row each."""
     grid = TimeGrid(duration, intervals=len(rows[0]) - 1)
     n = len(rows)
-    return Paths(grid, np.array(rows, dtype=float), np.ones(n, dtype=int), np.zeros(n), np.zeros(n))
+    return Paths(grid, np.array(rows, dtype=float), np.ones(n, dtype=int), np.zeros(n), np.zeros(n),
+                 np.zeros(n, dtype=int))
 
 
 def test_singular_tangent_solve_raises_solver_error():
@@ -532,6 +533,9 @@ def test_stages_start_from_the_extrapolation_of_the_last_two_betas(monkeypatch):
     assert trace.newton_iterations == sum(
         path.iterations for _, _, solved in stages for path in solved
     )
+    assert trace.line_search_halvings == sum(
+        int(solved.line_search_halvings.sum()) for _, _, solved in stages
+    )
 
 
 def test_flow_solver_counts_repeat():
@@ -541,7 +545,7 @@ def test_flow_solver_counts_repeat():
             record_stride=1)
         for _ in range(2)
     ]
-    counts = [(t.path_solves, t.newton_iterations) for t in traces]
+    counts = [(t.path_solves, t.newton_iterations, t.line_search_halvings) for t in traces]
     assert counts[0] == counts[1]
     assert counts[0][0] == 3 * 4 * 30
     assert counts[0][0] <= counts[0][1] <= 3 * counts[0][0]

@@ -57,3 +57,33 @@ def test_column_differences_gives_the_largest_relative_difference_per_numeric_co
     assert same_outputs.column_differences(nan, nan) == {"h": 0.0}
     assert same_outputs.column_differences(nan, b"h\n1\n0\ninf\n") == {"h": float("inf")}
     assert same_outputs.column_differences(b"h\n0\n", b"h\n-1e-300\n") == {"h": 1.0}
+
+
+def test_json_differences_gives_the_largest_relative_difference_per_numeric_key_path():
+    a = json.dumps({
+        "seed": 11, "mode": "min_norm", "converged": True,
+        "final": {"mass": 2.0, "coefficients": {"2": 0.5, "-2": 1.0}},
+        "states": [{"beta": 1.0}, {"beta": 2.0}],
+        "gone": 3,
+    }).encode()
+    b = json.dumps({
+        "seed": 11, "mode": "pinned", "converged": False,
+        "final": {"mass": 2.5, "coefficients": {"2": 0.5, "-2": 1.000001}},
+        "states": [{"beta": 1.0}, {"beta": 2.2}],
+        "line_search_halvings": 4,
+    }).encode()
+    assert same_outputs.json_differences(a, a) == {
+        "seed": 0.0, "final.mass": 0.0, "final.coefficients.2": 0.0,
+        "final.coefficients.-2": 0.0, "states[].beta": 0.0, "gone": 0.0,
+    }
+    got = same_outputs.json_differences(a, b)
+    # strings and bools are not numeric; list items share one path
+    assert list(got) == ["seed", "final.mass", "final.coefficients.2", "final.coefficients.-2",
+                         "states[].beta", "gone", "line_search_halvings"]
+    assert got["seed"] == got["final.coefficients.2"] == 0.0
+    assert got["final.mass"] == 0.5 / 2.5
+    assert got["final.coefficients.-2"] == same_outputs.relative_difference(1.0, 1.000001)
+    assert got["states[].beta"] == same_outputs.relative_difference(2.0, 2.2)
+    assert got["gone"] is None and got["line_search_halvings"] is None  # in one only
+    assert same_outputs.json_differences(a, json.dumps({"states": [1]}).encode())["states"] is None
+    assert same_outputs.json_differences(a, b"a,b\n1,2\n") is None

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from qaction import flow, trajectory
 from qaction.fit import BoundarySet, _Objective, build_table
@@ -26,6 +27,7 @@ from qaction.trajectory import (
     _solve_tridiagonal,
     action_value,
     action_values,
+    path_sensitivities,
     sensitivities,
     solve_bvp,
     solve_paths,
@@ -34,6 +36,7 @@ from references import (
     conserved_energy_drift,
     neighbour_pair,
     sum_of_squares,
+    three_solve_d_xx,
     time_derivative_fd,
     with_duration,
 )
@@ -273,9 +276,13 @@ def test_two_point_grid_is_trivial():
 def _reference_solve(params, start, end, grid, guess=None, tol=1e-12, max_iter=200):
     """The damped Newton relaxation of one path, written out directly.
 
-    Uses model's potential functions and scipy's solve_banded, one path at a
-    time. Returns (trajectory, number of positivity halvings) or raises
-    SolverError with the messages of solve_paths.
+    Uses model's potential functions and scipy's LAPACK routines, one path at a
+    time: each Newton step is dptsv (pttrf and pttrs) on -J, or gtsv through
+    solve_banded where -J is not positive definite. A full step within tol is
+    the last one, taken without the residual it lands on. Returns
+    (trajectory, number of step halvings, those that keep the iterate
+    positive included) or raises SolverError with the messages of
+    solve_paths.
     """
     half_line = params.domain is Domain.HALF_LINE
     m, hbar, step = params.mass, params.hbar, grid.step
@@ -298,13 +305,15 @@ def _reference_solve(params, start, end, grid, guess=None, tol=1e-12, max_iter=2
     res_norm = float(np.max(np.abs(resid)))
     halvings = 0
     for iteration in range(1, max_iter + 1):
-        band = np.zeros((3, len(x) - 2))
-        band[0, 1:] = m / step**2
-        band[2, :-1] = m / step**2
-        band[1, :] = -2.0 * m / step**2 - hbar**2 * potential_second_derivative(
+        diag = -2.0 * m / step**2 - hbar**2 * potential_second_derivative(
             params.potential, x[1:-1]
         )
-        delta = solve_banded((1, 1), band, -resid, check_finite=False, overwrite_b=True)
+        off = np.full(len(diag) - 1, m / step**2)
+        _, _, delta, info = dptsv(-diag, -off, resid[:, None])
+        delta = delta[:, 0]
+        if info != 0:
+            band = np.array([np.r_[0.0, off], diag, np.r_[off, 0.0]])
+            delta = solve_banded((1, 1), band, -resid, check_finite=False)
         delta_norm = float(np.max(np.abs(delta)))
         scale = 1.0
         while True:
@@ -319,10 +328,13 @@ def _reference_solve(params, start, end, grid, guess=None, tol=1e-12, max_iter=2
                 continue
             x_try = x.copy()
             x_try[1:-1] = trial
+            if scale == 1.0 and delta_norm <= tol:
+                return Trajectory(grid, start, end, x_try, iteration, delta_norm, res_norm), halvings
             resid_try = residual(x_try)
             res_try = float(np.max(np.abs(resid_try)))
             if res_try < res_norm * (1.0 - 1e-4 * scale) or scale * delta_norm <= tol:
                 break
+            halvings += 1
             scale *= 0.5
             if scale < 1e-14:
                 raise SolverError(
@@ -375,8 +387,9 @@ def test_solve_paths_matches_per_path_solves(params, warm):
     assert len(batch) == len(pairs)
     for idx, (a, b) in enumerate(pairs):
         guess = guesses[idx] if warm else None
-        want, _ = _reference_solve(params, a, b, grid, guess)
+        want, halvings = _reference_solve(params, a, b, grid, guess)
         _assert_same_path(batch[idx], want)
+        assert batch.line_search_halvings[idx] == halvings
         _assert_same_path(solve_bvp(params, a, b, grid, guess=guess), want)
     if warm:
         assert max(batch.iterations) < max(guesses.iterations)
@@ -406,6 +419,7 @@ def test_batch_with_positivity_halving():
         _assert_same_path(traj, want)
         halvings.append(count)
     assert halvings[1] > 0 and halvings[0] == halvings[2] == 0
+    assert batch.line_search_halvings.tolist() == halvings
 
 
 def _starts(grid, pairs, guesses):
@@ -657,13 +671,8 @@ def _jacobi_case(case):
     return DOUBLE_WELL, x, 0.6
 
 
-@pytest.mark.parametrize("case", ["definite", "indefinite"])
-def test_jacobi_solves_share_one_factor_or_fall_back_to_gtsv(case, monkeypatch):
-    params, x, step = _jacobi_case(case)
-    with monkeypatch.context() as patched:  # each Jacobi system solved by its own gtsv call
-        patched.setattr(trajectory, "_jacobi_solver",
-                        lambda c, diag: lambda rhs: _solve_tridiagonal(c, diag, rhs))
-        want = trajectory._endpoint_curvature(params, x, step)
+def _counted_solves(monkeypatch):
+    """Count the gtsv and pttrs calls of trajectory from here on."""
     calls = {"gtsv": 0, "pttrs": 0}
     real_gtsv, real_pttrs = trajectory._solve_tridiagonal, trajectory.dpttrs
 
@@ -675,8 +684,19 @@ def test_jacobi_solves_share_one_factor_or_fall_back_to_gtsv(case, monkeypatch):
 
     monkeypatch.setattr(trajectory, "_solve_tridiagonal", counted("gtsv", real_gtsv))
     monkeypatch.setattr(trajectory, "dpttrs", counted("pttrs", real_pttrs))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["definite", "indefinite"])
+def test_jacobi_solves_share_one_factor_or_fall_back_to_gtsv(case, monkeypatch):
+    # two solves, y3_last from the symmetry of J, give the bits of three;
+    # the fallback solves each path alone
+    params, x, step = _jacobi_case(case)
+    want = three_solve_d_xx(params, x, step)
+    calls = _counted_solves(monkeypatch)
     got = trajectory._endpoint_curvature(params, x, step)
-    assert calls == ({"gtsv": 0, "pttrs": 3} if case == "definite" else {"gtsv": 3, "pttrs": 0})
+    assert calls == ({"gtsv": 0, "pttrs": 2} if case == "definite"
+                     else {"gtsv": 2 * len(x), "pttrs": 0})
     assert np.array_equal(got, want)
 
 
@@ -697,3 +717,68 @@ def test_objective_residuals_match_per_path_loop():
         want_norm = float(np.mean(objective.log_g + sig))
         assert log_norm == want_norm
         assert np.array_equal(residuals, objective.log_g + sig - want_norm)
+
+
+def test_a_first_full_step_within_tol_ends_without_its_residual(monkeypatch):
+    # restarted from its own solution, every path converges in one full step,
+    # which is taken without evaluating the residual it lands on
+    grid = TimeGrid(1.3, intervals=400)
+    pairs = [(0.8, 2.5), (1.0, 1.2), (2.0, 0.6)]
+    solved = solve_paths(STANDARD, pairs, grid)
+    calls = []
+    real_residual = trajectory._Relaxation.residual
+
+    def counted(self, x, out):
+        calls.append(len(x))
+        return real_residual(self, x, out)
+
+    monkeypatch.setattr(trajectory._Relaxation, "residual", counted)
+    again = solve_paths(STANDARD, pairs, grid, solved.positions)
+    assert calls == [len(pairs)]  # the residual of the start, and none after the step
+    assert again.iterations.tolist() == [1, 1, 1]
+    assert np.all(again.step_norm <= trajectory.DEFAULT_TOL)
+    assert again.line_search_halvings.tolist() == [0, 0, 0]
+    for idx, (a, b) in enumerate(pairs):
+        want, halvings = _reference_solve(STANDARD, a, b, grid, solved.positions[idx])
+        _assert_same_path(again[idx], want)
+        # el_residual is that of the start, the iterate the step was taken from
+        assert want.el_residual == np.max(np.abs(_reference_residual(STANDARD, solved[idx])))
+
+
+def _reference_residual(params, traj):
+    x, step = traj.positions, traj.grid.step
+    lap = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / step**2
+    return params.mass * lap - params.hbar**2 * potential_derivative(params.potential, x[1:-1])
+
+
+def test_jacobi_fallback_solves_each_path_as_alone(monkeypatch):
+    # -J is indefinite on the first and last rows and positive definite, but
+    # not diagonally dominant, on the middle one: the fallback factors that
+    # row alone, so every row gets the bits of its own d_xx
+    x = np.array([[0.1, 0.0, 0.05, -0.02, 0.1, 0.2],
+                  [0.8, 0.81, 0.8, 0.79, 0.8, 0.82],
+                  [0.3, 0.2, 0.1, 0.0, -0.1, -0.1]])
+    alone = [trajectory._endpoint_curvature(DOUBLE_WELL, x[i : i + 1], 0.6)[0] for i in range(3)]
+    calls = _counted_solves(monkeypatch)
+    got = trajectory._endpoint_curvature(DOUBLE_WELL, x, 0.6)
+    assert calls == {"gtsv": 2 * 2, "pttrs": 2}
+    assert got.tolist() == alone
+
+
+def test_batch_mixing_gtsv_and_factored_steps_matches_paths_alone(monkeypatch):
+    # on the double well -J is indefinite near 0 for a coarse step, so the
+    # outer paths take every Newton step by gtsv, while -J of the middle one
+    # stays positive definite; each path, d_xx included, is the path alone
+    grid = TimeGrid(2.4, intervals=4)
+    pairs = [(0.1, 0.2), (1.8, 2.2), (0.3, -0.1)]
+    calls = _counted_solves(monkeypatch)
+    batch = solve_paths(DOUBLE_WELL, pairs, grid)
+    assert calls["gtsv"] == sum(batch.iterations[[0, 2]])  # one per row of each fallback
+    d_xx = path_sensitivities(DOUBLE_WELL, batch).d_xx
+    for idx, (a, b) in enumerate(pairs):
+        want, halvings = _reference_solve(DOUBLE_WELL, a, b, grid)
+        _assert_same_path(batch[idx], want)
+        assert batch.line_search_halvings[idx] == halvings
+        alone = solve_paths(DOUBLE_WELL, [(a, b)], grid)
+        assert np.array_equal(alone.positions[0], batch.positions[idx])
+        assert sensitivities(DOUBLE_WELL, alone[0]).d_xx == d_xx[idx]

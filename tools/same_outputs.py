@@ -12,7 +12,8 @@ reports every output file that differs between the two runs or exists in one
 only (the CSVs and JSON summaries), and any difference in stderr, in the exit
 code, or in stdout once the output directory is replaced by "<out>". For
 each CSV that differs it also prints the largest relative difference
-|a - b| / max(|a|, |b|) in every numeric column, which states the tolerance
+|a - b| / max(|a|, |b|) in every numeric column, and for each JSON summary
+that differs the same at every numeric key path, which states the tolerance
 that a change keeps. A run that outlives TIMEOUT seconds counts as exit code
 "timeout". Exit status: 0 when every config runs and matches, 1 otherwise.
 
@@ -105,6 +106,44 @@ def column_differences(a: bytes, b: bytes) -> dict[str, float] | None:
     return largest
 
 
+def json_differences(a: bytes, b: bytes) -> dict[str, float | None] | None:
+    """The largest relative difference at each numeric key path of two JSON documents.
+
+    A key path joins object keys with "." and writes the items of a list as
+    "[]", so the items of one list share a path, as the rows of a CSV share a
+    column. A path is numeric where both leaves are numbers (bools are not)
+    and is listed once one pair is; a path in one document only maps to
+    None. None when either document is not JSON.
+    """
+    try:
+        doc_a, doc_b = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    largest: dict[str, float | None] = {}
+
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def walk(x, y, path: str):
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in list(x) + [k for k in y if k not in x]:
+                sub = f"{path}.{key}" if path else str(key)
+                if key in x and key in y:
+                    walk(x[key], y[key], sub)
+                else:
+                    largest[sub] = None
+        elif isinstance(x, list) and isinstance(y, list):
+            if len(x) != len(y):
+                largest[path] = None
+            for item_x, item_y in zip(x, y):
+                walk(item_x, item_y, f"{path}[]")
+        elif number(x) and number(y) and largest.get(path, 0.0) is not None:
+            largest[path] = max(largest.get(path, 0.0), relative_difference(x, y))
+
+    walk(doc_a, doc_b, "")
+    return largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path)
@@ -138,6 +177,12 @@ def main(argv=None) -> int:
                     largest = column_differences(a["files"][name], b["files"][name])
                     cells = ("headers or row counts differ" if largest is None else
                              ", ".join(f"{col} {rel:.2g}" for col, rel in largest.items()))
+                    print(f"  {name}: largest relative difference: {cells}", flush=True)
+                elif name.endswith(".json"):
+                    largest = json_differences(a["files"][name], b["files"][name])
+                    cells = ("not JSON" if largest is None else ", ".join(
+                        f"{key} {'in one tree only' if rel is None else f'{rel:.2g}'}"
+                        for key, rel in largest.items()))
                     print(f"  {name}: largest relative difference: {cells}", flush=True)
     print(f"{len(configs) - failed} of {len(configs)} configs give the same outputs")
     return 1 if failed else 0

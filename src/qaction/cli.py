@@ -37,17 +37,10 @@ from .analytic import (
 from .fit import BoundarySet, constant_term, equidistant, sweep, write_results_csv
 from .flow import DEFAULT_DBETA, FlowState, write_trace_csv
 from .flow import run as flow_run
-from .model import (
-    ActionParams,
-    Domain,
-    PotentialSpec,
-    omega,
-    params_from_dict,
-    write_csv,
-)
+from .model import ActionParams, Domain, PotentialSpec, omega, write_csv
 from .oracle import amplitude, default_grid, kinetic_coupling, refine_energies, solve_spectrum
 from .specfun import bessel_i, libm
-from .trajectory import SolverError, TimeGrid, neighbour_offset
+from .trajectory import SolverError, neighbour_offset
 
 
 class ConfigError(ValueError):
@@ -103,23 +96,15 @@ def _float_list(value, where, allow_empty=False):
     return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _point_set(value, where):
-    """A set of points: explicit list or {start, stop, count}."""
+def _point_set(value, where, allow_empty=False):
+    """A tuple of floats: explicit list or {start, stop, count}."""
     if isinstance(value, dict):
         _check_keys(value, ("start", "stop", "count"), ("start", "stop", "count"), where)
         count = _int(value["count"], f"{where}.count", minimum=1)
-        try:
-            return equidistant(_float(value["start"], where), _float(value["stop"], where), count)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return tuple(_float_list(value, where))
-
-
-def _time_list(value, where, allow_empty=False):
-    if isinstance(value, dict):
-        pts = _point_set(value, where)
-        return [float(t) for t in pts]
-    return _float_list(value, where, allow_empty=allow_empty)
+        start = _float(value["start"], f"{where}.start")
+        stop = _float(value["stop"], f"{where}.stop")
+        return _built(functools.partial(equidistant, start, stop, count), where)
+    return tuple(_float_list(value, where, allow_empty))
 
 
 def _coefficients(value, where):
@@ -176,17 +161,21 @@ def _require_exponents(model: ActionParams, exponents, where):
     )
 
 
+def _action(section, where, hbar, domain, coefficients=None) -> ActionParams:
+    """The action of `section`'s mass and of `coefficients`, by default its own."""
+    if coefficients is None:
+        coefficients = _coefficients(section["coefficients"], f"{where}.coefficients")
+    mass = _float(section["mass"], f"{where}.mass")
+    return _built(lambda: ActionParams(mass, hbar, PotentialSpec(coefficients), domain), where)
+
+
 def _model_from(payload) -> ActionParams:
-    if not isinstance(payload, dict):
-        raise ConfigError("model must be a JSON object")
-    try:
-        model = params_from_dict(payload)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    for k, v in model.potential.coefficients.items():
-        if not math.isfinite(v):
-            raise ConfigError(f"model.coefficients[{k}] must be finite, got {v}")
-    return model
+    _check_keys(
+        payload, ("mass", "hbar", "domain", "coefficients"), ("mass", "coefficients"), "model"
+    )
+    hbar = _float(payload.get("hbar", 1.0), "model.hbar")
+    domain = _built(lambda: Domain(payload.get("domain", Domain.HALF_LINE.value)), "model.domain")
+    return _action(payload, "model", hbar, domain)
 
 
 def _require_closed_form(model: ActionParams, where):
@@ -199,17 +188,17 @@ def _require_closed_form(model: ActionParams, where):
         ) from exc
 
 
-def _oracle_keys(section):
+def _oracle_keys(section, where):
     out = {
-        "spacing": _float(section.get("spacing", 2e-3), "spacing"),
-        "extent": _float(section.get("extent", 12.0), "extent"),
-        "levels": _int(section.get("levels", 160), "levels", minimum=1),
+        "spacing": _float(section.get("spacing", 2e-3), f"{where}.spacing"),
+        "extent": _float(section.get("extent", 12.0), f"{where}.extent"),
+        "levels": _int(section.get("levels", 160), f"{where}.levels", minimum=1),
         "refine": section.get("refine", True),
     }
     if not isinstance(out["refine"], bool):
-        raise ConfigError("refine must be a boolean")
+        raise ConfigError(f"{where}.refine must be a boolean")
     if out["spacing"] <= 0 or out["extent"] <= out["spacing"]:
-        raise ConfigError("oracle grid needs 0 < spacing < extent")
+        raise ConfigError(f"{where}: oracle grid needs 0 < spacing < extent")
     return out
 
 
@@ -267,7 +256,7 @@ def _amplitude_table(section, model, where, ansatz):
         raise ConfigError(f"{where}.source must be 'analytic' or 'oracle'")
     if source == "analytic":
         _require_closed_form(model, f"{where} with analytic source")
-    out = _oracle_keys(section)
+    out = _oracle_keys(section, where)
     out["source"] = source
     out["grids"] = _oracle_grids(out, model, all_levels=True) if source == "oracle" else None
     ends = _endpoints(section, model, where, out["grids"], ansatz)
@@ -283,10 +272,10 @@ def _validate_propagator(section, model):
         "propagator",
     )
     _require_closed_form(model, "propagator")
-    out = _oracle_keys(section)
+    out = _oracle_keys(section, "propagator")
     out["grids"] = _oracle_grids(out, model, all_levels=False)
     out.update(_endpoints(section, model, "propagator", out["grids"]))
-    out["times"] = _time_list(section["times"], "propagator.times", allow_empty=True)
+    out["times"] = _point_set(section["times"], "propagator.times", allow_empty=True)
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("propagator.times must be positive")
     return out
@@ -294,7 +283,7 @@ def _validate_propagator(section, model):
 
 def _validate_spectrum(section, model):
     _check_keys(section, ("levels", "spacing", "extent", "refine"), (), "spectrum")
-    out = _oracle_keys(section)
+    out = _oracle_keys(section, "spectrum")
     out["grids"] = _oracle_grids(out, model, all_levels=True)
     return out
 
@@ -326,7 +315,7 @@ def _validate_fit(section, model):
     _require_exponents(model, ansatz, "fit.ansatz")
     out = _amplitude_table(section, model, "fit", ansatz)
     out["ansatz"] = ansatz
-    out["times"] = _time_list(section["times"], "fit.times")
+    out["times"] = _point_set(section["times"], "fit.times")
     if any(t <= 0 for t in out["times"]):
         raise ConfigError("fit.times must be positive")
     if "points_per_unit" in section and "intervals" in section:
@@ -335,34 +324,33 @@ def _validate_fit(section, model):
         ppu = _float(section["points_per_unit"], "fit.points_per_unit")
         if not ppu > 0.0:
             raise ConfigError("fit.points_per_unit must be positive")
-        out["grid"] = {"points_per_unit": ppu}
-        for t in out["times"]:  # the 2 intervals fit.intervals asks for, at every time
-            if _built(lambda: TimeGrid(t / model.hbar, points_per_unit=ppu), "fit.times").intervals < 2:
-                raise ConfigError(f"fit.points_per_unit {ppu:g} gives 1 interval at T = {t:g}; "
-                                  "a fit needs at least 2")
+        # N = T / dt at each time, and at least the 2 fit.intervals asks for
+        out["intervals"] = []
+        for t in out["times"]:
+            n = t / model.hbar * ppu
+            if not math.isfinite(n):
+                raise ConfigError(f"fit.points_per_unit {ppu:g} gives no finite interval "
+                                  f"count at T = {t:g}")
+            n = round(n)
+            if n < 2:
+                raise ConfigError(f"fit.points_per_unit {ppu:g} gives {n} interval"
+                                  f"{'' if n == 1 else 's'} at T = {t:g}; a fit needs at least 2")
+            out["intervals"].append(n)
     else:
-        n_int = _int(section.get("intervals", DEFAULT_INTERVALS), "fit.intervals", minimum=2)
-        out["grid"] = {"intervals": n_int}
+        n = _int(section.get("intervals", DEFAULT_INTERVALS), "fit.intervals", minimum=2)
+        out["intervals"] = [n] * len(out["times"])
     out["divergence_threshold"] = _float(
         section.get("divergence_threshold", 1e-2), "fit.divergence_threshold"
     )
-    init = None
+    out["init"] = None
     if "init" in section:
-        _check_keys(section["init"], ("mass", "coefficients"), ("mass", "coefficients"), "fit.init")
-        coeffs = _coefficients(section["init"]["coefficients"], "fit.init.coefficients")
+        init = section["init"]
+        _check_keys(init, ("mass", "coefficients"), ("mass", "coefficients"), "fit.init")
+        coeffs = _coefficients(init["coefficients"], "fit.init.coefficients")
         if not set(coeffs) <= set(ansatz):
             raise ConfigError("fit.init.coefficients must only use ansatz exponents")
-        mass = _float(section["init"]["mass"], "fit.init.mass")
-        init = _built(
-            lambda: ActionParams(
-                mass=mass,
-                hbar=model.hbar,
-                potential=PotentialSpec({k: coeffs.get(k, 0.0) for k in ansatz}),
-                domain=model.domain,
-            ),
-            "fit.init",
-        )
-    out["init"] = init
+        out["init"] = _action(init, "fit.init", model.hbar, model.domain,
+                              {k: coeffs.get(k, 0.0) for k in ansatz})
     return out
 
 
@@ -386,7 +374,6 @@ def _validate_flow(section, model):
     _check_keys(init, ("beta", "mass", "coefficients", "log_norm"), ("beta", "mass", "coefficients"), "flow.initial")
     out = {
         "beta": _float(init["beta"], "flow.initial.beta"),
-        "mass": _float(init["mass"], "flow.initial.mass"),
         "coefficients": _coefficients(init["coefficients"], "flow.initial.coefficients"),
         "log_norm": _float(init.get("log_norm", 0.0), "flow.initial.log_norm"),
         "initial_point": _float(section["initial_point"], "flow.initial_point"),
@@ -412,15 +399,11 @@ def _validate_flow(section, model):
         model, [x - neighbour_offset(x) for x in out["final_points"]],
         "flow.final_points less their neighbour offset 1e-3 max(1, |x|)",
     )
+    params = _action(init, "flow.initial", model.hbar, model.domain, out["coefficients"])
     out["state"] = _built(
         lambda: FlowState(
             beta=out["beta"],
-            params=ActionParams(
-                mass=out["mass"],
-                hbar=model.hbar,
-                potential=PotentialSpec(out["coefficients"]),
-                domain=model.domain,
-            ),
+            params=params,
             log_norm=out["log_norm"],
             initial_point=out["initial_point"],
             final_points=out["final_points"],
@@ -438,9 +421,7 @@ def _validate_flow(section, model):
         )
         compare = _amplitude_table(sub, model, "flow.compare_fit", out["coefficients"])
         compare["stride"] = _int(sub.get("stride", 1), "flow.compare_fit.stride", minimum=1)
-        # the comparison fits take the flow's exponents and mesh
-        compare["ansatz"] = sorted(out["coefficients"])
-        compare["grid"] = {"intervals": out["intervals"]}
+        compare["ansatz"] = out["state"].exponents()  # the flow's, at its mesh (see _run_flow)
     out["compare_fit"] = compare
     return out
 
@@ -597,11 +578,11 @@ def _run_spectrum(cfg, out_dir, seed):
     print(f"wrote {path} ({len(rows)} levels, ground {dec.energies[0]:.10g})", flush=True)
 
 
-def _fit_rows(model, sec, times, init):
+def _fit_rows(model, sec, times, intervals, init):
     decomposition = None
     if sec["source"] == "oracle":
         decomposition = _decomposition(model, sec["grids"], sec["levels"])
-    return sweep(model, sec["bounds"], sec["ansatz"], times, sec["grid"], decomposition, init)
+    return sweep(model, sec["bounds"], sec["ansatz"], times, intervals, decomposition, init)
 
 
 def _final_block(params, **extra):
@@ -618,7 +599,7 @@ def _final_block(params, **extra):
 def _run_fit(cfg, out_dir, seed):
     model = cfg["model"]
     sec = cfg["section"]
-    results = _fit_rows(model, sec, sec["times"], sec["init"])
+    results = _fit_rows(model, sec, sec["times"], sec["intervals"], sec["init"])
     errors = [r.relative_error for r in results]
     peak = int(np.argmax(errors))
     last = results[-1]
@@ -684,7 +665,8 @@ def _run_flow(cfg, out_dir, seed):
         if states[-1] is not trace.states[-1]:
             states.append(trace.states[-1])
         times = [st.beta * model.hbar for st in states]
-        fit_results = _fit_rows(model, comp, times, None)
+        # the comparison fits take the flow's mesh at every time
+        fit_results = _fit_rows(model, comp, times, [sec["intervals"]] * len(times), None)
         exponents = comp["ansatz"]
         # raw v_0 is a gauge choice shared with ln Z~; both sides compare the
         # invariant v_0 - hbar ln Z~ / T, which for the flow is v_0 - ln Z~ / beta

@@ -118,7 +118,7 @@ def equidistant(lo: float, hi: float, count: int) -> tuple[float, ...]:
         raise ValueError("count must be >= 1")
     if count == 1:
         return (0.5 * (lo + hi),)
-    return tuple(np.linspace(lo, hi, count))
+    return tuple(np.linspace(lo, hi, count).tolist())
 
 
 def build_table(
@@ -232,30 +232,29 @@ def fit_at_time(
     table: AmplitudeTable,
     ansatz,
     init: ActionParams,
-    mesh: dict,
+    intervals: int,
     max_evaluations: int = MAX_EVALUATIONS,
     start: Paths | None = None,
 ) -> FitResult:
     """Levenberg-Marquardt fit of (mass, v_k for k in ansatz) at one time slice.
 
-    Every path is solved on TimeGrid(T / hbar, **mesh) of the table's time T;
-    mesh is {"intervals": n} or {"points_per_unit": p}. The first evaluation
-    starts from `start`, paths solved at another time (see _Objective.evaluate).
-    The search starts at init, works in units of the initial parameter scales
-    and steps along the kept directions of the exact Jacobian (see
-    TRUNCATION). v_0 keeps its value from init bit for bit: the profiled
-    ln Z~ absorbs it exactly. An evaluation is one batch of BVP solves of
-    every boundary pair; max_evaluations caps them per slice, and a spent
-    budget ends the search with converged = False. The fit converges when a
-    step falls below STEP_TOL or a full Gauss-Newton step could gain no more
-    than GAIN_TOL of the objective.
+    Every path is solved on TimeGrid(T / hbar, intervals) of the table's time
+    T. The first evaluation starts from `start`, paths solved at another time
+    (see _Objective.evaluate). The search starts at init, works in units of
+    the initial parameter scales and steps along the kept directions of the
+    exact Jacobian (see TRUNCATION). v_0 keeps its value from init bit for
+    bit: the profiled ln Z~ absorbs it exactly. An evaluation is one batch of
+    BVP solves of every boundary pair; max_evaluations caps them per slice,
+    and a spent budget ends the search with converged = False. The fit
+    converges when a step falls below STEP_TOL or a full Gauss-Newton step
+    could gain no more than GAIN_TOL of the objective.
     """
     exponents = sorted(int(k) for k in ansatz)
     if len(set(exponents)) != len(exponents):
         raise ValueError("ansatz exponents must be distinct")
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be >= 1: the start is one evaluation")
-    grid = TimeGrid(table.time / table.model.hbar, **mesh)
+    grid = TimeGrid(table.time / table.model.hbar, intervals)
     objective = _Objective(table, exponents, init, grid, start)
     y = np.zeros(len(objective.center))
     best = objective.params_from(y)
@@ -325,16 +324,16 @@ def sweep(
     bounds: BoundarySet,
     ansatz,
     times,
-    mesh: dict,
+    intervals,
     decomposition: SpectralDecomposition | None = None,
     init: ActionParams | None = None,
 ) -> list[FitResult]:
     """Fit every time in sequence, starting each from the optimum of its predecessor.
 
     The tables come from the grid oracle when a decomposition is given and
-    from the closed form when it is None (see build_table). Every slice is
-    solved on the mesh of fit_at_time and may spend MAX_EVALUATIONS residual
-    evaluations.
+    from the closed form when it is None (see build_table). The slice at
+    times[i] is solved on intervals[i] intervals (see fit_at_time) and may
+    spend MAX_EVALUATIONS residual evaluations.
     """
     exponents = sorted(int(k) for k in ansatz)
     if init is None:
@@ -347,9 +346,9 @@ def sweep(
         )
     results = []
     current, start = init, None
-    for t in times:
+    for t, n in zip(times, intervals, strict=True):
         table = build_table(model, bounds, float(t), decomposition)
-        result = fit_at_time(table, exponents, current, mesh, start=start)
+        result = fit_at_time(table, exponents, current, n, start=start)
         current, start = result.params, result.paths
         results.append(replace(result, paths=None))
     return results
@@ -366,7 +365,7 @@ def parameter_uncertainty(result: FitResult, table: AmplitudeTable) -> dict[str,
     parameter with more than rounding along a dropped direction are reported
     as infinite; the others keep the finite sum over the kept directions.
     """
-    exponents = sorted(result.params.potential.coefficients)
+    exponents = result.params.potential.exponents()
     objective = _Objective(table, exponents, result.params, result.grid)
     res0, _, paths = objective.evaluate(result.params)
     _, s, vt, kept = _directions(objective.jacobian(result.params, paths))

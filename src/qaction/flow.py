@@ -58,7 +58,7 @@ class FlowState:
         object.__setattr__(self, "final_points", pts)
 
     def exponents(self) -> list[int]:
-        return sorted(self.params.potential.coefficients)
+        return self.params.potential.exponents()
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,6 @@ class PathHistory:
 
     index by index, or from x_last itself, which solve_paths only reads, at
     beta_last or while one stage is kept. A failed stage leaves it as it was.
-    An earlier stacked trial measured slower than one Trajectory per path;
-    with the outputs allocated as solve_paths does, both measure the same.
     """
 
     def __init__(self):
@@ -220,7 +218,7 @@ def _rates_for(
 
 
 def _params_with(params: ActionParams, vector: np.ndarray) -> ActionParams:
-    exponents = sorted(params.potential.coefficients)
+    exponents = params.potential.exponents()
     if vector[1] <= 0.0:
         raise StepRejected(f"mass left the positive domain: {vector[1]}")
     return ActionParams(

@@ -189,29 +189,3 @@ def write_csv(path, columns, rows, comment: str) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(cell(v) for v in row) + "\n")
-
-
-def params_from_dict(payload: dict) -> ActionParams:
-    if not isinstance(payload, dict):
-        raise ValueError("parameter payload must be a JSON object")
-    allowed = {"mass", "hbar", "domain", "coefficients"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    missing = {"mass", "coefficients"} - set(payload)
-    if missing:
-        raise ValueError(f"missing parameter keys: {sorted(missing)}")
-    coeffs = payload["coefficients"]
-    if not isinstance(coeffs, dict):
-        raise ValueError("coefficients must be a JSON object of exponent -> value")
-    try:
-        parsed = {int(k): float(v) for k, v in coeffs.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad coefficient entry: {exc}") from None
-    domain = Domain(payload.get("domain", Domain.HALF_LINE.value))
-    return ActionParams(
-        mass=float(payload["mass"]),
-        hbar=float(payload.get("hbar", 1.0)),
-        potential=PotentialSpec(parsed),
-        domain=domain,
-    )

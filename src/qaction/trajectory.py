@@ -64,28 +64,15 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid over [0, duration].
-
-    It has `intervals` intervals or round(duration * points_per_unit) of
-    them; exactly one of the two is given.
-    """
+    """Uniform grid of `intervals` intervals over [0, duration]."""
 
     duration: float
-    points_per_unit: float | None = None
-    intervals: int | None = None
+    intervals: int
 
     def __post_init__(self):
         if not (self.duration > 0.0) or not math.isfinite(self.duration):
             raise ValueError(f"duration must be positive, got {self.duration}")
-        if (self.intervals is None) == (self.points_per_unit is None):
-            raise ValueError("a grid needs one of intervals and points_per_unit")
-        if self.intervals is None:
-            if not (self.points_per_unit > 0.0):
-                raise ValueError("points_per_unit must be positive")
-            object.__setattr__(
-                self, "intervals", max(1, int(round(self.duration * self.points_per_unit)))
-            )
-        elif self.intervals < 1:
+        if self.intervals < 1:
             raise ValueError("intervals must be >= 1")
 
     @property
@@ -283,9 +270,9 @@ class _Relaxation:
 
         One pttrf factor of the stacked -J and one pttrs solve. If a pivot is
         not positive, or the step has an inf or NaN, which may have crossed a
-        path boundary, each path is solved alone, as before batching: pttrf
-        and pttrs where its -J is positive definite, else gtsv, and the first
-        singular J raises SolverError (_solve_each).
+        path boundary, each path is solved alone: pttrf and pttrs where its
+        -J is positive definite, else gtsv, and the first singular J raises
+        SolverError (_solve_each).
         """
         rows = len(self.ids)
         x, delta = self.x[:rows], self.delta[:rows]
@@ -607,7 +594,7 @@ def _parameter_partials(params: ActionParams, x: np.ndarray, step: float, kineti
     n, n_int = x.shape[0], x.shape[1] - 1
     d_mass = kinetic_sum / (2.0 * params.hbar**2 * step)
     d_coeff = {}
-    for k in sorted(params.potential.coefficients):
+    for k in params.potential.exponents():
         if k == 0:
             d_coeff[k] = np.full(n, step * n_int)
         else:

@@ -56,7 +56,7 @@ def classical_init(model, exponents):
 @pytest.fixture(scope="module")
 def standard_sweep():
     start = time.time()
-    results = sweep(STANDARD, PAPER_BOUNDS, [0, 2, -2], SWEEP_TIMES, {"intervals": 500})
+    results = sweep(STANDARD, PAPER_BOUNDS, [0, 2, -2], SWEEP_TIMES, [500] * len(SWEEP_TIMES))
     return results, time.time() - start
 
 
@@ -146,7 +146,7 @@ def test_criterion_05_short_time_fit_is_classical():
     bounds = BoundarySet(equidistant(3.5, 5.0, 2), equidistant(3.0, 4.5, 4))
     table = build_table(STANDARD, bounds, 0.05)
     result = fit_at_time(
-        table, [2, -2], classical_init(STANDARD, [2, -2]), {"intervals": 500}
+        table, [2, -2], classical_init(STANDARD, [2, -2]), 500
     )
     coeffs = result.params.potential.coefficients
     devs = {
@@ -194,7 +194,7 @@ def test_criterion_07_error_curve_shape(standard_sweep):
     # mesh the decay continues
     table = build_table(STANDARD, PAPER_BOUNDS, 5.0)
     refined = fit_at_time(
-        table, [0, 2, -2], results[-1].params, {"intervals": 2000}
+        table, [0, 2, -2], results[-1].params, 2000
     )
     floor_ok = refined.relative_error < errors[3.5]
     ok = start_ok and peak_ok and tail_ok and floor_ok
@@ -214,7 +214,7 @@ def test_criterion_08_strong_coupling_product():
     strong = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5, -2: 5.0}))
     table = build_table(strong, PAPER_BOUNDS, 4.0)
     result = fit_at_time(
-        table, [0, 2, -2], classical_init(strong, [0, 2, -2]), {"intervals": 500}
+        table, [0, 2, -2], classical_init(strong, [0, 2, -2]), 500
     )
     mvm2 = result.params.mass * result.params.potential.coefficients[-2]
     dev = abs(mvm2 / 6.851 - 1.0)
@@ -235,7 +235,7 @@ def test_criterion_09_quartic_flow_vs_fit():
 
     def fitted(t, init):
         table = build_table(quartic, bounds, t, decomposition=dec)
-        return fit_at_time(table, ansatz, init, {"intervals": 500})
+        return fit_at_time(table, ansatz, init, 500)
 
     base = fitted(0.5, classical_init(quartic, ansatz))
     state = FlowState(

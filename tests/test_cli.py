@@ -237,6 +237,10 @@ def _fit_doc(**changes):
         ("flow", _flow_doc(initial={"coefficients": {"2": 0.5, "3": 0.1}}), "exponent 3"),
         ("fit", _fit_doc(ansatz=[0, 2, 3]), "exponent 3"),
         ("fit", _fit_doc(final={"start": -0.5, "stop": 2.0, "count": 4}), "fit.final"),
+        ("fit", _fit_doc(final={"start": "0.5", "stop": 2.0, "count": 4}),
+         "fit.final.start must be a number"),
+        ("flow", _flow_doc(final_points={"start": 0.5, "stop": True, "count": 8}),
+         "flow.final_points.stop must be a number"),
         ("fit", _fit_doc(init={"mass": -1.0, "coefficients": {"2": 0.5}}), "mass"),
         ("flow", _flow_doc(compare_fit={"initial": [-0.5, 0.8], "final": [1.0, 2.0]}),
          "flow.compare_fit.initial"),
@@ -282,12 +286,16 @@ def _fit_doc(**changes):
         # round(0.1 * 10) = 1 interval: the fit ran on straight lines with exit 0
         ("fit", _fit_doc(points_per_unit=10, times=[1.0, 0.1, 0.12]),
          "fit.points_per_unit 10 gives 1 interval at T = 0.1; a fit needs at least 2"),
+        # round(inf) raised OverflowError from the loader: a traceback
+        ("fit", _fit_doc(points_per_unit=1e308, times=[2.0]),
+         "fit.points_per_unit 1e+308 gives no finite interval count at T = 2"),
     ],
     ids=[
         "flow_4_points", "flow_negative_final", "flow_zero_final", "flow_final_within_offset",
         "flow_zero_initial",
         "flow_negative_initial", "flow_negative_mass", "flow_exponent_3", "fit_exponent_3",
-        "fit_negative_final", "fit_negative_mass", "flow_compare_fit_negative_initial",
+        "fit_negative_final", "fit_range_start_not_a_number", "flow_range_stop_not_a_number",
+        "fit_negative_mass", "flow_compare_fit_negative_initial",
         "fit_zero_points_per_unit", "fit_negative_points_per_unit",
         "oracle_fit_final_past_extent", "oracle_fit_initial_past_extent",
         "oracle_compare_fit_final_past_extent", "fit_max_evaluations",
@@ -295,7 +303,7 @@ def _fit_doc(**changes):
         "compare_fit_repeated_initial", "compare_fit_repeated_final_range",
         "fit_full_line_negative_ansatz", "flow_full_line_negative_coefficient",
         "flow_mode", "flow_repeated_final_points", "flow_repeated_final_range",
-        "fit_points_per_unit_one_interval",
+        "fit_points_per_unit_one_interval", "fit_points_per_unit_overflows",
     ],
 )
 def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, message):
@@ -305,6 +313,38 @@ def test_bad_fit_and_flow_parameters_exit_one(runner, tmp_path, cmd, doc, messag
     assert "config error" in res.output and message in res.output
     # rejected at load: nothing ran, nothing was written
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# The model section is read like every other: each value a JSON number, the
+# exponents integers, the coefficients non-empty. The first three exited 0.
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (dict(STANDARD_MODEL, mass=True), "model.mass must be a number"),
+        (dict(STANDARD_MODEL, hbar="1"), "model.hbar must be a number"),
+        (dict(STANDARD_MODEL, coefficients={"2": "0.5", "-2": 1.0}),
+         "model.coefficients[2] must be a number"),
+        (dict(STANDARD_MODEL, coefficients={}), "model.coefficients must be a non-empty object"),
+        (dict(STANDARD_MODEL, domain="sideways"), "model.domain: 'sideways' is not a valid Domain"),
+        (dict(STANDARD_MODEL, massive=2.0), "unknown keys in model: ['massive']"),
+        ({"hbar": 1.0, "coefficients": {"2": 0.5}}, "missing keys in model: ['mass']"),
+    ],
+    ids=["mass_bool", "hbar_string", "coefficient_string", "empty_coefficients", "bad_domain",
+         "unknown_key", "missing_mass"],
+)
+def test_bad_model_sections_exit_one(runner, tmp_path, model, message):
+    cfg = write_config(tmp_path, {"model": model, "scales": {}})
+    res = runner.invoke(main, ["scales", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert f"config error: {message}" in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_zero_potential_is_one_zero_coefficient(tmp_path):
+    doc = {"model": dict(STANDARD_MODEL, coefficients={"0": 0.0}),
+           "spectrum": {"spacing": 1e-2, "levels": 5}}
+    model = load_config(write_config(tmp_path, doc), "spectrum")["model"]
+    assert model.potential.coefficients == {0: 0.0}
 
 
 @pytest.mark.parametrize("hbar", [1e200, 1e-200])
@@ -419,7 +459,18 @@ def test_fit_and_flow_without_a_mesh_get_the_one_default(tmp_path):
     flow_cfg = load_config(write_config(tmp_path, flow_doc, "flow.json"), "flow")
     fit_cfg = load_config(write_config(tmp_path, _fit_doc(), "fit.json"), "fit")
     assert flow_cfg["section"]["intervals"] == cli.DEFAULT_INTERVALS == 500
-    assert fit_cfg["section"]["grid"] == {"intervals": cli.DEFAULT_INTERVALS}
+    assert fit_cfg["section"]["intervals"] == [cli.DEFAULT_INTERVALS]
+
+
+def test_points_per_unit_gives_the_fit_its_interval_count(runner, tmp_path):
+    # 250 points per unit at T = 2 are the 500 intervals of the other spelling
+    rows = {}
+    for name, mesh in (("ppu", {"points_per_unit": 250}), ("intervals", {"intervals": 500})):
+        cfg = write_config(tmp_path, _fit_doc(times=[2.0], **mesh), f"{name}.json")
+        res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        rows[name] = (tmp_path / name / "fit_results.csv").read_text().splitlines()[1:]
+    assert rows["ppu"] == rows["intervals"]
 
 
 def _propagator_doc(**changes):
@@ -449,6 +500,36 @@ def test_bad_propagator_endpoints_exit_one(runner, tmp_path, doc, message):
     assert res.exit_code == 1, res.output
     assert "config error" in res.output and message in res.output
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+_ORACLE_SECTIONS = {
+    "propagator": _propagator_doc,
+    "spectrum": lambda **keys: {"model": STANDARD_MODEL, "spectrum": keys},
+    "fit": _fit_doc,
+    "flow.compare_fit": lambda **keys: _flow_doc(
+        compare_fit={"initial": [1.0], "final": [1.5, 2.0], **keys}),
+}
+
+
+# The four sections that share the oracle keys name themselves in their errors;
+# each printed "config error: spacing must be a number".
+@pytest.mark.parametrize("section", list(_ORACLE_SECTIONS))
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"spacing": "x"}, "{}.spacing must be a number"),
+        ({"refine": 1}, "{}.refine must be a boolean"),
+        ({"spacing": 0.5, "extent": 0.5}, "{}: oracle grid needs 0 < spacing < extent"),
+    ],
+    ids=["spacing_not_a_number", "refine_not_a_boolean", "spacing_not_below_extent"],
+)
+def test_oracle_key_errors_name_their_section(runner, tmp_path, section, keys, message):
+    doc = _ORACLE_SECTIONS[section](**keys)
+    cmd = section.split(".")[0]
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert f"config error: {message.format(section)}" in res.output
 
 
 def _oracle_fit_doc(**changes):
@@ -728,7 +809,7 @@ def test_readme_fit_example_loads(tmp_path):
     after = readme.split("Minimal fit example:", 1)[1]
     example = after.split("```json\n", 1)[1].split("```", 1)[0]
     sec = load_config(write_config(tmp_path, json.loads(example)), "fit")["section"]
-    assert sec["source"] == "analytic" and sec["grid"] == {"intervals": 500}
+    assert sec["source"] == "analytic" and sec["intervals"] == [500, 500, 500]
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def standard_table():
 @pytest.fixture(scope="module")
 def standard_fit(standard_table):
     return fit_at_time(
-        standard_table, [0, 2, -2], standard_init(0, 2, -2), {"intervals": 300}
+        standard_table, [0, 2, -2], standard_init(0, 2, -2), 300
     )
 
 
@@ -118,7 +118,7 @@ def test_harmonic_fit_recovers_classical_action():
     bounds = BoundarySet(equidistant(-1.0, 1.0, 2), equidistant(-0.5, 1.5, 4))
     for t in (0.5, 1.0, 2.0):
         table = build_table(HARMONIC, bounds, t)
-        result = fit_at_time(table, [2], shifted, {"intervals": 500})
+        result = fit_at_time(table, [2], shifted, 500)
         assert result.relative_error <= 1e-8
         assert result.converged
         # the tiny mesh bias is absorbed by the parameters
@@ -128,9 +128,9 @@ def test_harmonic_fit_recovers_classical_action():
 
 def test_fit_at_time_rejects_a_bad_mesh_or_ansatz(standard_table):
     with pytest.raises(ValueError):
-        fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), {"intervals": 0})
+        fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), 0)
     with pytest.raises(ValueError):
-        fit_at_time(standard_table, [2, 2, -2], standard_init(2, -2), {"intervals": 300})
+        fit_at_time(standard_table, [2, 2, -2], standard_init(2, -2), 300)
 
 
 def test_monotone_improvement_and_idempotence(standard_table, standard_fit):
@@ -140,7 +140,7 @@ def test_monotone_improvement_and_idempotence(standard_table, standard_fit):
     start = _Objective(standard_table, [-2, 0, 2], standard_init(0, 2, -2), grid)
     res = start.evaluate(start.params_from(np.zeros(4)))[0]
     assert standard_fit.objective <= res @ res + 1e-15
-    again = fit_at_time(standard_table, [0, 2, -2], standard_fit.params, {"intervals": 300})
+    again = fit_at_time(standard_table, [0, 2, -2], standard_fit.params, 300)
     c1 = standard_fit.params.potential.coefficients
     c2 = again.params.potential.coefficients
     assert abs(again.params.mass - standard_fit.params.mass) < 1e-8
@@ -153,7 +153,7 @@ def test_scaling_consistency(standard_table, standard_fit):
         standard_table, log_entries=standard_table.log_entries + math.log(c)
     )
     scaled = fit_at_time(
-        scaled_table, [0, 2, -2], standard_init(0, 2, -2), {"intervals": 300}
+        scaled_table, [0, 2, -2], standard_init(0, 2, -2), 300
     )
     assert scaled.log_norm - standard_fit.log_norm == pytest.approx(math.log(c), abs=1e-8)
     assert scaled.params.mass == pytest.approx(standard_fit.params.mass, abs=1e-8)
@@ -163,12 +163,12 @@ def test_scaling_consistency(standard_table, standard_fit):
 
 
 def test_constant_term_is_gauge_invariant(standard_table):
-    mesh = {"intervals": 300}
-    base = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), mesh)
+    intervals = 300
+    base = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), intervals)
     nudged_init = ActionParams(
         mass=1.0, hbar=1.0, potential=PotentialSpec({0: 0.3, 2: 0.5, -2: 1.0})
     )
-    nudged = fit_at_time(standard_table, [0, 2, -2], nudged_init, mesh)
+    nudged = fit_at_time(standard_table, [0, 2, -2], nudged_init, intervals)
     # raw v0 follows the seed; the normalised combination does not
     raw_gap = abs(
         nudged.params.potential.coefficients[0] - base.params.potential.coefficients[0]
@@ -182,9 +182,9 @@ def test_oracle_equivalence(standard_table):
     coarse = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 160)
     dec = refine_energies(coarse, fine)
     oracle_table = build_table(STANDARD, BOUNDS, 1.0, decomposition=dec)
-    mesh = {"intervals": 300}
-    ra = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), mesh)
-    ro = fit_at_time(oracle_table, [0, 2, -2], standard_init(0, 2, -2), mesh)
+    intervals = 300
+    ra = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), intervals)
+    ro = fit_at_time(oracle_table, [0, 2, -2], standard_init(0, 2, -2), intervals)
     assert ro.params.mass == pytest.approx(ra.params.mass, rel=1e-3)
     ca, co = ra.params.potential.coefficients, ro.params.potential.coefficients
     for k in (2, -2):
@@ -193,7 +193,7 @@ def test_oracle_equivalence(standard_table):
 
 def test_sweep_continuation_and_csv(tmp_path):
     times = [0.5, 0.8, 1.2]
-    results = sweep(STANDARD, BOUNDS, [0, 2, -2], times, {"intervals": 500})
+    results = sweep(STANDARD, BOUNDS, [0, 2, -2], times, [500] * len(times))
     assert [r.time for r in results] == times
     assert all(r.converged for r in results)
     assert all(r.relative_error < 5e-3 for r in results)
@@ -218,7 +218,7 @@ def test_boundary_set_dependence_fades_with_time():
             bs = BoundarySet((0.3,), equidistant(lo, hi, 8))
             table = build_table(STANDARD, bs, t)
             fitted[lo] = fit_at_time(
-                table, [0, 2, -2], init, {"intervals": 500}
+                table, [0, 2, -2], init, 500
             ).params
         near, far = fitted[2.0], fitted[5.0]
         cn, cf = near.potential.coefficients, far.potential.coefficients
@@ -238,7 +238,7 @@ def test_boundary_set_dependence_fades_with_time():
 
 
 def test_parameter_uncertainty_cases(standard_table):
-    mesh = {"intervals": 300}
+    intervals = 300
     # exact fit: curvature floor, essentially zero spread
     bounds = BoundarySet(equidistant(-1.0, 1.0, 2), equidistant(-0.5, 1.5, 4))
     htab = build_table(HARMONIC, bounds, 1.0)
@@ -246,13 +246,13 @@ def test_parameter_uncertainty_cases(standard_table):
         htab,
         [2],
         ActionParams(mass=1.1, hbar=1.0, potential=PotentialSpec({2: 0.45}), domain=Domain.FULL_LINE),
-        mesh,
+        intervals,
     )
     hu = parameter_uncertainty(hfit, htab)
     assert hu["mass"] < 1e-8 and hu["v_2"] < 1e-8
 
     # v0 is exactly degenerate with ln Z~: singular Hessian reported as infinity
-    degen = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), mesh)
+    degen = fit_at_time(standard_table, [0, 2, -2], standard_init(0, 2, -2), intervals)
     du = parameter_uncertainty(degen, standard_table)
     assert math.isinf(du["v_0"])
     # the flat direction is v_0 alone: the other spreads stay finite, with no 0 * inf
@@ -262,12 +262,12 @@ def test_parameter_uncertainty_cases(standard_table):
         assert parameter_uncertainty(degen, standard_table) == du
 
     # without the flat direction the spreads are finite and positive
-    r = fit_at_time(standard_table, [2, -2], standard_init(2, -2), mesh)
+    r = fit_at_time(standard_table, [2, -2], standard_init(2, -2), intervals)
     u = parameter_uncertainty(r, standard_table)
     assert all(0.0 < v < 1.0 for v in u.values())
 
     # a quartic term over this narrow window is nearly degenerate with x^2
-    r4 = fit_at_time(standard_table, [2, -2, 4], standard_init(2, -2, 4), mesh)
+    r4 = fit_at_time(standard_table, [2, -2, 4], standard_init(2, -2, 4), intervals)
     u4 = parameter_uncertainty(r4, standard_table)
     v4 = r4.params.potential.coefficients[4]
     assert u4["v_4"] >= 0.5 * abs(v4)  # fitted weight compatible with zero
@@ -333,10 +333,10 @@ def test_jacobian_matches_central_differences_of_residuals(standard_table):
 
 
 def test_v0_keeps_its_start_value_bit_for_bit(standard_table):
-    mesh = {"intervals": 300}
+    intervals = 300
     for v0 in (0.0, 0.3, -1.7e-3):
         init = ActionParams(1.0, 1.0, PotentialSpec({0: v0, 2: 0.5, -2: 1.0}))
-        result = fit_at_time(standard_table, [0, 2, -2], init, mesh)
+        result = fit_at_time(standard_table, [0, 2, -2], init, intervals)
         assert result.converged
         assert result.params.potential.coefficients[0] == v0
 
@@ -355,15 +355,15 @@ def test_standard_fit_reaches_the_nelder_mead_optimum(standard_fit):
 
 
 def test_spent_budget_is_not_converged(standard_table, standard_fit):
-    mesh = {"intervals": 300}
+    intervals = 300
     init = standard_init(0, 2, -2)
     for budget in (1, 2, 3):
-        result = fit_at_time(standard_table, [0, 2, -2], init, mesh, max_evaluations=budget)
+        result = fit_at_time(standard_table, [0, 2, -2], init, intervals, max_evaluations=budget)
         assert (result.evaluations, result.converged) == (budget, False)
         assert result.objective >= standard_fit.objective
     # the budget counts every evaluation, the starting point's included
     enough = fit_at_time(
-        standard_table, [0, 2, -2], init, mesh, max_evaluations=standard_fit.evaluations
+        standard_table, [0, 2, -2], init, intervals, max_evaluations=standard_fit.evaluations
     )
     assert enough.converged and enough.evaluations == standard_fit.evaluations
 
@@ -371,7 +371,7 @@ def test_spent_budget_is_not_converged(standard_table, standard_fit):
 def test_evaluations_per_slice_on_the_paper_windows():
     times = [0.1, 0.2, 0.4, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
     results = sweep(
-        STANDARD, PAPER_WINDOWS, [0, 2, -2], times, {"intervals": 100},
+        STANDARD, PAPER_WINDOWS, [0, 2, -2], times, [100] * len(times),
     )
     assert all(r.converged for r in results)
     # Nelder-Mead took about 700 per slice
@@ -412,8 +412,10 @@ def small_objective(standard_table):
 def small_fit(objective, budget=MAX_EVALUATIONS):
     """fit_at_time on objective's table and grid, from its start."""
     start = objective.params_from(np.zeros(len(objective.center)))
-    mesh = {"intervals": objective.grid.intervals}
-    return fit_at_time(objective.table, objective.exponents, start, mesh, max_evaluations=budget)
+    return fit_at_time(
+        objective.table, objective.exponents, start, objective.grid.intervals,
+        max_evaluations=budget,
+    )
 
 
 def scipy_nelder_mead(objective, budget):

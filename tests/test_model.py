@@ -11,7 +11,6 @@ from qaction.model import (
     PotentialSpec,
     evaluate_potential,
     omega,
-    params_from_dict,
     potential_derivative,
     potential_minimum,
     potential_second_derivative,
@@ -204,15 +203,3 @@ def test_omega_definition():
     assert omega(p) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         omega(ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({0: 1.0})))
-
-
-def test_json_rejects_unknown_and_missing_keys():
-    good = {"mass": 1.0, "hbar": 1.0, "domain": "half_line", "coefficients": {"2": 0.5}}
-    assert params_from_dict(good) == ActionParams(1.0, 1.0, PotentialSpec({2: 0.5}))
-    bad = dict(good)
-    bad["massive"] = 2.0
-    with pytest.raises(ValueError):
-        params_from_dict(bad)
-    del good["mass"]
-    with pytest.raises(ValueError):
-        params_from_dict(good)

@@ -36,7 +36,7 @@ def test_observers_count_the_fields_of_the_results():
         traj = trajectory.solve_bvp(STANDARD, 0.8, 2.5, trajectory.TimeGrid(1.0, intervals=100))
         table = fit.build_table(STANDARD, fit.BoundarySet((1.0, 2.0), (1.2, 1.8, 2.6)), 1.0)
         init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
-        result = fit.fit_at_time(table, [0, 2, -2], init, {"intervals": 100})
+        result = fit.fit_at_time(table, [0, 2, -2], init, 100)
     finally:
         tracer.uninstall()
     assert traj.iterations > 0 and result.evaluations > 0

@@ -1,13 +1,24 @@
-"""tools/same_outputs.py: the output comparison of two source trees."""
+"""tools/same_outputs.py, the output comparison of two source trees, and
+tools/bench_configs.py, which writes the benchmark configs it compares on."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+from qaction.cli import load_config
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
-same_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same_outputs)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+same_outputs = _tool("same_outputs")
+bench_configs = _tool("bench_configs")
 
 MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
 
@@ -87,3 +98,13 @@ def test_json_differences_gives_the_largest_relative_difference_per_numeric_key_
     assert got["gone"] is None and got["line_search_halvings"] is None  # in one only
     assert same_outputs.json_differences(a, json.dumps({"states": [1]}).encode())["states"] is None
     assert same_outputs.json_differences(a, b"a,b\n1,2\n") is None
+
+
+def test_bench_configs_writes_the_ten_benchmark_configs_and_each_loads(tmp_path):
+    paths = bench_configs.write_configs(11, tmp_path)
+    assert len(paths) == 10 == len(set(paths))
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    for path in paths:
+        command = same_outputs.command_of(path)
+        assert command is not None, path.name
+        load_config(path, command)

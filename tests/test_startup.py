@@ -103,7 +103,7 @@ from qaction.model import ActionParams, PotentialSpec
 model = ActionParams(1.0, 1.0, PotentialSpec({2: 0.5, -2: 1.0}))
 table = build_table(model, BoundarySet((1.0, 2.0), equidistant(1.2, 2.6, 4)), 1.0)
 init = ActionParams(1.0, 1.0, PotentialSpec({0: 0.0, 2: 0.5, -2: 1.0}))
-res = fit_at_time(table, [0, 2, -2], init, {"intervals": 100}, max_evaluations=200)
+res = fit_at_time(table, [0, 2, -2], init, 100, max_evaluations=200)
 value = [res.params.mass, *res.params.potential.coefficients.values(), res.log_norm,
          res.objective, float(res.evaluations)]
 """

@@ -57,7 +57,7 @@ def harmonic_path(grid: TimeGrid) -> np.ndarray:
 
 
 def test_time_grid_properties():
-    grid = TimeGrid(2.0, points_per_unit=250.0)
+    grid = TimeGrid(2.0, intervals=500)
     assert grid.intervals == 500
     assert grid.n_points == 501
     assert grid.step == pytest.approx(2.0 / 500)
@@ -72,13 +72,9 @@ def test_time_grid_properties():
 
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            TimeGrid(bad)
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, points_per_unit=0.0)
+            TimeGrid(bad, intervals=100)
     with pytest.raises(ValueError):
         TimeGrid(1.0, intervals=0)
-    with pytest.raises(ValueError, match="one of intervals and points_per_unit"):
-        TimeGrid(1.0, points_per_unit=250.0, intervals=100)
 
 
 def test_harmonic_nodes_match_closed_form():

@@ -66,6 +66,13 @@ GAIN_TOL = 1e-12
 DAMPING_START = 1e-6
 # parameter_uncertainty: a larger component along a dropped direction is not rounding
 _FLAT_COMPONENT = 1e-8
+# An oracle amplitude at most FLOOR times S = sum_n |psi_n(a) psi_n(b) w_n|,
+# the size of the terms its spectral sum adds up, is rounding noise of either
+# sign, and build_table rejects it. Over every oracle table that the tests and
+# configs/*.json build, the noise entry (the standard model at (0.05, 9.0,
+# T=0.5)) sits at 1.6e-14 S, 6e4 below FLOOR, and the smallest valid entry
+# (flow_quartic_compare at T=0.5) at 4.8e-5 S, 5e4 above it.
+FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,9 @@ def build_table(
     """Tabulate ln G over the boundary grid.
 
     The amplitudes come from the grid oracle when a decomposition is given,
-    and from the closed-form kernel of the model when it is None.
+    and from the closed-form kernel of the model when it is None. An oracle
+    amplitude at most FLOOR times the size of its spectral sum's terms
+    raises ValueError.
     """
     if not (time > 0.0):
         raise ValueError("time must be positive")
@@ -139,8 +148,8 @@ def build_table(
     if decomposition is None:
         logs = closed_form_kernel(model)(initial, final, time)
     else:
-        values = amplitude(decomposition, initial, final, time)
-        below = np.argwhere(values <= 0.0)  # row-major: the first pair of a loop
+        values, sizes = amplitude(decomposition, initial, final, time, resolution=True)
+        below = np.argwhere(values <= FLOOR * sizes)  # row-major: the first pair of a loop
         if len(below):
             i, j = below[0]
             raise ValueError(

@@ -1,13 +1,14 @@
-"""The five LAPACK routines qaction calls, bound from scipy's f2py extension.
+"""The four LAPACK routines qaction calls, bound from scipy's f2py extension.
 
     dpttrf   LDL^T factor of a positive definite tridiagonal matrix
              (trajectory: the Newton matrix of every relaxation step)
     dpttrs   solve with that factor (trajectory: the Newton steps, and the
              two Jacobi equations at the solved positions)
-    dgtsv    tridiagonal solve (trajectory: the fallback for both where the
-             matrix is not positive definite)
-    dstebz   tridiagonal bisection for eigenvalues (oracle)
-    dstein   inverse iteration for eigenvectors (oracle)
+    dgtsv    tridiagonal solve with partial pivoting (trajectory: the
+             fallback for both where the matrix is not positive definite;
+             oracle: the shifted solves of the eigenvector polish)
+    dstebz   tridiagonal bisection for eigenvalues (oracle: the bracket of
+             every level)
 
 This is the only module that names scipy's LAPACK. It loads the extension
 scipy.linalg._flapack by itself, without running scipy/linalg/__init__.py.
@@ -58,4 +59,3 @@ dgtsv = _flapack.dgtsv
 dpttrf = _flapack.dpttrf
 dpttrs = _flapack.dpttrs
 dstebz = _flapack.dstebz
-dstein = _flapack.dstein

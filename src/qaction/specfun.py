@@ -31,6 +31,12 @@ _MAX_ASYMPTOTIC_TERMS = 200
 _TERMS_PER_BLOCK = 16
 # elements per pass of log_bessel_i: each of its (chunk, 17) block arrays takes 0.27 MiB
 _CHUNK = 2048
+# A pass over few live elements takes _FEW_TERMS / live terms per block, at
+# most _MAX_TERMS_PER_BLOCK, so a scalar call sums most arguments in one block.
+# A pass over 64 or more keeps _TERMS_PER_BLOCK: wider blocks computed more
+# terms past each element's last, and 1,000 arguments took twice as long.
+_MAX_TERMS_PER_BLOCK = 64
+_FEW_TERMS = 1024
 
 
 @dataclass(frozen=True)
@@ -148,33 +154,47 @@ def log_bessel_i(nu: float, z) -> np.ndarray:
     ok = (z >= 0.0) & (z < math.inf)
     if not ok.all():
         raise ValueError(f"argument must satisfy z >= 0, got {z[~ok].flat[0]}")
+    flat_z = z.reshape(-1)
+    if z.size <= _CHUNK:
+        return _log_iv_chunk(nu, flat_z).reshape(z.shape)
     out = np.empty(z.shape)
-    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    flat_out = out.reshape(-1)
     for start in range(0, z.size, _CHUNK):
         flat_out[start : start + _CHUNK] = _log_iv_chunk(nu, flat_z[start : start + _CHUNK])
     return out
 
 
 def _log_iv_chunk(nu: float, z: np.ndarray) -> np.ndarray:
-    out = np.full(z.shape, 0.0 if nu == 0.0 else -math.inf)
     large = z > asymptotic_crossover(nu)
+    small = ~large & (z > 0.0)
+    if large.all():
+        return _log_iv_asymptotic(nu, z)
+    if small.all():
+        return _log_iv_series(nu, z)
+    out = np.full(z.shape, 0.0 if nu == 0.0 else -math.inf)
     if large.any():
         out[large] = _log_iv_asymptotic(nu, z[large])
-    small = ~large & (z > 0.0)
     if small.any():
         out[small] = _log_iv_series(nu, z[small])
     return out
 
 
-def _running(term, run, factors):
-    """Terms and partial sums after each factor, carried term and sum first.
+def _terms_per_block(live: int) -> int:
+    """Terms per block for live elements: more than _TERMS_PER_BLOCK for a few."""
+    return min(_MAX_TERMS_PER_BLOCK, max(_TERMS_PER_BLOCK, _FEW_TERMS // max(live, 1)))
+
+
+def _running(term, run, numerator, denominator):
+    """Terms and partial sums after each factor numerator / denominator,
+    carried term and sum first.
 
     Running products and sums accumulate in sequence, so every column has
     the bits of the one-element loop `term *= factor; run += term`.
     """
-    terms = np.empty((factors.shape[0], factors.shape[1] + 1))
+    shape = np.broadcast_shapes(np.shape(numerator), np.shape(denominator))
+    terms = np.empty((shape[0], shape[1] + 1))
     terms[:, 0] = term
-    terms[:, 1:] = factors
+    np.divide(numerator, denominator, out=terms[:, 1:])
     np.multiply.accumulate(terms, axis=1, out=terms)
     sums = terms.copy()
     sums[:, 0] = run
@@ -191,9 +211,11 @@ def _log_iv_series(nu: float, z: np.ndarray) -> np.ndarray:
     total = np.empty(z.size)
     live = np.arange(z.size)
     term = run = 1.0
-    for k0 in range(0, _MAX_SERIES_TERMS, _TERMS_PER_BLOCK):
-        k = np.arange(k0, k0 + _TERMS_PER_BLOCK, dtype=float)
-        terms, sums = _running(term, run, q[live, None] / ((k + 1.0) * (nu + k + 1.0)))
+    k0 = 0
+    while k0 < _MAX_SERIES_TERMS:
+        k = np.arange(k0, min(k0 + _terms_per_block(live.size), _MAX_SERIES_TERMS), dtype=float)
+        k0 += k.size
+        terms, sums = _running(term, run, q[live, None], (k + 1.0) * (nu + k + 1.0))
         below = terms[:, 1:] < SERIES_RELATIVE_CUTOFF * sums[:, 1:]
         done = below.any(axis=1)
         total[live[done]] = sums[done, below.argmax(axis=1)[done] + 1]
@@ -216,9 +238,11 @@ def _log_iv_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
     live = np.arange(z.size)
     term = run = 1.0
     prev = math.inf
-    for k0 in range(1, _MAX_ASYMPTOTIC_TERMS, _TERMS_PER_BLOCK):
-        k = np.arange(k0, min(k0 + _TERMS_PER_BLOCK, _MAX_ASYMPTOTIC_TERMS), dtype=float)
-        terms, sums = _running(term, run, ((2.0 * k - 1.0) ** 2 - mu) / (8.0 * k * z[live, None]))
+    k0 = 1
+    while k0 < _MAX_ASYMPTOTIC_TERMS:
+        k = np.arange(k0, min(k0 + _terms_per_block(live.size), _MAX_ASYMPTOTIC_TERMS), dtype=float)
+        k0 += k.size
+        terms, sums = _running(term, run, (2.0 * k - 1.0) ** 2 - mu, 8.0 * k * z[live, None])
         size = np.abs(terms)
         size[:, 0] = prev
         grew = size[:, 1:] >= size[:, :-1]

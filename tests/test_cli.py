@@ -945,6 +945,21 @@ def test_fit_summary_and_determinism(runner, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("knob, value, message", [
+    ("MAX_SOLVES", 1, "did not converge in 1 solves"),
+    ("BRACKET", 1e-24, "left its bracket"),
+])
+def test_eigenvector_polish_failure_is_numerical_failure(runner, tmp_path, monkeypatch,
+                                                         knob, value, message):
+    import qaction.oracle
+
+    monkeypatch.setattr(qaction.oracle, knob, value)
+    cfg = write_config(tmp_path, _spectrum_doc({"2": 0.5, "-2": 1.0}))
+    res = runner.invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "numerical failure" in res.output and message in res.output
+
+
 def test_fit_oracle_roundoff_is_numerical_failure(runner, tmp_path):
     doc = {
         "model": STANDARD_MODEL,

@@ -111,6 +111,20 @@ def test_oracle_amplitude_below_floor_rejected():
         build_table(STANDARD, bad, 0.5, decomposition=fine)
 
 
+def test_oracle_positive_noise_is_rejected():
+    # far-separated endpoints at a short time: the true amplitudes are ~1e-65,
+    # and the spectral sums come out as positive noise about 1e-14 of the size
+    # of their terms; a floor at zero took them as ln G ~ -45
+    fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(5e-3, 12.0, 5e-3), 160)
+    bounds = BoundarySet((0.05, 0.1, 0.2), (9.5,))
+    initial = np.array(bounds.initial)[:, None]
+    values, sizes = amplitude(fine, initial, 9.5, 0.3, resolution=True)
+    assert np.all(values > 0.0) and np.all(values < 1e-12 * sizes)
+    with pytest.raises(ValueError, match=r"roundoff floor") as err:
+        build_table(STANDARD, bounds, 0.3, decomposition=fine)
+    assert "(0.05, 9.5, T=0.3)" in str(err.value)
+
+
 def test_harmonic_fit_recovers_classical_action():
     shifted = ActionParams(
         mass=1.1, hbar=1.0, potential=PotentialSpec({2: 0.45}), domain=Domain.FULL_LINE
@@ -293,7 +307,9 @@ def test_oracle_floor_error_names_first_pair_in_row_major_order(monkeypatch):
     values = np.ones((len(BOUNDS.initial), len(BOUNDS.final)))
     values[0, 3] = -1e-22  # first in row-major order
     values[1, 0] = 0.0  # first in column-major order
-    monkeypatch.setattr(qaction.fit, "amplitude", lambda dec, a, b, time: values)
+    monkeypatch.setattr(
+        qaction.fit, "amplitude", lambda dec, a, b, time, resolution: (values, np.ones_like(values))
+    )
     with pytest.raises(ValueError, match="roundoff floor") as err:
         build_table(STANDARD, BOUNDS, 1.0, decomposition=object())
     assert f"({BOUNDS.initial[0]}, {BOUNDS.final[3]}, T=1.0)" in str(err.value)

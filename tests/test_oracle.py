@@ -9,8 +9,13 @@ from scipy.linalg import eigh_tridiagonal
 from qaction.analytic import euclidean_log_amplitude
 from qaction.model import ActionParams, Domain, PotentialSpec
 from qaction.oracle import (
+    BLOCK,
+    BRACKET,
+    GROUP,
     VISIBLE_EFOLDS,
     SpatialGrid,
+    _norm,
+    _polish,
     amplitude,
     default_grid,
     discretize,
@@ -255,19 +260,105 @@ def test_energies_only_spectrum_matches_with_vectors(params, levels, spacing):
 
 @pytest.mark.parametrize("spacing", [2e-3, 5e-3])
 @pytest.mark.parametrize("params", [STANDARD, IMAGE, QUARTIC], ids=["family", "image", "quartic"])
-def test_spectrum_equals_scipy_index_selection(params, spacing):
+def test_spectrum_is_closer_to_converged_bisection_than_default_tolerance(params, spacing):
     extent = 12.0 if params.domain is Domain.HALF_LINE else 6.0
     operator = discretize(params, default_grid(params.domain, spacing=spacing, extent=extent))
     d, e = operator.diagonal, operator.off_diagonal
+    ulp_norm = np.finfo(float).eps * _norm(operator)
     # the lowest 160 and 40 levels, and a cap of 20 that binds at t_min = 0.4
     for levels, t_min in ((160, None), (40, None), (20, 0.4)):
         select = {"select": "i", "select_range": (0, levels - 1)}
-        energies, states = eigh_tridiagonal(d, e, **select)
+        exact, states = eigh_tridiagonal(d, e, tol=1e-300, **select)
+        default = eigh_tridiagonal(d, e, True, **select)
         dec = spectrum(operator, levels, t_min=t_min)
-        assert np.array_equal(dec.energies, energies)
-        assert np.array_equal(dec.wavefunctions, states / math.sqrt(operator.grid.spacing))
+        error = np.max(np.abs(dec.energies - exact))
+        # measured: 0.07 ulp |T| at spacing 2e-3, 0.09 at 5e-3
+        assert error <= 0.25 * ulp_norm
+        assert error <= np.max(np.abs(default - exact))
+        unit = dec.wavefunctions * math.sqrt(operator.grid.spacing)
+        signs = np.sign(np.sum(unit * states, axis=0))
+        # measured: at most 4.2e-13
+        npt.assert_allclose(unit * signs, states, rtol=0.0, atol=1e-11)
         bare = spectrum(operator, levels, vectors=False, t_min=t_min)
-        assert np.array_equal(bare.energies, eigh_tridiagonal(d, e, True, **select))
+        assert np.array_equal(bare.energies, dec.energies)
+
+
+# V = -2 x^2 + 0.1 x^4: the lowest levels come in tunnel pairs, split by 2.1e-7,
+# 3.7e-5 and 2.6e-3, all within GROUP brackets (7.5e-3 each) of each other
+DOUBLE_WELL = ActionParams(
+    mass=1.0, hbar=1.0, potential=PotentialSpec({2: -2.0, 4: 0.1}), domain=Domain.FULL_LINE
+)
+
+
+def test_double_well_pairs_are_polished_as_groups():
+    operator = discretize(DOUBLE_WELL, default_grid(Domain.FULL_LINE, spacing=2e-3, extent=8.0))
+    d, e = operator.diagonal, operator.off_diagonal
+    exact, states = eigh_tridiagonal(d, e, tol=1e-300, select="i", select_range=(0, 11))
+    splits = np.diff(exact)[[0, 2, 4]]
+    assert np.all(splits < GROUP * BRACKET * _norm(operator))
+    npt.assert_allclose(splits, [2.1e-7, 3.7e-5, 2.6e-3], rtol=0.05)
+    dec = spectrum(operator, 12)
+    ulp_norm = np.finfo(float).eps * _norm(operator)
+    assert np.max(np.abs(dec.energies - exact)) <= 0.25 * ulp_norm
+    unit = dec.wavefunctions * math.sqrt(operator.grid.spacing)
+    assert np.max(np.abs(unit.T @ unit - np.eye(12))) <= 1e-9
+    # a nearly degenerate pair fixes its plane, not each vector: compare projectors
+    for first in (0, 2, 4):
+        pair = slice(first, first + 2)
+        mine = unit[:, pair] @ unit[:, pair].T
+        theirs = states[:, pair] @ states[:, pair].T
+        assert np.max(np.abs(mine - theirs)) <= 1e-12
+
+
+def test_spectrum_is_deterministic_and_levels_do_not_depend_on_their_block(monkeypatch):
+    import qaction.oracle
+
+    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=2e-3, extent=12.0))
+    first, second = spectrum(operator, 160, t_min=0.4), spectrum(operator, 160, t_min=0.4)
+    assert np.array_equal(first.energies, second.energies)
+    assert np.array_equal(first.wavefunctions, second.wavefunctions)
+    # one polish of 8 bisection values in one stack against eight polishes of one
+    w = eigh_tridiagonal(operator.diagonal, operator.off_diagonal, True, select="i",
+                         select_range=(0, 7))
+    monkeypatch.setattr(qaction.oracle, "BLOCK", 8)
+    energies, states = _polish(operator, w, vectors=True)
+    monkeypatch.undo()
+    assert BLOCK < 8
+    default_energies, default_states = _polish(operator, w, vectors=True)
+    assert np.array_equal(default_energies, energies)
+    assert np.array_equal(default_states, states)
+    for n in range(8):
+        alone, state = _polish(operator, w[n : n + 1], vectors=True)
+        assert alone[0] == energies[n]
+        assert np.array_equal(state[:, 0], states[:, n])
+
+
+def test_energies_only_spectrum_holds_no_vector_array():
+    import tracemalloc
+
+    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=2e-3, extent=12.0))
+    vectors = operator.grid.n_points * 160 * 8  # bytes of the N x 160 vector array
+    tracemalloc.start()
+    try:
+        spectrum(operator, 160, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vectors / 4
+
+
+def test_polish_failures_raise_linalg_error(monkeypatch):
+    import qaction.oracle
+
+    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=5e-3, extent=12.0))
+    monkeypatch.setattr(qaction.oracle, "MAX_SOLVES", 2)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge in 2 solves"):
+        spectrum(operator, 10)
+    monkeypatch.undo()
+    # brackets far narrower than the polish's accuracy: a converged level lies outside
+    monkeypatch.setattr(qaction.oracle, "BRACKET", 1e-24)
+    with pytest.raises(np.linalg.LinAlgError, match="left its bracket"):
+        spectrum(operator, 10, vectors=False)
 
 
 def test_energies_only_richardson_partner():

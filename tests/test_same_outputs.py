@@ -100,6 +100,31 @@ def test_json_differences_gives_the_largest_relative_difference_per_numeric_key_
     assert same_outputs.json_differences(a, b"a,b\n1,2\n") is None
 
 
+def test_report_prints_the_largest_absolute_difference_beside_the_relative_one():
+    a = b"# meta\nx,rel_diff,tag\n1.0,2e-5,p\n3.0,1e-9,q\n"
+    b = b"# meta\nx,rel_diff,tag\n1.0,2.5e-5,p\n3.5,1e-9,q\n"
+    absolute = same_outputs.column_differences(a, b, same_outputs.absolute_difference)
+    assert absolute == {"x": 0.5, "rel_diff": 2.5e-5 - 2e-5}
+    # relative 0.2, absolute 5e-6: a difference of nearly equal numbers
+    assert same_outputs.report("propagator.csv", a, b) == (
+        "  propagator.csv: largest relative difference: "
+        "x 0.14 (abs 0.5), rel_diff 0.2 (abs 5e-06)"
+    )
+    doc_a = json.dumps({"final": {"mass": 2.0}, "gone": 1}).encode()
+    doc_b = json.dumps({"final": {"mass": 2.5}}).encode()
+    assert same_outputs.json_differences(doc_a, doc_b, same_outputs.absolute_difference) == {
+        "final.mass": 0.5, "gone": None,
+    }
+    assert same_outputs.report("summary.json", doc_a, doc_b) == (
+        "  summary.json: largest relative difference: "
+        "final.mass 0.2 (abs 0.5), gone in one tree only"
+    )
+    assert same_outputs.report("summary.json", doc_a, b"[") == (
+        "  summary.json: largest relative difference: not JSON"
+    )
+    assert same_outputs.report("a.csv", a, None) is None
+
+
 def test_bench_configs_writes_the_ten_benchmark_configs_and_each_loads(tmp_path):
     paths = bench_configs.write_configs(11, tmp_path)
     assert len(paths) == 10 == len(set(paths))

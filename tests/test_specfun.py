@@ -6,6 +6,8 @@ import pytest
 
 from qaction.specfun import (
     _CHUNK,
+    _log_iv_asymptotic,
+    _log_iv_series,
     asymptotic_crossover,
     bessel_i,
     ln_gamma,
@@ -74,6 +76,16 @@ def test_branch_seam_is_continuous():
         ref_a = mp_log_iv(nu, seam * (1 + 1e-9))
         assert below == pytest.approx(ref_b, rel=1e-12)
         assert above == pytest.approx(ref_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", np.linspace(0.0, 10.0, 21).tolist() + [0.5 * math.sqrt(30.0)])
+def test_series_and_asymptotic_branches_agree_at_the_seam(nu):
+    # both expansions at the crossover itself, where the rule switches between
+    # them; 0.5 sqrt(30) is where the crossover leaves its floor of 30
+    seam = np.array([asymptotic_crossover(nu)])
+    series = _log_iv_series(nu, seam)[0]
+    asymptotic = _log_iv_asymptotic(nu, seam)[0]
+    assert abs(math.expm1(series - asymptotic)) <= 1e-10
 
 
 def test_scaled_and_log_forms_consistent():

@@ -14,8 +14,11 @@ code, or in stdout once the output directory is replaced by "<out>". For
 each CSV that differs it also prints the largest relative difference
 |a - b| / max(|a|, |b|) in every numeric column, and for each JSON summary
 that differs the same at every numeric key path, which states the tolerance
-that a change keeps. A run that outlives TIMEOUT seconds counts as exit code
-"timeout". Exit status: 0 when every config runs and matches, 1 otherwise.
+that a change keeps. Beside each it prints the largest absolute difference
+|a - b|: a column that is itself a difference of nearly equal numbers can
+differ by much relative to its own size and by little in absolute terms. A
+run that outlives TIMEOUT seconds counts as exit code "timeout". Exit
+status: 0 when every config runs and matches, 1 otherwise.
 
 Standard library only, so it runs against any tree, the parent commit's too.
 """
@@ -80,8 +83,16 @@ def relative_difference(x: float, y: float) -> float:
     return rel if math.isfinite(rel) else math.inf
 
 
-def column_differences(a: bytes, b: bytes) -> dict[str, float] | None:
-    """The largest relative difference in each numeric column of two CSVs.
+def absolute_difference(x: float, y: float) -> float:
+    """|x - y|: 0 for equal values (two NaNs too), inf where it is not finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y)
+    return diff if math.isfinite(diff) else math.inf
+
+
+def column_differences(a: bytes, b: bytes, measure=relative_difference) -> dict[str, float] | None:
+    """The largest difference (by measure, relative by default) in each numeric column of two CSVs.
 
     Lines that start with "#" are skipped, and the first line left is the
     header. A column is numeric where both cells parse as floats; it is
@@ -99,15 +110,18 @@ def column_differences(a: bytes, b: bytes) -> dict[str, float] | None:
     for row_a, row_b in zip(rows_a, rows_b):
         for name, cell_a, cell_b in zip(head_a, row_a, row_b):
             try:
-                rel = relative_difference(float(cell_a), float(cell_b))
+                rel = measure(float(cell_a), float(cell_b))
             except ValueError:
                 continue
             largest[name] = max(largest.get(name, 0.0), rel)
     return largest
 
 
-def json_differences(a: bytes, b: bytes) -> dict[str, float | None] | None:
-    """The largest relative difference at each numeric key path of two JSON documents.
+def json_differences(
+    a: bytes, b: bytes, measure=relative_difference
+) -> dict[str, float | None] | None:
+    """The largest difference (by measure, relative by default) at each numeric key path of
+    two JSON documents.
 
     A key path joins object keys with "." and writes the items of a list as
     "[]", so the items of one list share a path, as the rows of a CSV share a
@@ -138,10 +152,36 @@ def json_differences(a: bytes, b: bytes) -> dict[str, float | None] | None:
             for item_x, item_y in zip(x, y):
                 walk(item_x, item_y, f"{path}[]")
         elif number(x) and number(y) and largest.get(path, 0.0) is not None:
-            largest[path] = max(largest.get(path, 0.0), relative_difference(x, y))
+            largest[path] = max(largest.get(path, 0.0), measure(x, y))
 
     walk(doc_a, doc_b, "")
     return largest
+
+
+def report(name: str, a: bytes | None, b: bytes | None) -> str | None:
+    """The line that states how a differing CSV or JSON output differs, or None.
+
+    Each numeric column or key path reads "name relative (abs absolute)".
+    """
+    if a is None or b is None:
+        return None
+    if name.endswith(".csv"):
+        compare, broken = column_differences, "headers or row counts differ"
+    elif name.endswith(".json"):
+        compare, broken = json_differences, "not JSON"
+    else:
+        return None
+    relative = compare(a, b)
+    if relative is None:
+        cells = broken
+    else:
+        absolute = compare(a, b, absolute_difference)
+        cells = ", ".join(
+            f"{key} in one tree only" if rel is None
+            else f"{key} {rel:.2g} (abs {absolute[key]:.2g})"
+            for key, rel in relative.items()
+        )
+    return f"  {name}: largest relative difference: {cells}"
 
 
 def main(argv=None) -> int:
@@ -173,17 +213,9 @@ def main(argv=None) -> int:
             status = "DIFFERS: " + ", ".join(found) if found else "same"
             print(f"{config.name}: {status} (exit {a['exit code']})", flush=True)
             for name in found:
-                if name.endswith(".csv"):
-                    largest = column_differences(a["files"][name], b["files"][name])
-                    cells = ("headers or row counts differ" if largest is None else
-                             ", ".join(f"{col} {rel:.2g}" for col, rel in largest.items()))
-                    print(f"  {name}: largest relative difference: {cells}", flush=True)
-                elif name.endswith(".json"):
-                    largest = json_differences(a["files"][name], b["files"][name])
-                    cells = ("not JSON" if largest is None else ", ".join(
-                        f"{key} {'in one tree only' if rel is None else f'{rel:.2g}'}"
-                        for key, rel in largest.items()))
-                    print(f"  {name}: largest relative difference: {cells}", flush=True)
+                line = report(name, a["files"].get(name), b["files"].get(name))
+                if line:
+                    print(line, flush=True)
     print(f"{len(configs) - failed} of {len(configs)} configs give the same outputs")
     return 1 if failed else 0
 

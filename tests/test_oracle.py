@@ -260,7 +260,9 @@ def test_energies_only_spectrum_matches_with_vectors(params, levels, spacing):
 
 @pytest.mark.parametrize("spacing", [2e-3, 5e-3])
 @pytest.mark.parametrize("params", [STANDARD, IMAGE, QUARTIC], ids=["family", "image", "quartic"])
-def test_spectrum_is_closer_to_converged_bisection_than_default_tolerance(params, spacing):
+def test_spectrum_equals_scipy_index_selection(params, spacing):
+    # scipy's index selection bisected to convergence: the spectrum matches it to a
+    # quarter ulp |T|, never worse than scipy's default tolerance does
     extent = 12.0 if params.domain is Domain.HALF_LINE else 6.0
     operator = discretize(params, default_grid(params.domain, spacing=spacing, extent=extent))
     d, e = operator.diagonal, operator.off_diagonal

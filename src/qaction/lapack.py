@@ -8,7 +8,8 @@
              fallback for both where the matrix is not positive definite;
              oracle: the shifted solves of the eigenvector polish)
     dstebz   tridiagonal bisection for eigenvalues (oracle: the bracket of
-             every level)
+             every level, and the Sturm counts of the level cap and of the
+             Richardson partner's certificate)
 
 This is the only module that names scipy's LAPACK. It loads the extension
 scipy.linalg._flapack by itself, without running scipy/linalg/__init__.py.

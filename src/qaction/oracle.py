@@ -20,7 +20,23 @@ group. Against converged bisection the energies are within 0.1 ulp |T|
 Given the smallest query time t_min, spectrum solves only the levels an
 amplitude at t >= t_min can see (see VISIBLE_EFOLDS). A level's polish
 depends on no other level, so a different selection moves an energy only
-through its bisection value: by at most 4.3e-14 at spacing 2e-3.
+through its bisection value: by at most 4.3e-14 at spacing 2e-3. Whether
+the level cap binds is decided by a Sturm count at the threshold (_count),
+not by bisecting the last level allowed.
+
+A Richardson partner passes the fine grid's polished energies as seeds, and
+_seeded polishes from them with no bisection: its levels lie within O(h^2)
+of the seeds (1.83 at most over 160 levels at spacing 2e-3 / 4e-3, a sixth
+of a gap). Seeds are grouped as bisection values are. Each group gets a
+window reaching halfway to the neighbouring seeds, the end groups as far
+outward as inward, and a level's shift follows its quotient once the
+quotient is inside its window. Every returned level has a residual within
+the polish's bound, so an eigenvalue lies within that bound of its energy;
+with the energies inside disjoint windows, one Sturm count of exactly k at
+E_{k-1} plus the bound certifies that they are the lowest k. Where a level
+leaves its window or the count differs, the partner is bisected and
+polished as without seeds (at spacing 5e-3 / 1e-2, levels 127 and up of
+160 drift past half a gap), so poor seeds cost time, not accuracy.
 """
 
 from __future__ import annotations
@@ -155,6 +171,7 @@ def spectrum(
     n_states: int,
     vectors: bool = True,
     t_min: float | None = None,
+    seeds: np.ndarray | None = None,
 ) -> SpectralDecomposition:
     """Lowest eigenpairs of the discretised Hamiltonian.
 
@@ -170,11 +187,19 @@ def spectrum(
     Rayleigh-quotient iteration of _polish turns the brackets into eigenpairs.
     With vectors=False the same iteration runs, so the energies have the
     same bits, but no vector is kept and wavefunctions is None.
+
+    seeds, n_states ascending estimates of the levels (a Richardson partner
+    passes its fine grid's energies), replace the bisection: _seeded polishes
+    from them and certifies the result by one Sturm count, and where it
+    cannot, the levels are bisected and polished as without seeds. seeds
+    exclude t_min.
     """
     if n_states < 1 or n_states > operator.grid.n_points - 2:
         raise ValueError(f"n_states must be in [1, {operator.grid.n_points - 2}]")
     if t_min is not None and not t_min > 0.0:
         raise ValueError("t_min must be positive")
+    if seeds is not None and (t_min is not None or len(seeds) != n_states):
+        raise ValueError("seeds need n_states entries and no t_min")
     d, e = operator.diagonal, operator.off_diagonal
     bracket = BRACKET * _norm(operator)
 
@@ -185,13 +210,16 @@ def spectrum(
             raise np.linalg.LinAlgError(f"stebz failed with info {info}")
         return w[:m]
 
-    if t_min is None:
-        w = bisect(2, 0.0, 0.0, 1, n_states)
-    else:
-        # the polish moves each level, the ground level too, by at most one bracket
-        width = VISIBLE_EFOLDS * operator.hbar / t_min + 2.0 * bracket
-        w = _visible_levels(bisect, n_states, width)
-    energies, states = _polish(operator, w, vectors)
+    polished = None if seeds is None else _seeded(operator, np.asarray(seeds, float), vectors)
+    if polished is None:
+        if t_min is None:
+            w = bisect(2, 0.0, 0.0, 1, n_states)
+        else:
+            # the polish moves each level, the ground level too, by at most one bracket
+            width = VISIBLE_EFOLDS * operator.hbar / t_min + 2.0 * bracket
+            w = _visible_levels(operator, bisect, n_states, width)
+        polished = _polish(operator, w, vectors)
+    energies, states = polished
     if t_min is not None:
         efolds = (energies - energies[0]) * t_min / operator.hbar
         keep = int(np.searchsorted(efolds, VISIBLE_EFOLDS, "right")) + 1
@@ -202,26 +230,89 @@ def spectrum(
     return SpectralDecomposition(operator.grid, energies, states, operator.hbar)
 
 
-def _visible_levels(bisect, cap: int, width: float) -> np.ndarray:
+def _visible_levels(operator, bisect, cap: int, width: float) -> np.ndarray:
     """Bisection values of the levels spectrum polishes at t_min.
 
     width is VISIBLE_EFOLDS hbar / t_min plus a margin for the polish. When
-    the cap binds, the lowest cap levels; otherwise one bisection over the
-    levels within width of the ground level, plus one for the first level
-    past them.
+    the cap binds (a Sturm count finds at least cap levels within width of
+    the ground level), the lowest cap levels; otherwise one bisection over
+    the levels within width of the ground level, plus one for the first
+    level past them.
     """
-
-    def level(index):
-        return bisect(2, 0.0, 0.0, index + 1, index + 1)
-
-    top = level(0)[0] + width
-    if level(cap - 1)[0] <= top:
+    top = bisect(2, 0.0, 0.0, 1, 1)[0] + width
+    if _count(operator, top) >= cap:
         return bisect(2, 0.0, 0.0, 1, cap)
-    # every level in (-inf, top]; stebz clips -inf to its Gershgorin bound
-    w = bisect(1, -np.inf, top, 0, 0)[:cap]
-    if len(w) < cap:
-        w = np.append(w, level(len(w)))
-    return w
+    # every level in (-inf, top], fewer than cap; stebz clips -inf to its Gershgorin bound
+    w = bisect(1, -np.inf, top, 0, 0)
+    return np.append(w, bisect(2, 0.0, 0.0, len(w) + 1, len(w) + 1))
+
+
+def _count(operator: TridiagonalOperator, top: float) -> int:
+    """The number of eigenvalues of the operator at or below top, by Sturm counts.
+
+    stebz over (-inf, top] with a tolerance wider than the Gershgorin
+    interval, 4 |T|, counts at both ends of that interval and returns after
+    one halving: it bisects no level.
+    """
+    d, e = operator.diagonal, operator.off_diagonal
+    m, _, _, _, info = dstebz(d, e, 1, -np.inf, top, 0, 0, 4.0 * _norm(operator), "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz failed with info {info}")
+    return int(m)
+
+
+def _seeded(operator: TridiagonalOperator, seeds: np.ndarray, vectors: bool):
+    """_polish from seeds, each level in its window; None unless certified.
+
+    Every level the polish returns has residual ||T v - E v||_inf within
+    RESIDUAL ulp |T|, so its 2-norm, and that of any group's residual
+    matrix, is within bound = sqrt(N k) RESIDUAL ulp |T| (k levels on N
+    nodes), and an eigenvalue lies within bound of each energy (for a
+    group, one per member). With every energy at least bound inside its
+    window, and the windows disjoint, those eigenvalues are k distinct ones
+    at or below E_{k-1} + bound; a Sturm count of exactly k there proves
+    they are the lowest k. A level that leaves its window or does not
+    converge, an energy too near its window's edge, or another count
+    returns None.
+    """
+    n, k = operator.grid.n_points, len(seeds)
+    norm = _norm(operator)
+    lo, hi = _windows(seeds, BRACKET * norm)
+    try:
+        energies, states = _polish(operator, seeds, vectors, (lo, hi))
+    except np.linalg.LinAlgError:
+        return None
+    bound = math.sqrt(n * k) * RESIDUAL * _EPS * norm
+    if not np.all((lo + bound <= energies) & (energies <= hi - bound)):
+        return None
+    if _count(operator, float(energies[-1]) + bound) != k:
+        return None
+    return energies, states
+
+
+def _windows(seeds: np.ndarray, bracket: float):
+    """Each seeded level's window (lo, hi), shared by the members of a group.
+
+    A group's window reaches halfway to the neighbouring seeds. The end
+    groups reach as far outward as inward, and a lone group's window is the
+    whole line.
+    """
+    groups = _groups(seeds, bracket)
+    if len(groups) == 1:
+        return np.full(len(seeds), -np.inf), np.full(len(seeds), np.inf)
+    first = seeds[[a for a, _ in groups]]
+    last = seeds[[b - 1 for _, b in groups]]
+    sizes = [b - a for a, b in groups]
+    middle = 0.5 * (last[:-1] + first[1:])
+    lo = np.r_[first[0] - (middle[0] - last[0]), middle]
+    hi = np.r_[middle, last[-1] + (first[-1] - middle[-1])]
+    return np.repeat(lo, sizes), np.repeat(hi, sizes)
+
+
+def _groups(w: np.ndarray, bracket: float) -> list[tuple[int, int]]:
+    """(start, stop) of each group of w: neighbours closer than GROUP brackets."""
+    cuts = np.flatnonzero(np.diff(w) >= GROUP * bracket) + 1
+    return list(zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(w)].tolist()))
 
 
 def _norm(operator: TridiagonalOperator) -> float:
@@ -232,7 +323,7 @@ def _norm(operator: TridiagonalOperator) -> float:
     return float(np.max(radius))
 
 
-def _polish(operator: TridiagonalOperator, w: np.ndarray, vectors: bool):
+def _polish(operator: TridiagonalOperator, w: np.ndarray, vectors: bool, windows=None):
     """Eigenpairs from the ascending bisection values w, by Rayleigh-quotient iteration.
 
     Returns the energies and, with vectors, the unit eigenvectors as the
@@ -246,6 +337,8 @@ def _polish(operator: TridiagonalOperator, w: np.ndarray, vectors: bool):
     bracket, are orthonormalised and rotated onto their Ritz vectors after
     each solve, and leave the stack together. A level that leaves its
     bracket, or has not stopped after MAX_SOLVES solves, raises LinAlgError.
+    windows, a pair (lo, hi) of per-level arrays, replaces the brackets
+    (see _seeded).
     """
     d, e = operator.diagonal, operator.off_diagonal
     n, k = len(d), len(w)
@@ -256,11 +349,12 @@ def _polish(operator: TridiagonalOperator, w: np.ndarray, vectors: bool):
     weights[1:] += e
     weights[:-1] += e
     tol = RESIDUAL * _EPS * norm
-    cuts = np.flatnonzero(np.diff(w) >= GROUP * bracket) + 1
-    groups = list(zip(np.r_[0, cuts].tolist(), np.r_[cuts, k].tolist()))
+    groups = _groups(w, bracket)
     size, lo, hi = np.ones(k, dtype=int), np.empty(k), np.empty(k)
     for a, b in groups:
         size[a], lo[a:b], hi[a:b] = b - a, w[a:b].min() - bracket, w[a:b].max() + bracket
+    if windows is not None:
+        lo, hi = windows
     shift, entered = w.copy(), np.zeros(k, dtype=bool)
     solves, passes = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     energies = np.empty(k)
@@ -392,9 +486,10 @@ def solve_spectrum(
     n_states: int,
     vectors: bool = True,
     t_min: float | None = None,
+    seeds: np.ndarray | None = None,
 ) -> SpectralDecomposition:
     """Convenience wrapper combining discretize and spectrum."""
-    return spectrum(discretize(params, grid), n_states, vectors, t_min)
+    return spectrum(discretize(params, grid), n_states, vectors, t_min, seeds)
 
 
 def refine_energies(

@@ -135,7 +135,8 @@ def libm(fn, x) -> np.ndarray:
     bit for bit take their transcendentals through here.
     """
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)
+    # Python floats: the math module takes them without converting numpy scalars
+    return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
 
 
 def log_bessel_i(nu: float, z) -> np.ndarray:

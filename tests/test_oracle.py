@@ -363,6 +363,97 @@ def test_polish_failures_raise_linalg_error(monkeypatch):
         spectrum(operator, 10, vectors=False)
 
 
+def _stebz_spy(monkeypatch):
+    """Record the selection (range, vl, vu, il, iu) of every stebz call the oracle makes."""
+    import qaction.oracle
+
+    calls = []
+
+    def spy(d, e, *selection):
+        calls.append(selection[:5])
+        return stebz(d, e, *selection)
+
+    stebz = qaction.oracle.dstebz
+    monkeypatch.setattr(qaction.oracle, "dstebz", spy)
+    return calls
+
+
+def _partner(params, spacing, levels):
+    """The Richardson partner's operator at twice spacing and the fine grid's energies."""
+    extent = 12.0 if params.domain is Domain.HALF_LINE else 8.0
+    fine = solve_spectrum(params, default_grid(params.domain, spacing, extent), levels,
+                          vectors=False)
+    return discretize(params, default_grid(params.domain, 2 * spacing, extent)), fine.energies
+
+
+@pytest.mark.parametrize("spacing, levels", [(2e-3, 160), (5e-3, 45)])
+@pytest.mark.parametrize(
+    "params", [STANDARD, IMAGE, DOUBLE_WELL], ids=["family", "image", "double_well"]
+)
+def test_seeded_partner_agrees_with_bisection_route(monkeypatch, params, spacing, levels):
+    # fine minus partner energy reaches 1.83 at level 160 on spacing 2e-3, a
+    # sixth of a gap; the double well's tunnel pairs are polished as groups
+    operator, seeds = _partner(params, spacing, levels)
+    bisected = spectrum(operator, levels, vectors=False)
+    calls = _stebz_spy(monkeypatch)
+    seeded = spectrum(operator, levels, vectors=False, seeds=seeds)
+    # one call, the certificate's count over (-inf, E_{k-1} + bound]: no bisection
+    assert len(calls) == 1 and calls[0][:2] == (1, -np.inf)
+    # measured: at most 0.016 ulp |T|
+    ulp_norm = np.finfo(float).eps * _norm(operator)
+    assert np.max(np.abs(seeded.energies - bisected.energies)) <= 0.25 * ulp_norm
+    with_vectors = spectrum(operator, levels, seeds=seeds)
+    assert np.array_equal(with_vectors.energies, seeded.energies)
+    unit = with_vectors.wavefunctions * math.sqrt(operator.grid.spacing)
+    assert np.max(np.abs(unit.T @ unit - np.eye(levels))) <= 1e-9
+
+
+@pytest.mark.parametrize("params", [STANDARD, DOUBLE_WELL], ids=["family", "double_well"])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+def test_seeds_off_by_more_than_half_a_gap_fall_back_to_bisection(monkeypatch, params, side):
+    operator, _ = _partner(params, 2e-3, 45)
+    bisected = spectrum(operator, 45, vectors=False)
+    # each seed 0.6 of the way to its neighbour above (below)
+    gaps = np.diff(bisected.energies)
+    gaps = np.r_[gaps, gaps[-1]] if side > 0 else np.r_[gaps[0], gaps]
+    seeds = bisected.energies + 0.6 * side * gaps
+    calls = _stebz_spy(monkeypatch)
+    fallen = spectrum(operator, 45, vectors=False, seeds=seeds)
+    assert np.array_equal(fallen.energies, bisected.energies)
+    assert (2, 0.0, 0.0, 1, 45) in calls
+
+
+@pytest.mark.parametrize("miscount", [1, -1])
+def test_a_count_other_than_k_takes_the_fallback(monkeypatch, miscount):
+    import qaction.oracle
+
+    operator, seeds = _partner(STANDARD, 5e-3, 45)
+    bisected = spectrum(operator, 45, vectors=False)
+    count = qaction.oracle._count
+    monkeypatch.setattr(qaction.oracle, "_count", lambda op, top: count(op, top) + miscount)
+    calls = _stebz_spy(monkeypatch)
+    fallen = spectrum(operator, 45, vectors=False, seeds=seeds)
+    assert np.array_equal(fallen.energies, bisected.energies)
+    assert (2, 0.0, 0.0, 1, 45) in calls
+
+
+def test_seeds_need_one_entry_per_level_and_no_t_min():
+    operator, seeds = _partner(STANDARD, 5e-3, 45)
+    with pytest.raises(ValueError, match="seeds"):
+        spectrum(operator, 44, seeds=seeds)
+    with pytest.raises(ValueError, match="seeds"):
+        spectrum(operator, 45, seeds=seeds, t_min=0.4)
+
+
+def test_visible_levels_bisect_no_level_at_the_cap(monkeypatch):
+    operator = discretize(STANDARD, default_grid(STANDARD.domain, spacing=5e-3, extent=12.0))
+    calls = _stebz_spy(monkeypatch)
+    assert len(spectrum(operator, 160, vectors=False, t_min=0.4).energies) == 45
+    # the ground level, the count at the threshold, the range under it, and level 45
+    assert [c[0] for c in calls] == [2, 1, 1, 2]
+    assert calls[0][3:] == (1, 1) and calls[3][3:] == (45, 45)
+
+
 def test_energies_only_richardson_partner():
     fine = solve_spectrum(STANDARD, SpatialGrid.from_spacing(1e-2, 12.0, 1e-2), 120)
     coarse_grid = SpatialGrid.from_spacing(2e-2, 12.0, 2e-2)

@@ -1,5 +1,6 @@
-"""tools/same_outputs.py, the output comparison of two source trees, and
-tools/bench_configs.py, which writes the benchmark configs it compares on."""
+"""tools/same_outputs.py, the output comparison of two source trees,
+tools/bench_configs.py, which writes the benchmark configs it compares on,
+and the summary of tools/bench_pairs.py, the benchmark comparison of two trees."""
 
 import importlib.util
 import json
@@ -19,6 +20,7 @@ def _tool(name):
 
 same_outputs = _tool("same_outputs")
 bench_configs = _tool("bench_configs")
+bench_pairs = _tool("bench_pairs")
 
 MODEL = {"mass": 1.0, "hbar": 1.0, "coefficients": {"2": 0.5, "-2": 1.0}}
 
@@ -133,3 +135,38 @@ def test_bench_configs_writes_the_ten_benchmark_configs_and_each_loads(tmp_path)
         command = same_outputs.command_of(path)
         assert command is not None, path.name
         load_config(path, command)
+
+
+def _run(wall, rss, correct=True, failed=0):
+    metrics = {"wall_s": {"value": wall}, "peak_rss_mb": {"value": rss}}
+    return {"correct": correct, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1},
+    ]
+    # wall_s: the change wins 9 of 10 pairs, by more than the parent's IQR;
+    # peak_rss_mb: 12% higher on every pair, past its 10% bound
+    parent = [_run(1.0 + 0.01 * i, 40.0) for i in range(10)]
+    change = [_run(0.8 + 0.01 * i, 44.8) for i in range(9)] + [_run(1.2, 44.8, failed=1)]
+    lines = bench_pairs.summary(parent, change, metrics)
+    assert lines[0] == (
+        "wall_s: parent 1.045 [1.0225, 1.0675] s, change 0.845 [0.8225, 0.8675] s; "
+        "change won 9/10"
+    )
+    assert lines[1].endswith("> parent IQR 0.045): holds")
+    assert lines[2] == "  move -19.14% against bound 25%: within the bound"
+    assert lines[3].startswith("peak_rss_mb: parent 40 [40, 40] MiB, change 44.8 [44.8, 44.8]")
+    assert lines[3].endswith("change won 0/10")
+    assert lines[4].endswith("does not hold")
+    assert lines[5] == "  move +12.00% against bound 10%: WORSE than the bound"
+    assert lines[6] == "correct with 0 failed: 19/20 runs"
+    # 8 wins of 10 is below nine tenths, and a gap inside the parent's IQR claims nothing
+    eight = change[:8] + [_run(1.1, 40.0), _run(1.2, 40.0)]
+    assert bench_pairs.summary(parent, eight, metrics[:1])[0].endswith("change won 8/10")
+    assert bench_pairs.summary(parent, eight, metrics[:1])[1].endswith("does not hold")
+    spread = [_run(w, 40.0) for w in (1.0, 2.0, 1.0, 2.0)]
+    close = [_run(w - 0.1, 40.0) for w in (1.0, 2.0, 1.0, 2.0)]
+    assert bench_pairs.summary(spread, close, metrics[:1])[1].endswith("does not hold")

@@ -20,7 +20,6 @@ import numpy as np
 from .model import (
     ActionParams,
     Domain,
-    PotentialSpec,
     omega,
     potential_derivative,
     potential_minimum,
@@ -292,12 +291,8 @@ def asymptotic_quantum_action(params: ActionParams, gamma_shift: float = 0.0) ->
     mv2, mvm2, energy = asymptotic_quantum_params(params, gamma_shift)
     m = params.mass
     v0 = energy - 2.0 * math.sqrt(mv2 * mvm2) / m
-    return ActionParams(
-        mass=m,
-        hbar=params.hbar,
-        potential=PotentialSpec({0: v0, 2: mv2 / m, -2: mvm2 / m}),
-        domain=Domain.HALF_LINE,
-    )
+    # the family lives on the half-line (_require_family), so params keeps its domain
+    return params.with_values([m, v0, mv2 / m, mvm2 / m], (0, 2, -2))
 
 
 def transformation_residual(

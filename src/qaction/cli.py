@@ -8,6 +8,10 @@ Identical config and seed give bit-identical output. --threads is accepted
 and validated (>= 1) but has no effect; it stays until the benchmark stops
 passing it.
 
+A command is registered once, in _COMMANDS. Its runner takes (model, section,
+out_dir, run); run = {"config_hash": "sha256:<hash>", "seed": seed} is the
+run's identity, spread into the JSON summaries and, by _meta, the CSV comment.
+
 Exit codes: 0 success, 1 config validation error, 2 numerical failure.
 """
 
@@ -51,8 +55,6 @@ class VerificationFailure(RuntimeError):
     """One or more verify checks missed their tolerance."""
 
 
-_TOP_KEYS = ("model", "propagator", "spectrum", "fit", "flow", "verify", "scales")
-_SECTION_REQUIRED = {"propagator", "spectrum", "fit", "flow"}
 DEFAULT_INTERVALS = 500  # trajectory intervals of a fit or flow whose config sets no mesh
 
 
@@ -153,20 +155,13 @@ def _require_finite_powers(model: ActionParams, exponents, points, where):
 def _require_exponents(model: ActionParams, exponents, where):
     """Fit and flow vary every coefficient of their exponents, so the model's
     rules must hold with each one non-zero: unit coefficients stand for them."""
-    _built(
-        lambda: ActionParams(
-            model.mass, model.hbar, PotentialSpec(dict.fromkeys(exponents, 1.0)), model.domain
-        ),
-        where,
-    )
+    _built(lambda: model.with_values([model.mass] + [1.0] * len(exponents), exponents), where)
 
 
-def _action(section, where, hbar, domain, coefficients=None) -> ActionParams:
-    """The action of `section`'s mass and of `coefficients`, by default its own."""
-    if coefficients is None:
-        coefficients = _coefficients(section["coefficients"], f"{where}.coefficients")
+def _action(model, section, where, coefficients) -> ActionParams:
+    """The action of `section`'s mass and of `coefficients`, with the model's hbar and domain."""
     mass = _float(section["mass"], f"{where}.mass")
-    return _built(lambda: ActionParams(mass, hbar, PotentialSpec(coefficients), domain), where)
+    return _built(lambda: model.with_values([mass, *coefficients.values()], coefficients), where)
 
 
 def _model_from(payload) -> ActionParams:
@@ -175,7 +170,9 @@ def _model_from(payload) -> ActionParams:
     )
     hbar = _float(payload.get("hbar", 1.0), "model.hbar")
     domain = _built(lambda: Domain(payload.get("domain", Domain.HALF_LINE.value)), "model.domain")
-    return _action(payload, "model", hbar, domain)
+    coefficients = _coefficients(payload["coefficients"], "model.coefficients")
+    mass = _float(payload["mass"], "model.mass")
+    return _built(lambda: ActionParams(mass, hbar, PotentialSpec(coefficients), domain), "model")
 
 
 def _require_closed_form(model: ActionParams, where):
@@ -349,8 +346,7 @@ def _validate_fit(section, model):
         coeffs = _coefficients(init["coefficients"], "fit.init.coefficients")
         if not set(coeffs) <= set(ansatz):
             raise ConfigError("fit.init.coefficients must only use ansatz exponents")
-        out["init"] = _action(init, "fit.init", model.hbar, model.domain,
-                              {k: coeffs.get(k, 0.0) for k in ansatz})
+        out["init"] = _action(model, init, "fit.init", {k: coeffs.get(k, 0.0) for k in ansatz})
     return out
 
 
@@ -399,7 +395,7 @@ def _validate_flow(section, model):
         model, [x - neighbour_offset(x) for x in out["final_points"]],
         "flow.final_points less their neighbour offset 1e-3 max(1, |x|)",
     )
-    params = _action(init, "flow.initial", model.hbar, model.domain, out["coefficients"])
+    params = _action(model, init, "flow.initial", out["coefficients"])
     out["state"] = _built(
         lambda: FlowState(
             beta=out["beta"],
@@ -467,16 +463,6 @@ def _validate_scales(section, model):
     return {"probability": prob}
 
 
-_VALIDATORS = {
-    "propagator": _validate_propagator,
-    "spectrum": _validate_spectrum,
-    "fit": _validate_fit,
-    "flow": _validate_flow,
-    "verify": _validate_verify,
-    "scales": _validate_scales,
-}
-
-
 def load_config(path, command):
     """Parse and validate the config document for one subcommand."""
     try:
@@ -487,15 +473,17 @@ def load_config(path, command):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    required = ("model", command) if command in _SECTION_REQUIRED else ("model",)
-    _check_keys(raw, _TOP_KEYS, required, "config")
+    read, _, section_required, _ = _COMMANDS[command]
+    required = ("model", command) if section_required else ("model",)
+    _check_keys(raw, ("model", *_COMMANDS), required, "config")
     model = _model_from(raw["model"])
-    section = _VALIDATORS[command](raw.get(command, {}), model)
+    section = read(raw.get(command, {}), model)
     return {"model": model, "section": section, "hash": config_hash(raw)}
 
 
-def _meta(cfg, seed) -> str:
-    return f"config_hash=sha256:{cfg['hash']} seed={seed}"
+def _meta(run) -> str:
+    """The CSV comment line of a run: config_hash=sha256:<hash> seed=<seed>."""
+    return " ".join(f"{key}={value}" for key, value in run.items())
 
 
 def _write_json(path, payload):
@@ -529,9 +517,7 @@ def _rel_diff(value, reference):
 # ---------------------------------------------------------------- subcommands
 
 
-def _run_propagator(cfg, out_dir, seed):
-    model = cfg["model"]
-    sec = cfg["section"]
+def _run_propagator(model, sec, out_dir, run):
     with_image = (
         model.domain is Domain.HALF_LINE
         and model.potential.coefficients.get(-2, 0.0) == 0.0
@@ -562,7 +548,7 @@ def _run_propagator(cfg, out_dir, seed):
                 table += [image, _rel_diff(an, image)]
             rows += np.stack([c.ravel() for c in table], axis=1).tolist()
     path = out_dir / "propagator.csv"
-    write_csv(path, columns, rows, _meta(cfg, seed))
+    write_csv(path, columns, rows, _meta(run))
     worst = max((r[6] for r in rows), default=0.0)
     print(
         f"wrote {path} ({len(rows)} rows, max rel_diff {worst:.3e}, "
@@ -571,13 +557,11 @@ def _run_propagator(cfg, out_dir, seed):
     )
 
 
-def _run_spectrum(cfg, out_dir, seed):
-    model = cfg["model"]
-    sec = cfg["section"]
+def _run_spectrum(model, sec, out_dir, run):
     dec = _decomposition(model, sec["grids"], sec["levels"], vectors=False)
     rows = [[i, float(e)] for i, e in enumerate(dec.energies)]
     path = out_dir / "spectrum.csv"
-    write_csv(path, ["level", "energy"], rows, _meta(cfg, seed))
+    write_csv(path, ["level", "energy"], rows, _meta(run))
     print(f"wrote {path} ({len(rows)} levels, ground {dec.energies[0]:.10g})", flush=True)
 
 
@@ -599,9 +583,7 @@ def _final_block(params, **extra):
     }
 
 
-def _run_fit(cfg, out_dir, seed):
-    model = cfg["model"]
-    sec = cfg["section"]
+def _run_fit(model, sec, out_dir, run):
     results = _fit_rows(model, sec, sec["times"], sec["intervals"], sec["init"])
     errors = [r.relative_error for r in results]
     peak = int(np.argmax(errors))
@@ -610,8 +592,7 @@ def _run_fit(cfg, out_dir, seed):
         (r.time for r in results if r.relative_error > sec["divergence_threshold"]), None
     )
     summary = {
-        "config_hash": f"sha256:{cfg['hash']}",
-        "seed": seed,
+        **run,
         "source": sec["source"],
         "times": len(results),
         "final": _final_block(
@@ -626,7 +607,7 @@ def _run_fit(cfg, out_dir, seed):
     # the summary refuses a non-finite result before any file is written
     _write_json(out_dir / "fit_summary.json", summary)
     path = out_dir / "fit_results.csv"
-    write_results_csv(results, path, header_comment=_meta(cfg, seed))
+    write_results_csv(results, path, header_comment=_meta(run))
     print(
         f"wrote {path} and fit_summary.json "
         f"(peak rel err {errors[peak]:.3e} at T={results[peak].time:g})",
@@ -634,9 +615,7 @@ def _run_fit(cfg, out_dir, seed):
     )
 
 
-def _run_flow(cfg, out_dir, seed):
-    model = cfg["model"]
-    sec = cfg["section"]
+def _run_flow(model, sec, out_dir, run):
     initial = sec["state"]
     trace = flow_run(
         initial,
@@ -649,8 +628,7 @@ def _run_flow(cfg, out_dir, seed):
     last = trace.states[-1]
     max_deficiency = max((d.deficiency for d in trace.diagnostics), default=0)
     summary = {
-        "config_hash": f"sha256:{cfg['hash']}",
-        "seed": seed,
+        **run,
         "mode": "min_norm",  # how the ln Z~ / v~_0 degeneracy is resolved
         "recorded_states": len(trace.states),
         "rejected_steps": trace.rejected_steps,
@@ -681,15 +659,11 @@ def _run_flow(cfg, out_dir, seed):
         spread = {name: 0.0 for name in names}
         for st, fr in zip(states, fit_results):
             row = [st.beta]
-            flow_coeffs = st.params.potential.coefficients
-            fit_coeffs = fr.params.potential.coefficients
-            fvals = [st.params.mass] + [
-                flow_coeffs[k] - st.log_norm / st.beta if k == 0 else flow_coeffs[k]
-                for k in exponents
-            ]
-            gvals = [fr.params.mass] + [
-                constant_term(fr) if k == 0 else fit_coeffs.get(k, 0.0) for k in exponents
-            ]
+            fvals, gvals = st.params.values(exponents), fr.params.values(exponents)
+            if 0 in exponents:
+                at = 1 + exponents.index(0)
+                fvals[at] -= st.log_norm / st.beta
+                gvals[at] = constant_term(fr)
             for name, fv, gv in zip(names, fvals, gvals):
                 row += [fv, gv, fv - gv]
                 denom = max(abs(fv), abs(gv), 1e-12)
@@ -700,9 +674,9 @@ def _run_flow(cfg, out_dir, seed):
     # the summary refuses a non-finite result before any file is written
     _write_json(out_dir / "flow_summary.json", summary)
     path = out_dir / "flow_trace.csv"
-    write_trace_csv(trace, path, header_comment=_meta(cfg, seed))
+    write_trace_csv(trace, path, header_comment=_meta(run))
     if sec["compare_fit"] is not None:
-        write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(cfg, seed))
+        write_csv(out_dir / "flow_vs_fit.csv", columns, rows, _meta(run))
     print(
         f"wrote {path} and flow_summary.json "
         f"(beta {initial.beta:g} -> {last.beta:g}, deficiency {max_deficiency})",
@@ -714,17 +688,22 @@ def _chapman_kolmogorov_defect(kernel, t_half, a, spacing, extent):
     """Relative defect of G(a, 2 t_half; a) = int G(a, t_half; x) G(x, t_half; a) dx.
 
     The Euclidean propagator is symmetric, G(x, t; a) = G(a, t; x), so the
-    integrand is G(a, t_half; x)^2: one kernel evaluation on the grid.
+    integrand is G(a, t_half; x)^2: one kernel evaluation on the grid. A
+    G(a, 2 t_half; a) that is not a normal float raises ArithmeticError.
     """
     x = np.arange(spacing, extent + 0.5 * spacing, spacing)
     composed = np.trapezoid(np.exp(2.0 * kernel(a, x, t_half)), dx=spacing)
-    direct = math.exp(kernel(a, a, 2.0 * t_half))
+    log_direct = kernel(a, a, 2.0 * t_half)
+    direct = math.exp(log_direct)
+    if not sys.float_info.min <= direct < math.inf:  # the defect would be 0/0
+        raise ArithmeticError(
+            f"verify.composition_time {t_half:g}: G({a:g}, {2.0 * t_half:g}; {a:g}) = "
+            f"exp({log_direct:.6g}) is not a normal float; shorten the composition time"
+        )
     return abs(composed - direct) / direct
 
 
-def _run_verify(cfg, out_dir, seed):
-    model = cfg["model"]
-    sec = cfg["section"]
+def _run_verify(model, sec, out_dir, run):
     gs = ground_state(model)
     kernel = closed_form_kernel(model)
     quantum = asymptotic_quantum_action(model, sec["gamma_shift"])
@@ -787,15 +766,12 @@ def _run_verify(cfg, out_dir, seed):
         raise VerificationFailure(f"{failures} of {len(checks)} checks failed")
 
 
-def _run_scales(cfg, out_dir, seed):
-    model = cfg["model"]
-    sec = cfg["section"]
+def _run_scales(model, sec, out_dir, run):
     gs = ground_state(model)
     sc = dynamical_scales(model, probability=sec["probability"])
     mv2, mvm2, _ = asymptotic_quantum_params(model)
     payload = {
-        "config_hash": f"sha256:{cfg['hash']}",
-        "seed": seed,
+        **run,
         "omega": omega(model),
         "gamma": gs.gamma,
         "ground_energy": gs.energy,
@@ -828,7 +804,7 @@ def _common_options(fn):
     return fn
 
 
-def _invoke(command, worker, config_path, out_dir, threads, seed):
+def _invoke(command, config_path, out_dir, threads, seed):
     try:
         cfg = load_config(config_path, command)
         if threads < 1:
@@ -839,10 +815,12 @@ def _invoke(command, worker, config_path, out_dir, threads, seed):
     except MemoryError as exc:
         print(f"config error: MemoryError: {exc}", file=sys.stderr, flush=True)
         sys.exit(1)
+    _, runner, _, _ = _COMMANDS[command]
+    run = {"config_hash": f"sha256:{cfg['hash']}", "seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        worker(cfg, out, seed)
+        runner(cfg["model"], cfg["section"], out, run)
     except (SolverError, VerificationFailure, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr, flush=True)
         sys.exit(2)
@@ -856,18 +834,23 @@ def main():
     """Quantum-action laboratory: amplitudes, fits, flows and cross-checks."""
 
 
+# command: (section reader, runner, whether the config must hold the section, help)
 _COMMANDS = {
-    "propagator": (
-        _run_propagator, "Tabulate closed-form vs grid-oracle amplitudes on a boundary/time grid."
-    ),
-    "spectrum": (_run_spectrum, "Write the low-lying spectrum of the discretised Hamiltonian."),
-    "fit": (_run_fit, "Fit quantum-action parameters over a grid of transition times."),
-    "flow": (_run_flow, "Integrate the parameter flow in beta, optionally against a fit."),
-    "verify": (_run_verify, "Run the invariant suite and report measured tolerances."),
-    "scales": (_run_scales, "Report characteristic scales and asymptotic products of a model."),
+    "propagator": (_validate_propagator, _run_propagator, True,
+                   "Tabulate closed-form vs grid-oracle amplitudes on a boundary/time grid."),
+    "spectrum": (_validate_spectrum, _run_spectrum, True,
+                 "Write the low-lying spectrum of the discretised Hamiltonian."),
+    "fit": (_validate_fit, _run_fit, True,
+            "Fit quantum-action parameters over a grid of transition times."),
+    "flow": (_validate_flow, _run_flow, True,
+             "Integrate the parameter flow in beta, optionally against a fit."),
+    "verify": (_validate_verify, _run_verify, False,
+               "Run the invariant suite and report measured tolerances."),
+    "scales": (_validate_scales, _run_scales, False,
+               "Report characteristic scales and asymptotic products of a model."),
 }
-for _name, (_worker, _help) in _COMMANDS.items():
-    main.command(_name, help=_help)(_common_options(functools.partial(_invoke, _name, _worker)))
+for _name, (*_, _help) in _COMMANDS.items():
+    main.command(_name, help=_help)(_common_options(functools.partial(_invoke, _name)))
 
 
 if __name__ == "__main__":

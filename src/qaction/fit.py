@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytic import closed_form_kernel
-from .model import ActionParams, Domain, PotentialSpec, write_csv
+from .model import ActionParams, Domain, write_csv
 from .oracle import SpectralDecomposition, amplitude
 from .specfun import libm
 from .trajectory import (
@@ -188,15 +188,10 @@ class _Objective:
         self.table = table
         self.exponents = exponents
         self.grid = grid
-        self.hbar = table.model.hbar
-        self.domain = table.model.domain
         self.pairs = table.bounds.pairs()
         self.log_g = table.log_entries.ravel()
         self.start = start
-        coeffs = init.potential.coefficients
-        self.center = np.array(
-            [init.mass] + [coeffs.get(k, 0.0) for k in exponents], dtype=float
-        )
+        self.center = np.array(init.values(exponents), dtype=float)
         self.scales = np.maximum(np.abs(self.center), _SCALE_FLOOR)
         # every column but v_0's, which centring makes exactly zero
         self.free = np.array([k != 0 for k in [None] + exponents])
@@ -205,12 +200,7 @@ class _Objective:
         p = self.center + np.asarray(y) * self.scales
         if p[0] <= 0.0 or not np.all(np.isfinite(p)):
             return None
-        return ActionParams(
-            mass=float(p[0]),
-            hbar=self.hbar,
-            potential=PotentialSpec({k: float(v) for k, v in zip(self.exponents, p[1:])}),
-            domain=self.domain,
-        )
+        return self.table.model.with_values(p, self.exponents)
 
     def evaluate(self, q: ActionParams) -> tuple[np.ndarray, float, Paths]:
         """Residuals, ln Z~ and the solved paths at q: one batch of BVP solves.
@@ -346,13 +336,7 @@ def sweep(
     """
     exponents = sorted(int(k) for k in ansatz)
     if init is None:
-        coeffs = {k: model.potential.coefficients.get(k, 0.0) for k in exponents}
-        init = ActionParams(
-            mass=model.mass,
-            hbar=model.hbar,
-            potential=PotentialSpec(coeffs),
-            domain=model.domain,
-        )
+        init = model.with_values(model.values(exponents), exponents)
     results = []
     current, start = init, None
     for t, n in zip(times, intervals, strict=True):
@@ -413,8 +397,8 @@ def write_results_csv(results: list[FitResult], path, header_comment: str):
         "evaluations",
     ]
     rows = [
-        [r.time, r.params.mass]
-        + [r.params.potential.coefficients.get(k, 0.0) for k in exponents]
+        [r.time]
+        + r.params.values(exponents)
         + [r.log_norm, r.relative_error, r.objective, r.converged, r.evaluations]
         for r in results
     ]

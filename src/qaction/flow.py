@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ActionParams, PotentialSpec, potential_value, write_csv
+from .model import ActionParams, potential_value, write_csv
 from .trajectory import Paths, SolverError, TimeGrid, path_sensitivities, solve_paths
 
 DEFAULT_DBETA = 3.75e-3
@@ -200,13 +200,7 @@ def _rates_for(
     history: PathHistory,
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """Rates of one stage, solved from the starts of history; a stage that succeeds enters it."""
-    trial = FlowState(
-        beta=beta,
-        params=_params_with(state.params, vector),
-        log_norm=float(vector[0]),
-        initial_point=state.initial_point,
-        final_points=state.final_points,
-    )
+    trial = _state_at(state, beta, vector)
     a_mat, rhs, paths = assemble_system(trial, classical, intervals, history.starts(beta))
     rates, diag = solve_rates(a_mat, rhs)
     if diag.condition > CONDITION_LIMIT:
@@ -217,23 +211,17 @@ def _rates_for(
     return rates, diag
 
 
-def _params_with(params: ActionParams, vector: np.ndarray) -> ActionParams:
-    exponents = params.potential.exponents()
+def _vector_of(state: FlowState) -> np.ndarray:
+    """[ln Z~, m~, v~_k by ascending k] of state, the flow's unknowns."""
+    return np.array([state.log_norm] + state.params.values(state.exponents()))
+
+
+def _state_at(state: FlowState, beta: float, vector: np.ndarray) -> FlowState:
+    """state's points at beta with the unknowns of vector (see _vector_of)."""
     if vector[1] <= 0.0:
         raise StepRejected(f"mass left the positive domain: {vector[1]}")
-    return ActionParams(
-        mass=float(vector[1]),
-        hbar=params.hbar,
-        potential=PotentialSpec({k: float(v) for k, v in zip(exponents, vector[2:])}),
-        domain=params.domain,
-    )
-
-
-def _vector_of(state: FlowState) -> np.ndarray:
-    coeffs = state.params.potential.coefficients
-    return np.array(
-        [state.log_norm, state.params.mass] + [coeffs[k] for k in state.exponents()]
-    )
+    params = state.params.with_values(vector[1:], state.exponents())
+    return dataclasses.replace(state, beta=beta, params=params, log_norm=float(vector[0]))
 
 
 def step(
@@ -259,14 +247,7 @@ def step(
     k3, _ = _rates_for(state, classical, mid, u0 + 0.5 * dbeta * k2, intervals, history)
     k4, _ = _rates_for(state, classical, b0 + dbeta, u0 + dbeta * k3, intervals, history)
     u1 = u0 + dbeta / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new_state = FlowState(
-        beta=b0 + dbeta,
-        params=_params_with(state.params, u1),
-        log_norm=float(u1[0]),
-        initial_point=state.initial_point,
-        final_points=state.final_points,
-    )
-    return new_state, dataclasses.replace(diag, beta=b0, dbeta=dbeta)
+    return _state_at(state, b0 + dbeta, u1), dataclasses.replace(diag, beta=b0, dbeta=dbeta)
 
 
 def run(
@@ -352,9 +333,5 @@ def write_trace_csv(trace: FlowTrace, path, header_comment: str):
         else:
             d = trace.diagnostics[i - 1]
             res, cond, rank, defi = d.residual_norm, d.condition, d.rank, d.deficiency
-        rows.append(
-            [st.beta, st.params.mass]
-            + [st.params.potential.coefficients[k] for k in exponents]
-            + [st.log_norm, res, cond, rank, defi]
-        )
+        rows.append([st.beta] + st.params.values(exponents) + [st.log_norm, res, cond, rank, defi])
     write_csv(path, cols, rows, header_comment)

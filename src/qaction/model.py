@@ -52,7 +52,11 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class ActionParams:
-    """Mass, hbar, potential and domain of one (classical or quantum) action."""
+    """Mass, hbar, potential and domain of one (classical or quantum) action.
+
+    As numbers, for the fit and the flow, an action is [m, v_k for k in
+    exponents] (values), and with_values builds one back from such a list.
+    """
 
     mass: float
     hbar: float
@@ -69,6 +73,21 @@ class ActionParams:
             raise ValueError(f"hbar^2 must be a normal float, got hbar {self.hbar}")
         if self.potential.has_negative_exponents() and self.domain is not Domain.HALF_LINE:
             raise ValueError("negative-exponent coefficients require the half-line domain")
+
+    def values(self, exponents) -> list[float]:
+        """[m] + [v_k for k in exponents], 0.0 for an exponent the potential lacks."""
+        coeffs = self.potential.coefficients
+        return [self.mass] + [coeffs.get(k, 0.0) for k in exponents]
+
+    def with_values(self, values, exponents) -> ActionParams:
+        """This hbar and domain with mass values[0] and v_k = values[1:], in the
+        order of exponents: potential_terms sums V in that order."""
+        return ActionParams(
+            float(values[0]),
+            self.hbar,
+            PotentialSpec({k: float(v) for k, v in zip(exponents, values[1:])}),
+            self.domain,
+        )
 
 
 def potential_value(spec: PotentialSpec, x):

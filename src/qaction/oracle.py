@@ -200,15 +200,10 @@ def spectrum(
         raise ValueError("t_min must be positive")
     if seeds is not None and (t_min is not None or len(seeds) != n_states):
         raise ValueError("seeds need n_states entries and no t_min")
-    d, e = operator.diagonal, operator.off_diagonal
     bracket = BRACKET * _norm(operator)
 
     def bisect(*selection):
-        # LAPACK range 1: levels in (vl, vu]; range 2: 1-based indices il..iu
-        m, w, _, _, info = dstebz(d, e, *selection, bracket, "E")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"stebz failed with info {info}")
-        return w[:m]
+        return _stebz(operator, selection, bracket)
 
     polished = None if seeds is None else _seeded(operator, np.asarray(seeds, float), vectors)
     if polished is None:
@@ -254,11 +249,18 @@ def _count(operator: TridiagonalOperator, top: float) -> int:
     interval, 4 |T|, counts at both ends of that interval and returns after
     one halving: it bisects no level.
     """
+    return len(_stebz(operator, (1, -np.inf, top, 0, 0), 4.0 * _norm(operator)))
+
+
+def _stebz(operator: TridiagonalOperator, selection, abstol: float) -> np.ndarray:
+    """The eigenvalues stebz finds to within abstol in selection: LAPACK's
+    (range, vl, vu, il, iu), range 1 for the levels in (vl, vu] and range 2
+    for the 1-based indices il..iu."""
     d, e = operator.diagonal, operator.off_diagonal
-    m, _, _, _, info = dstebz(d, e, 1, -np.inf, top, 0, 0, 4.0 * _norm(operator), "E")
+    m, w, _, _, info = dstebz(d, e, *selection, abstol, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz failed with info {info}")
-    return int(m)
+    return w[:m]
 
 
 def _seeded(operator: TridiagonalOperator, seeds: np.ndarray, vectors: bool):

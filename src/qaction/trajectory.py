@@ -287,6 +287,15 @@ class _Relaxation:
         np.negative(self.residual(x, delta), out=delta)
         return _solve_each(self.off_diag, diag, delta)
 
+    def halve(self, rows, scale: np.ndarray, halvings: np.ndarray, message: str) -> None:
+        """Halve the step scale of each of rows and count it in halvings; a scale
+        below 1e-14 raises SolverError(message formatted with the row's residual)."""
+        for row in rows:
+            scale[row] *= 0.5
+            halvings[self.ids[row]] += 1
+            if scale[row] < 1e-14:
+                raise SolverError(message.format(self.res_norm[row]))
+
     def iterate(self, iteration: int, out: Paths) -> bool:
         """One damped Newton iteration of every iterating path; False once none is left.
 
@@ -314,14 +323,8 @@ class _Relaxation:
                 negative = np.any(trial[:, 1:-1] <= 0.0, axis=1)
                 if negative.any():
                     retry = pending[negative]
-                    for row in retry:
-                        scale[row] *= 0.5
-                        halvings[self.ids[row]] += 1
-                        if scale[row] < 1e-14:
-                            raise SolverError(
-                                "step underflow keeping iterate positive "
-                                f"(residual {res_norm[row]:.3e})"
-                            )
+                    self.halve(retry, scale, halvings,
+                               "step underflow keeping iterate positive (residual {:.3e})")
                     pending, trial = pending[~negative], trial[~negative]
             sc = scale[pending]
             last = (sc == 1.0) & (delta_norm[pending] <= DEFAULT_TOL)
@@ -347,14 +350,8 @@ class _Relaxation:
                 self.delta[taken] = -resid_try[accept]
             res_norm[taken] = res_try[accept]
             step_norm[taken] = sc[accept] * delta_norm[taken]
-            for row in pending[~accept]:
-                scale[row] *= 0.5
-                halvings[self.ids[row]] += 1
-                if scale[row] < 1e-14:
-                    raise SolverError(
-                        f"line search stalled at residual {res_norm[row]:.3e} "
-                        f"after {iteration} iterations"
-                    )
+            self.halve(pending[~accept], scale, halvings,
+                       f"line search stalled at residual {{:.3e}} after {iteration} iterations")
             pending = np.sort(np.concatenate([retry, pending[~accept]]))
 
         converged = step_norm <= DEFAULT_TOL

@@ -754,6 +754,61 @@ def test_bad_verify_parameters_exit_one(runner, tmp_path, verify, message):
     assert "config error" in res.output and message in res.output
 
 
+def test_verify_composition_past_the_float_range_is_numerical_failure(runner, tmp_path):
+    # ln G(1, 400; 1) = -1000.6 on the standard model: exp underflows to 0, and
+    # the defect would be 0/0
+    cfg = write_config(tmp_path, {"model": STANDARD_MODEL, "verify": {"composition_time": 200}})
+    res = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "numerical failure" in res.output and "composition_time" in res.output
+    assert "nan" not in res.output
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("propagator", 1, "missing keys in config: ['propagator']"),
+        ("spectrum", 1, "missing keys in config: ['spectrum']"),
+        ("fit", 1, "missing keys in config: ['fit']"),
+        ("flow", 1, "missing keys in config: ['flow']"),
+        ("verify", 0, "7/7 checks passed"),
+        ("scales", 0, "wrote scales.json"),
+    ],
+)
+def test_model_only_config_runs_the_commands_whose_section_is_optional(
+    runner, tmp_path, command, code, message
+):
+    cfg = write_config(tmp_path, {"model": STANDARD_MODEL})
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == code, res.output
+    assert message in res.output
+
+
+@pytest.mark.parametrize(
+    "command, doc, summary_name, csv_names",
+    [
+        ("fit", _fit_doc(), "fit_summary.json", ["fit_results.csv"]),
+        (
+            "flow",
+            _flow_doc(compare_fit={"initial": [1.0], "final": [1.5, 2.0]}),
+            "flow_summary.json",
+            ["flow_trace.csv", "flow_vs_fit.csv"],
+        ),
+    ],
+)
+def test_csv_comment_carries_the_summary_identity(
+    runner, tmp_path, command, doc, summary_name, csv_names
+):
+    cfg = write_config(tmp_path, doc)
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path), "--seed", "7"])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / summary_name).read_text())
+    assert (summary["config_hash"], summary["seed"]) == ("sha256:" + config_hash(doc), 7)
+    for name in csv_names:
+        first = (tmp_path / name).read_text().split("\n")[0]
+        assert first == f"# config_hash={summary['config_hash']} seed={summary['seed']}"
+
+
 def test_propagator_outputs_are_deterministic(runner, tmp_path):
     doc = {
         "model": STANDARD_MODEL,

@@ -55,6 +55,41 @@ def test_params_validation():
     )
 
 
+@pytest.mark.parametrize("exponents", [[-2, 0, 2], [2, -2, 0]], ids=["sorted", "unsorted"])
+def test_values_and_with_values_round_trip(exponents):
+    action = ActionParams(mass=0.9, hbar=0.7, potential=PotentialSpec({2: 0.5, 0: 0.1, -2: 1.3}))
+    values = action.values(exponents)
+    assert values == [0.9] + [action.potential.coefficients[k] for k in exponents]
+    rebuilt = action.with_values(values, exponents)
+    assert rebuilt == action
+    # the dict order is the order in which potential_terms sums V
+    assert list(rebuilt.potential.coefficients) == exponents
+
+
+def test_with_values_keeps_hbar_and_domain():
+    oscillator = ActionParams(
+        mass=1.0, hbar=0.5, potential=PotentialSpec({2: 0.5}), domain=Domain.FULL_LINE
+    )
+    moved = oscillator.with_values([2.0, 0.25, 0.01], [2, 4])
+    assert (moved.mass, moved.hbar, moved.domain) == (2.0, 0.5, Domain.FULL_LINE)
+    assert moved.potential.coefficients == {2: 0.25, 4: 0.01}
+
+
+def test_values_read_an_absent_exponent_as_zero():
+    action = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}))
+    assert action.values([-2, 0, 2]) == [1.0, 0.0, 0.0, 0.5]
+    assert action.values([]) == [1.0]
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0])
+def test_with_values_rejects_a_non_positive_mass(mass):
+    action = ActionParams(mass=1.0, hbar=1.0, potential=PotentialSpec({2: 0.5}))
+    with pytest.raises(ValueError, match="mass must be positive"):
+        action.with_values([mass, 0.5], [2])
+    with pytest.raises(ValueError, match="mass must be positive"):
+        ActionParams(mass=mass, hbar=1.0, potential=PotentialSpec({2: 0.5}))
+
+
 def test_potential_evaluation_matches_direct_sum():
     spec = PotentialSpec({0: 0.3, 2: 0.5, -2: 1.25, 4: 0.01})
     x = np.array([0.3, 1.0, 2.7])
